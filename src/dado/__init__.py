@@ -7,7 +7,6 @@ candidate pool; runs are scored with ranking-centric learning-curve metrics.
 
 from .datapool import (
     CandidatePool,
-    DesignCandidate,
     FeatureNormalizer,
     TargetNormalizer,
     bootstrap_draw,
@@ -16,7 +15,6 @@ from .datapool import (
     infer_pool_schema,
     initial_sample,
     load_pool,
-    params_matrix,
     pool_from_arrays,
     save_pool,
 )
@@ -42,13 +40,11 @@ from .metrics import (
     reference_order,
     srocc,
 )
-from .oracle import ExpertOracle, SyntheticPoolSpec, annotate, gen_synthetic_pool
+from .oracle import SyntheticPoolSpec, annotate, gen_synthetic_pool
 from .strategies import (
     SelectionResult,
     StrategyKind,
     component_max,
-    score_l2r,
-    score_l2s,
     select,
     selection_order,
 )

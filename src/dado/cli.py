@@ -24,7 +24,7 @@ from .datapool import infer_pool_schema, load_pool, save_pool
 from .errors import ConfigError, DadoError, MissingFile, SizeMismatch
 from .loop import ScenarioConfig, run_experiment, run_sweep, stderr_of
 from .metrics import METRIC_FIELDS, LearningCurve
-from .oracle import ExpertOracle, SyntheticPoolSpec, gen_synthetic_pool
+from .oracle import SyntheticPoolSpec, gen_synthetic_pool
 from .strategies import StrategyKind
 from .surrogate import MlpConfig, TrainConfig
 
@@ -224,32 +224,28 @@ def scenario_from_mapping(kv: dict) -> ScenarioConfig:
 
 
 def _load_pool_auto(path):
+    """Load a pool CSV whose schema comes from its header.
+
+    Returns the pool and its manifest entry; the file is hashed once, right
+    after it is read, so every manifest of the command names the bytes loaded.
+    """
     d, num_obj = infer_pool_schema(path)
-    return load_pool(path, d, num_obj), d, num_obj
+    pool = load_pool(path, d, num_obj)
+    return pool, {"path": str(path), "sha256": _sha256(path), "d": d, "num_obj": num_obj}
 
 
-def _run_manifest(pool_path, d, num_obj, cfg, outputs) -> dict:
-    return {
-        "tool": "dado",
-        "version": __version__,
-        "created_utc": _utc_now(),
-        "pool": {"path": str(pool_path), "sha256": _sha256(pool_path), "d": d, "num_obj": num_obj},
-        "config": scenario_to_dict(cfg),
-        "outputs": outputs,
-    }
-
-
-def _write_run_outputs(out_dir: Path, pool_path, d, num_obj, result) -> None:
+def _write_run_outputs(out_dir: Path, pool_entry: dict, result) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     write_iterations(out_dir / "iterations.csv", result.curve)
     _write_json(out_dir / "summary.json", result.summary)
-    manifest = _run_manifest(
-        pool_path,
-        d,
-        num_obj,
-        result.scenario,
-        {"iterations": "iterations.csv", "summary": "summary.json"},
-    )
+    manifest = {
+        "tool": "dado",
+        "version": __version__,
+        "created_utc": _utc_now(),
+        "pool": pool_entry,
+        "config": scenario_to_dict(result.scenario),
+        "outputs": {"iterations": "iterations.csv", "summary": "summary.json"},
+    }
     _write_json(out_dir / "manifest.json", manifest)
 
 
@@ -317,9 +313,9 @@ def cmd_run(args) -> int:
             seed=args.seed,
             train=_train_config_from(kv),
         )
-    pool, d, num_obj = _load_pool_auto(args.pool)
-    result = run_experiment(pool, ExpertOracle.pool_backed(num_obj), cfg)
-    _write_run_outputs(Path(args.out_dir), args.pool, d, num_obj, result)
+    pool, pool_entry = _load_pool_auto(args.pool)
+    result = run_experiment(pool, cfg)
+    _write_run_outputs(Path(args.out_dir), pool_entry, result)
     print(f"run {cfg.name!r} complete: {cfg.n_iter} iterations, outputs in {args.out_dir}")
     return 0
 
@@ -397,7 +393,7 @@ def cmd_sweep(args) -> int:
     pool_path, scenarios, strategies, seeds = _sweep_plan(
         kv, Path(args.config).parent, args.pool
     )
-    pool, d, num_obj = _load_pool_auto(pool_path)
+    pool, pool_entry = _load_pool_auto(pool_path)
     summary = run_sweep(pool, scenarios, strategies, seeds)
 
     out_dir = Path(args.out_dir)
@@ -410,7 +406,7 @@ def cmd_sweep(args) -> int:
             failures.append({"run": run_name, "error": record.error})
             continue
         run_dir = out_dir / "runs" / run_name
-        _write_run_outputs(run_dir, pool_path, d, num_obj, record.result)
+        _write_run_outputs(run_dir, pool_entry, record.result)
         run_dirs.append(str(run_dir.relative_to(out_dir)))
     write_table(out_dir / "table.csv", summary.table)
     _write_json(
@@ -419,7 +415,7 @@ def cmd_sweep(args) -> int:
             "tool": "dado",
             "version": __version__,
             "created_utc": _utc_now(),
-            "pool": {"path": str(pool_path), "sha256": _sha256(pool_path)},
+            "pool": {"path": pool_entry["path"], "sha256": pool_entry["sha256"]},
             "grid": {
                 "scenarios": [scenario_to_dict(sc) for sc in scenarios],
                 "strategies": [st.value for st in strategies],

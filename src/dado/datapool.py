@@ -1,15 +1,17 @@
 """Annotated candidate pool: loading, seeded sampling, consumption tracking, scaling.
 
-The pool plays two roles at once: it is the reservoir of not-yet-annotated
-design candidates that draws are bootstrapped from, and (because every row
-carries its objectives) it backs the simulated annotator. Candidates that
-enter the training set are marked *consumed* and never drawn again.
+The pool is one table: row i holds candidate i's parameter vector and its
+stored objectives. It plays two roles at once: it is the reservoir of
+not-yet-annotated design candidates that draws are bootstrapped from, and
+(because every row carries its objectives) it backs the simulated annotator.
+Draws and acquisitions are arrays of row indices. Candidates that enter the
+training set are marked *consumed* and never drawn again.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +19,6 @@ import numpy as np
 from .errors import (
     AlreadyConsumed,
     DegenerateInput,
-    MissingAnnotation,
     MissingFile,
     NonFiniteValue,
     PoolExhausted,
@@ -26,26 +27,6 @@ from .errors import (
 )
 
 TARGET_STD_FLOOR = 1e-12
-
-
-@dataclass
-class DesignCandidate:
-    """One parameterized design: stable id, parameter vector, optional stored objectives.
-
-    ``true_objectives`` is only ever read by the oracle; the surrogate and
-    selection path never see it.
-    """
-
-    id: int
-    params: np.ndarray
-    true_objectives: np.ndarray | None = None
-
-
-def params_matrix(candidates) -> np.ndarray:
-    """Stack candidate parameter vectors into an (n, d) array."""
-    if not candidates:
-        return np.empty((0, 0))
-    return np.array([c.params for c in candidates], dtype=float)
 
 
 @dataclass
@@ -82,64 +63,58 @@ class TargetNormalizer:
 
 @dataclass
 class CandidatePool:
-    """Ordered candidate store with consumption bookkeeping.
+    """The candidate table plus consumption bookkeeping; row index is candidate id.
 
-    ``feature_bounds`` has shape (d, 2): column 0 holds per-dimension minima,
-    column 1 maxima, both computed over the whole pool.
+    ``params`` is (n, d) and ``objectives`` (n, num_obj); ``objectives`` is
+    only ever read by the annotator, never by the surrogate or the selection
+    path. ``feature_bounds`` has shape (d, 2): column 0 holds per-dimension
+    minima, column 1 maxima, both over the whole pool. ``consumed`` is a
+    boolean mask over the rows. The three arrays are read-only and shared
+    between copies; each copy has its own mask.
     """
 
-    candidates: list[DesignCandidate]
-    num_obj: int
+    params: np.ndarray
+    objectives: np.ndarray
     feature_bounds: np.ndarray
-    consumed: set[int] = field(default_factory=set)
-
-    def __post_init__(self):
-        self._by_id = {c.id: c for c in self.candidates}
-        if len(self._by_id) != len(self.candidates):
-            raise SchemaMismatch("duplicate candidate ids in pool")
+    consumed: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.candidates)
+        return self.params.shape[0]
 
     @property
     def d(self) -> int:
-        return int(self.feature_bounds.shape[0])
+        return self.params.shape[1]
+
+    @property
+    def num_obj(self) -> int:
+        return self.objectives.shape[1]
 
     @property
     def available(self) -> int:
-        return len(self.candidates) - len(self.consumed)
-
-    def available_ids(self) -> list[int]:
-        return [c.id for c in self.candidates if c.id not in self.consumed]
-
-    def by_id(self, cid: int) -> DesignCandidate:
-        try:
-            return self._by_id[cid]
-        except KeyError:
-            raise UnknownId(f"candidate id {cid} not in pool") from None
+        return len(self) - int(np.count_nonzero(self.consumed))
 
     def copy(self) -> "CandidatePool":
-        """Fresh pool sharing candidate objects but with its own consumption state."""
-        return CandidatePool(
-            list(self.candidates), self.num_obj, self.feature_bounds, set(self.consumed)
-        )
+        """Pool sharing the read-only arrays, with its own consumption mask."""
+        return CandidatePool(self.params, self.objectives, self.feature_bounds, self.consumed.copy())
 
 
 def pool_from_arrays(params: np.ndarray, objectives: np.ndarray) -> CandidatePool:
-    """Build a pool from (n, d) parameters and (n, num_obj) objectives, ids 0..n-1."""
-    params = np.asarray(params, dtype=float)
-    objectives = np.asarray(objectives, dtype=float)
+    """Build a pool from (n, d) parameters and (n, num_obj) objectives, ids 0..n-1.
+
+    The pool keeps its own read-only copies of both arrays.
+    """
+    params = np.array(params, dtype=float)
+    objectives = np.array(objectives, dtype=float)
     if params.ndim != 2 or objectives.ndim != 2 or params.shape[0] != objectives.shape[0]:
         raise SchemaMismatch("params and objectives must be 2-D with matching row counts")
     if params.shape[0] == 0:
         raise SchemaMismatch("pool needs at least one candidate")
     if not np.isfinite(params).all() or not np.isfinite(objectives).all():
         raise NonFiniteValue("non-finite value in pool arrays")
-    candidates = [
-        DesignCandidate(i, params[i], objectives[i]) for i in range(params.shape[0])
-    ]
     bounds = np.column_stack([params.min(axis=0), params.max(axis=0)])
-    return CandidatePool(candidates, objectives.shape[1], bounds)
+    for table in (params, objectives, bounds):
+        table.setflags(write=False)
+    return CandidatePool(params, objectives, bounds, np.zeros(params.shape[0], dtype=bool))
 
 
 def load_pool(path, d: int, num_obj: int) -> CandidatePool:
@@ -189,16 +164,11 @@ def save_pool(pool: CandidatePool, path) -> None:
     serialize to identical bytes.
     """
     header = [f"p{i}" for i in range(pool.d)] + [f"j{i}" for i in range(pool.num_obj)]
+    table = np.hstack([pool.params, pool.objectives]).tolist()
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for c in pool.candidates:
-            if c.true_objectives is None:
-                raise MissingAnnotation(f"candidate {c.id} has no stored objectives")
-            writer.writerow(
-                [repr(float(v)) for v in c.params]
-                + [repr(float(v)) for v in c.true_objectives]
-            )
+        writer.writerows([repr(v) for v in row] for row in table)
 
 
 def infer_pool_schema(path) -> tuple[int, int]:
@@ -220,23 +190,22 @@ def infer_pool_schema(path) -> tuple[int, int]:
     return d, num_obj
 
 
-def _sample_available(pool: CandidatePool, size: int, rng, what: str) -> list[DesignCandidate]:
-    avail = pool.available_ids()
-    if size > len(avail):
-        raise PoolExhausted(f"{what} of {size} exceeds {len(avail)} available candidates")
-    picked = rng.choice(np.asarray(avail, dtype=np.int64), size=size, replace=False)
-    return [pool.by_id(int(i)) for i in picked]
+def _sample_available(pool: CandidatePool, size: int, rng, what: str) -> np.ndarray:
+    avail = np.flatnonzero(~pool.consumed)
+    if size > avail.size:
+        raise PoolExhausted(f"{what} of {size} exceeds {avail.size} available candidates")
+    return rng.choice(avail, size=size, replace=False)
 
 
-def initial_sample(pool: CandidatePool, initial_size: int, rng) -> list[DesignCandidate]:
-    """Draw the seed training set uniformly without replacement; marks it consumed."""
+def initial_sample(pool: CandidatePool, initial_size: int, rng) -> np.ndarray:
+    """Draw the seed training set's ids uniformly without replacement; marks them consumed."""
     picked = _sample_available(pool, initial_size, rng, "initial sample")
-    consume(pool, [c.id for c in picked])
+    consume(pool, picked)
     return picked
 
 
-def bootstrap_draw(pool: CandidatePool, draw_size: int, rng) -> list[DesignCandidate]:
-    """Draw candidates uniformly without replacement from the non-consumed remainder.
+def bootstrap_draw(pool: CandidatePool, draw_size: int, rng) -> np.ndarray:
+    """Draw ids uniformly without replacement from the non-consumed remainder.
 
     Does not consume: only acquisition removes candidates from the pool, so
     candidates drawn but not selected can reappear in later draws.
@@ -246,15 +215,17 @@ def bootstrap_draw(pool: CandidatePool, draw_size: int, rng) -> list[DesignCandi
 
 def consume(pool: CandidatePool, ids) -> None:
     """Mark ids consumed. Validates everything before mutating anything."""
-    requested = [int(i) for i in ids]
-    seen: set[int] = set()
-    for i in requested:
-        if i not in pool._by_id:
-            raise UnknownId(f"candidate id {i} not in pool")
-        if i in pool.consumed or i in seen:
-            raise AlreadyConsumed(f"candidate id {i} already consumed")
-        seen.add(i)
-    pool.consumed.update(seen)
+    rows = np.asarray(ids, dtype=np.int64).reshape(-1)
+    # Checked explicitly: numpy would wrap a negative index around silently.
+    unknown = (rows < 0) | (rows >= len(pool))
+    if unknown.any():
+        raise UnknownId(f"candidate id {rows[unknown][0]} not in pool")
+    repeated = np.ones(rows.size, dtype=bool)
+    repeated[np.unique(rows, return_index=True)[1]] = False  # first occurrences
+    taken = pool.consumed[rows] | repeated
+    if taken.any():
+        raise AlreadyConsumed(f"candidate id {rows[taken][0]} already consumed")
+    pool.consumed[rows] = True
 
 
 def fit_normalizers(pool: CandidatePool, train_targets) -> tuple[FeatureNormalizer, TargetNormalizer]:

@@ -31,10 +31,6 @@ class AlreadyConsumed(DadoError):
     """Attempt to consume a candidate id twice."""
 
 
-class MissingAnnotation(DadoError):
-    """A pool-backed oracle hit a candidate without stored objectives."""
-
-
 class InvalidCovariance(DadoError):
     """Covariance matrix is not symmetric positive-definite."""
 

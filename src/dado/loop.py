@@ -22,7 +22,6 @@ from .datapool import (
     consume,
     fit_normalizers,
     initial_sample,
-    params_matrix,
 )
 from .errors import ConfigError, PoolExhausted
 from .metrics import (
@@ -38,7 +37,7 @@ from .metrics import (
     reference_order,
     srocc,
 )
-from .oracle import ExpertOracle, annotate
+from .oracle import annotate
 from .strategies import StrategyKind, select
 from .surrogate import MlpConfig, TrainConfig, init_model, predict_batch, train
 
@@ -75,8 +74,10 @@ class ScenarioConfig:
     target_space: str = "normalized"
 
     def __post_init__(self):
-        if min(self.initial_size, self.draw_size, self.aq_size) < 1:
-            raise ConfigError("initial_size, draw_size, and aq_size must be positive")
+        if min(self.initial_size, self.draw_size) < 1:
+            raise ConfigError("initial_size and draw_size must be positive")
+        if self.aq_size < 2:
+            raise ConfigError("aq_size must be at least 2: srocc ranks the top aq_size candidates")
         if self.aq_size > self.draw_size:
             raise ConfigError("aq_size cannot exceed draw_size")
         if self.budget <= self.initial_size:
@@ -117,7 +118,6 @@ def _summarize(curve: LearningCurve) -> dict[str, dict[str, float]]:
 
 def run_experiment(
     pool: CandidatePool,
-    oracle: ExpertOracle,
     cfg: ScenarioConfig,
     predict_override=None,
 ) -> ExperimentResult:
@@ -127,9 +127,10 @@ def run_experiment(
     dropout, draws, random selection) derive from the scenario seed via labeled
     sub-seeds, so a run is reproducible bit for bit.
 
-    `predict_override(draw, fnorm, tnorm) -> (n, num_obj) normalized predictions`
-    replaces training and prediction entirely; it exists so tests can wire a
-    perfect or broken predictor into an otherwise unchanged loop.
+    `predict_override(draw, fnorm, tnorm) -> (n, num_obj) normalized predictions`,
+    where `draw` holds the drawn pool row ids, replaces training and prediction
+    entirely; it exists so tests can wire a perfect or broken predictor into an
+    otherwise unchanged loop.
     """
     n_iter = cfg.n_iter
     needed = cfg.initial_size + (n_iter - 1) * cfg.aq_size + cfg.draw_size
@@ -140,9 +141,9 @@ def run_experiment(
         )
     mlp_cfg = cfg.mlp.resolved(pool.d, pool.num_obj)
 
-    train_cands = initial_sample(pool, cfg.initial_size, derive_rng(cfg.seed, "initial-sample"))
-    train_targets = annotate(oracle, train_cands)
-    initial_ids = [c.id for c in train_cands]
+    train_rows = initial_sample(pool, cfg.initial_size, derive_rng(cfg.seed, "initial-sample"))
+    train_targets = annotate(pool, train_rows)
+    initial_ids = train_rows.tolist()
     acquired_ids: list[list[int]] = []
     records: list[IterationRecord] = []
     mr_first = 0.0
@@ -153,7 +154,7 @@ def run_experiment(
             model = init_model(mlp_cfg, derive_seed(cfg.seed, "model-init", i))
             model, _ = train(
                 model,
-                fnorm.transform(params_matrix(train_cands)),
+                fnorm.transform(pool.params[train_rows]),
                 tnorm.transform(train_targets),
                 cfg.train,
                 derive_rng(cfg.seed, "train", i),
@@ -161,11 +162,11 @@ def run_experiment(
 
         draw = bootstrap_draw(pool, cfg.draw_size, derive_rng(cfg.seed, "draw", i))
         if predict_override is None:
-            preds = predict_batch(model, draw, fnorm, tnorm, space="normalized")
+            preds = predict_batch(model, fnorm.transform(pool.params[draw]))
         else:
             preds = np.asarray(predict_override(draw, fnorm, tnorm), dtype=float)
 
-        truths_raw = annotate(oracle, draw)  # metric bookkeeping only
+        truths_raw = annotate(pool, draw)  # metric bookkeeping only
         truths = tnorm.transform(truths_raw)
         # Strategies and rank metrics score predictions and truths in the same
         # space; the MSE metrics always stay in the normalized space.
@@ -186,7 +187,7 @@ def run_experiment(
         records.append(
             IterationRecord(
                 iteration=i,
-                train_set_size=len(train_cands),
+                train_set_size=len(train_rows),
                 intersections=intersections(
                     sel_idx, true_order[: cfg.aq_size], cfg.aq_size
                 ),
@@ -198,11 +199,11 @@ def run_experiment(
             )
         )
 
-        acquired = [draw[k] for k in sel_idx]
-        consume(pool, [c.id for c in acquired])
-        train_cands.extend(acquired)
+        acquired = draw[sel_idx]
+        consume(pool, acquired)
+        train_rows = np.concatenate([train_rows, acquired])
         train_targets = np.vstack([train_targets, truths_raw[sel_idx]])
-        acquired_ids.append([c.id for c in acquired])
+        acquired_ids.append(acquired.tolist())
 
     curve = LearningCurve(records)
     return ExperimentResult(cfg, curve, _summarize(curve), initial_ids, acquired_ids)
@@ -240,10 +241,8 @@ class SweepSummary:
 
 def _execute_run(payload):
     pool, cfg = payload
-    pool = pool.copy()
-    oracle = ExpertOracle.pool_backed(pool.num_obj)
     try:
-        return run_experiment(pool, oracle, cfg), None
+        return run_experiment(pool.copy(), cfg), None
     except Exception as exc:  # noqa: BLE001 - a sweep isolates per-run failures
         return None, f"{type(exc).__name__}: {exc}"
 

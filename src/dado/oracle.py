@@ -1,79 +1,29 @@
 """Ground-truth annotation: pool lookups and synthetic pool generators.
 
-The pool-backed oracle simulates an expensive evaluator by reading the
-objectives stored with each candidate. Synthetic pools serve two purposes:
-a Gaussian objective cloud (independent of the parameters) for exercising
-selection and metrics in isolation, and an analytic bi-objective family
-whose objectives actually depend on the parameters, for end-to-end tests
-where the surrogate has something to learn.
+The annotator simulates an expensive evaluator by reading the objectives
+stored in the pool's rows. Synthetic pools serve two purposes: a Gaussian
+objective cloud (independent of the parameters) for exercising selection and
+metrics in isolation, and an analytic bi-objective family whose objectives
+actually depend on the parameters, for end-to-end tests where the surrogate
+has something to learn.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .datapool import CandidatePool, pool_from_arrays
-from .errors import ConfigError, InvalidCovariance, MissingAnnotation
-
-POOL_BACKED = "pool-backed"
-ANALYTIC = "analytic"
+from .errors import ConfigError, InvalidCovariance
 
 GAUSSIAN_KIND = "gaussian-objectives"
 ANALYTIC_KIND = "analytic-biobjective"
 
 
-@dataclass(frozen=True)
-class ExpertOracle:
-    """Deterministic annotator: stored-objective lookup or closed-form evaluation."""
-
-    kind: str
-    num_obj: int
-    functions: tuple[Callable[[np.ndarray], float], ...] = ()
-
-    @classmethod
-    def pool_backed(cls, num_obj: int = 2) -> "ExpertOracle":
-        return cls(POOL_BACKED, num_obj)
-
-    @classmethod
-    def analytic(cls, functions) -> "ExpertOracle":
-        functions = tuple(functions)
-        if not functions:
-            raise ConfigError("analytic oracle needs at least one objective function")
-        return cls(ANALYTIC, len(functions), functions)
-
-    @classmethod
-    def squared_distances(cls, anchor_a, anchor_b) -> "ExpertOracle":
-        """Bi-objective family f1 = |x-a|^2, f2 = |x-b|^2.
-
-        The two objectives conflict everywhere except on the segment between
-        the anchors, which is exactly the trade-off set, so end-to-end tests
-        have a known geometry to check against.
-        """
-        a = np.asarray(anchor_a, dtype=float)
-        b = np.asarray(anchor_b, dtype=float)
-        return cls.analytic(
-            (
-                lambda x: float(np.sum((np.asarray(x, dtype=float) - a) ** 2)),
-                lambda x: float(np.sum((np.asarray(x, dtype=float) - b) ** 2)),
-            )
-        )
-
-
-def annotate(oracle: ExpertOracle, candidates) -> np.ndarray:
-    """Return the (n, num_obj) ground-truth objectives, order preserving."""
-    if not candidates:
-        return np.zeros((0, oracle.num_obj))
-    if oracle.kind == POOL_BACKED:
-        rows = []
-        for c in candidates:
-            if c.true_objectives is None:
-                raise MissingAnnotation(f"candidate {c.id} has no stored objectives")
-            rows.append(np.asarray(c.true_objectives, dtype=float))
-        return np.array(rows)
-    return np.array([[f(c.params) for f in oracle.functions] for c in candidates])
+def annotate(pool: CandidatePool, rows) -> np.ndarray:
+    """Return the (len(rows), num_obj) ground-truth objectives of the given ids, in order."""
+    return pool.objectives[rows]
 
 
 @dataclass(frozen=True)
@@ -82,7 +32,9 @@ class SyntheticPoolSpec:
 
     Gaussian kind: parameters uniform in [0,1]^d, objectives drawn from a
     multivariate normal and unrelated to the parameters. Analytic kind:
-    objectives are the squared distances to two anchor points in [0,1]^d.
+    objectives are the squared distances to two anchor points in [0,1]^d;
+    they conflict everywhere except on the segment between the anchors, which
+    is exactly the trade-off set, so end-to-end tests have a known geometry.
     """
 
     kind: str

@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import AcquisitionTooLarge, ConfigError, DimensionMismatch, EmptyDraw
+from .errors import AcquisitionTooLarge, ConfigError, EmptyDraw
 
 
 class StrategyKind(Enum):
@@ -34,21 +34,9 @@ class StrategyKind(Enum):
 
 @dataclass
 class SelectionResult:
-    """Outcome of one acquisition: draw positions picked, plus the scores used.
-
-    `scores` is one value per draw candidate (empty for the random strategy);
-    `y_max` is the componentwise maximum the reject strategy measured from.
-    """
+    """Outcome of one acquisition: the draw positions picked."""
 
     selected_indices: list[int]
-    scores: np.ndarray
-    y_max: np.ndarray | None = None
-
-
-def score_l2s(y) -> float:
-    """Euclidean norm of one (scaled) objective vector."""
-    y = np.asarray(y, dtype=float)
-    return float(np.sqrt(np.sum(y * y)))
 
 
 def component_max(ys) -> np.ndarray:
@@ -59,16 +47,6 @@ def component_max(ys) -> np.ndarray:
     return ys.max(axis=0)
 
 
-def score_l2r(y, y_max) -> float:
-    """Distance of one objective vector to the draw's componentwise maximum."""
-    y = np.asarray(y, dtype=float)
-    y_max = np.asarray(y_max, dtype=float)
-    if y.shape != y_max.shape:
-        raise DimensionMismatch(f"shape {y.shape} does not match y_max shape {y_max.shape}")
-    d = y - y_max
-    return float(np.sqrt(np.sum(d * d)))
-
-
 def _as_matrix(predictions) -> np.ndarray:
     ys = np.asarray(predictions, dtype=float)
     if ys.ndim != 2:
@@ -76,8 +54,8 @@ def _as_matrix(predictions) -> np.ndarray:
     return ys
 
 
-def _order_and_scores(kind: StrategyKind, ys: np.ndarray):
-    """Best-first ranking of draw positions under the strategy's score.
+def selection_order(kind: StrategyKind, ys) -> np.ndarray:
+    """Draw positions ranked best-first under the strategy's scoring rule.
 
     L2-Select (also used as the random baseline's reference) ranks ascending
     by norm, ties broken by ascending position. L2-Reject rejects ascending by
@@ -85,27 +63,17 @@ def _order_and_scores(kind: StrategyKind, ys: np.ndarray):
     taking the first aq positions then yields exactly the non-rejected set for
     every aq, ties included.
     """
+    ys = _as_matrix(ys)
     if kind is StrategyKind.L2_REJECT:
-        scores = np.linalg.norm(ys - component_max(ys), axis=1)
-        order = np.argsort(scores, kind="stable")[::-1]
-    else:
-        scores = np.linalg.norm(ys, axis=1)
-        order = np.argsort(scores, kind="stable")
-    return order, scores
-
-
-def selection_order(kind: StrategyKind, ys) -> np.ndarray:
-    """Draw positions ranked best-first under the strategy's scoring rule."""
-    order, _ = _order_and_scores(kind, _as_matrix(ys))
-    return order
+        return np.argsort(np.linalg.norm(ys - component_max(ys), axis=1), kind="stable")[::-1]
+    return np.argsort(np.linalg.norm(ys, axis=1), kind="stable")
 
 
 def select(kind: StrategyKind, predictions, aq_size: int, rng=None) -> SelectionResult:
     """Choose aq_size draw positions according to the query strategy.
 
-    The random strategy samples uniformly without replacement and carries no
-    scores; the norm strategies return their per-candidate scores and are
-    fully deterministic (ties broken by draw position).
+    The random strategy samples uniformly without replacement; the norm
+    strategies are fully deterministic (ties broken by draw position).
     """
     ys = _as_matrix(predictions)
     n = ys.shape[0]
@@ -115,8 +83,6 @@ def select(kind: StrategyKind, predictions, aq_size: int, rng=None) -> Selection
         if rng is None:
             raise ValueError("random selection needs an rng")
         picked = rng.choice(n, size=aq_size, replace=False)
-        return SelectionResult([int(i) for i in picked], np.empty(0))
-    order, scores = _order_and_scores(kind, ys)
-    selected = [int(i) for i in order[:aq_size]]
-    y_max = component_max(ys) if kind is StrategyKind.L2_REJECT else None
-    return SelectionResult(selected, scores, y_max)
+    else:
+        picked = selection_order(kind, ys)[:aq_size]
+    return SelectionResult([int(i) for i in picked])

@@ -9,12 +9,10 @@ epoch loss and reload of the best epoch's weights.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .datapool import FeatureNormalizer, TargetNormalizer, params_matrix
 from .errors import DimensionMismatch, NumericalDivergence
 
 TRAIN = "train"
@@ -286,31 +284,17 @@ def train(model: SurrogateModel, inputs, targets, cfg: TrainConfig, rng):
     return work, TrainLog(losses, stopper.best_epoch, stopped_epoch)
 
 
-def predict_batch(
-    model: SurrogateModel,
-    candidates,
-    fnorm: FeatureNormalizer,
-    tnorm: TargetNormalizer,
-    space: str = "normalized",
-) -> np.ndarray:
-    """Predict objectives for candidates, order preserving.
-
-    `space="normalized"` returns raw network outputs (the scaled target
-    space); `space="raw"` applies the inverse target normalization.
-    """
-    if space not in ("normalized", "raw"):
-        raise ValueError(f"unknown prediction space {space!r}")
+def predict_batch(model: SurrogateModel, inputs) -> np.ndarray:
+    """Predict normalized objectives for (n, d) normalized inputs, order preserving."""
     if model.mode != EVAL:
         raise ValueError("predict_batch requires a model in eval mode")
-    if len(candidates) == 0:
-        return np.zeros((0, model.config.output_dim))
-    x = fnorm.transform(params_matrix(candidates))
-    if x.shape[1] != model.config.input_dim:
+    x = np.asarray(inputs, dtype=float)
+    if x.ndim != 2 or x.shape[1] != model.config.input_dim:
         raise DimensionMismatch(
-            f"candidates have {x.shape[1]} parameters, model expects {model.config.input_dim}"
+            f"inputs of shape {x.shape} do not match input_dim {model.config.input_dim}"
         )
     y, _ = _forward(model, x, False, None)
-    return tnorm.inverse(y) if space == "raw" else y
+    return y
 
 
 def _sample_loss(model: SurrogateModel, x: np.ndarray, y: np.ndarray) -> float:
@@ -376,35 +360,3 @@ def grad_check(model: SurrogateModel, sample, eps: float = 1e-5) -> float:
     _, gw, gb = loss_gradients(model, x, y)
     nw, nb = finite_difference_gradients(model, x, y, eps)
     return max(max_relative_error(gw, nw), max_relative_error(gb, nb))
-
-
-def save_weights(model: SurrogateModel, path) -> None:
-    """Debug snapshot of the full parameter state as JSON."""
-    payload = {
-        "input_dim": model.config.input_dim,
-        "output_dim": model.config.output_dim,
-        "hidden": list(model.config.hidden),
-        "leaky_slope": model.config.leaky_slope,
-        "dropout_rate": model.config.dropout_rate,
-        "layers": [
-            {"weights": w.tolist(), "bias": b.tolist()}
-            for w, b in zip(model.weights, model.biases)
-        ],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
-
-
-def load_weights(path) -> SurrogateModel:
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    config = MlpConfig(
-        payload["input_dim"],
-        payload["output_dim"],
-        tuple(payload["hidden"]),
-        payload["leaky_slope"],
-        payload["dropout_rate"],
-    )
-    weights = [np.asarray(layer["weights"], dtype=float) for layer in payload["layers"]]
-    biases = [np.asarray(layer["bias"], dtype=float) for layer in payload["layers"]]
-    return SurrogateModel(config, weights, biases)

@@ -25,7 +25,7 @@ from dado.metrics import (
     optimal_mean_rank,
     srocc,
 )
-from dado.oracle import ExpertOracle, SyntheticPoolSpec, annotate, gen_synthetic_pool
+from dado.oracle import SyntheticPoolSpec, annotate, gen_synthetic_pool
 from dado.strategies import StrategyKind, select
 from dado.surrogate import MlpConfig, TrainConfig, grad_check, init_model
 
@@ -120,10 +120,9 @@ class TestCriterion4:
     @pytest.mark.parametrize("kind", [StrategyKind.L2_SELECT, StrategyKind.L2_REJECT])
     def test_perfect_surrogate_end_to_end(self, kind):
         pool = gen_synthetic_pool(SyntheticPoolSpec.analytic(1200, 6, seed=33))
-        oracle = ExpertOracle.pool_backed(2)
 
         def perfect(draw, fnorm, tnorm):
-            return tnorm.transform(annotate(oracle, draw))
+            return tnorm.transform(annotate(pool, draw))
 
         cfg = ScenarioConfig(
             "perfect",
@@ -134,7 +133,7 @@ class TestCriterion4:
             strategy=kind,
             seed=5,
         )
-        result = run_experiment(pool, oracle, cfg, predict_override=perfect)
+        result = run_experiment(pool, cfg, predict_override=perfect)
         records = result.curve.records
         ok = all(
             r.intersections == 1.0 and r.srocc == 1.0 and r.best_mse == 0.0 and r.rnd_mse == 0.0

@@ -1,6 +1,7 @@
 """Command-line behavior: pool generation, runs, sweeps, reports, exit codes."""
 
 import csv
+import hashlib
 import json
 
 import numpy as np
@@ -84,8 +85,7 @@ class TestGenPool:
                        "--seed", 1, "--mean", "3,-2", "--cov", "1,0,0,1",
                        "--out", out) == 0
         pool = load_pool(out, d=2, num_obj=2)
-        objectives = np.array([c.true_objectives for c in pool.candidates])
-        np.testing.assert_allclose(objectives.mean(axis=0), [3.0, -2.0], atol=0.15)
+        np.testing.assert_allclose(pool.objectives.mean(axis=0), [3.0, -2.0], atol=0.15)
 
     def test_bad_cov_length_is_config_error(self, tmp_path):
         code = run_cli("gen-pool", "--kind", "gaussian", "--n", 10, "--d", 2,
@@ -144,6 +144,14 @@ class TestRun:
         code = run_cli("run", "--pool", pool, "--strategy", "random",
                        "--out-dir", tmp_path / "o")
         assert code == 2
+
+    def test_aq_below_two_is_a_config_error(self, tmp_path, capsys):
+        pool = make_pool(tmp_path)
+        code = run_cli("run", "--pool", pool, "--strategy", "l2-select", "--initial", 20,
+                       "--draw", 40, "--aq", 1, "--budget", 40, "--out-dir", tmp_path / "o")
+        assert code == 2
+        assert "aq_size" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_unknown_config_key_is_rejected(self, tmp_path):
         pool = make_pool(tmp_path)
@@ -218,6 +226,15 @@ class TestSweep:
         assert code == 1
         assert "PoolExhausted" in capsys.readouterr().err
 
+    def test_aq_below_two_is_a_config_error(self, tmp_path, capsys):
+        pool = make_pool(tmp_path)
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(SWEEP_CFG.replace("aq_sizes = 10", "aq_sizes = 10, 1") + f"\npool = {pool}\n")
+        code = run_cli("sweep", "--config", cfg, "--out-dir", tmp_path / "o")
+        assert code == 2
+        assert "aq_size" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_single_seed_stderr_is_zero(self, tmp_path):
         pool = make_pool(tmp_path)
         cfg = tmp_path / "sweep.cfg"
@@ -281,3 +298,61 @@ class TestReport:
         with open(out) as fh:
             for row in csv.DictReader(fh):
                 assert float(row["stderr"]) == 0.0
+
+
+GOLDEN_RUN_CFG = (
+    "strategy = l2-select\ninitial_size = 30\ndraw_size = 60\n"
+    "aq_size = 10\nbudget = 60\nseed = 9\nhidden = 8,4\nmax_epochs = 3\n"
+)
+
+GOLDEN_SWEEP_CFG = (
+    "name = golden\ninitial_size = 30\ndraw_size = 60\nbudget = 60\naq_sizes = 10\n"
+    "strategies = random, l2-reject\nseeds = 0, 1\nhidden = 8,4\nmax_epochs = 3\n"
+)
+
+GOLDEN_SHA256 = {
+    "pool.csv": "0f463462adb40736550ecd8fcb1dfff68e2565edcacd8c8233fa66dabfa0273e",
+    "iterations.csv": "7b8a8b0ff2c0ee4cc367fee0f51d61189109237a6b4b7d96a05f1e0c63234cf2",
+    "summary.json": "97caff9702480ff0ab1757a865927ecdef43eebe668eddd518ad9ba92585d989",
+    "table.csv": "f2502fc685147ca907be31c3c445f0d7cbd26c8ecb958501433536a3de8d7591",
+}
+
+
+class TestGoldenDigests:
+    """Pinned sha256 of the result files for fixed inputs.
+
+    A change that alters any of these bytes changes numeric results and must
+    say so; a refactor or speed-up must leave them as they are. The inputs are
+    acceptance criterion 5's pool and run config, plus a small sweep on that
+    pool run serially and on two worker processes.
+    """
+
+    @staticmethod
+    def digest(path):
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def golden_pool(self, tmp_path):
+        pool = tmp_path / "pool.csv"
+        assert run_cli("gen-pool", "--kind", "analytic", "--n", 400, "--d", 4,
+                       "--seed", 3, "--out", pool) == 0
+        assert self.digest(pool) == GOLDEN_SHA256["pool.csv"]
+        return pool
+
+    def test_run_outputs(self, tmp_path):
+        pool = self.golden_pool(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(GOLDEN_RUN_CFG)
+        out_dir = tmp_path / "run"
+        assert run_cli("run", "--pool", pool, "--config", cfg, "--out-dir", out_dir) == 0
+        for name in ("iterations.csv", "summary.json"):
+            assert self.digest(out_dir / name) == GOLDEN_SHA256[name], name
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_sweep_table(self, tmp_path, monkeypatch, threads):
+        monkeypatch.setenv("DADO_THREADS", threads)
+        pool = self.golden_pool(tmp_path)
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(GOLDEN_SWEEP_CFG)
+        out_dir = tmp_path / "sweep"
+        assert run_cli("sweep", "--config", cfg, "--pool", pool, "--out-dir", out_dir) == 0
+        assert self.digest(out_dir / "table.csv") == GOLDEN_SHA256["table.csv"]

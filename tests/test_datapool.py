@@ -4,15 +4,12 @@ import numpy as np
 import pytest
 
 from dado.datapool import (
-    CandidatePool,
-    DesignCandidate,
     bootstrap_draw,
     consume,
     fit_normalizers,
     infer_pool_schema,
     initial_sample,
     load_pool,
-    params_matrix,
     pool_from_arrays,
     save_pool,
 )
@@ -47,9 +44,9 @@ class TestLoadPool:
         pool = load_pool(path, d=2, num_obj=2)
         assert len(pool) == 3
         assert pool.available == 3
-        assert [c.id for c in pool.candidates] == [0, 1, 2]
-        np.testing.assert_array_equal(pool.candidates[1].params, [0.3, 0.4])
-        np.testing.assert_array_equal(pool.candidates[1].true_objectives, [3.0, 4.0])
+        np.testing.assert_array_equal(pool.params[1], [0.3, 0.4])
+        np.testing.assert_array_equal(pool.objectives[1], [3.0, 4.0])
+        np.testing.assert_array_equal(pool.feature_bounds, [[0.1, 0.5], [0.2, 0.6]])
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(MissingFile):
@@ -93,9 +90,8 @@ class TestLoadPool:
         path = tmp_path / "pool.csv"
         save_pool(pool, path)
         loaded = load_pool(path, d=pool.d, num_obj=pool.num_obj)
-        for orig, back in zip(pool.candidates, loaded.candidates):
-            np.testing.assert_array_equal(orig.params, back.params)
-            np.testing.assert_array_equal(orig.true_objectives, back.true_objectives)
+        np.testing.assert_array_equal(pool.params, loaded.params)
+        np.testing.assert_array_equal(pool.objectives, loaded.objectives)
 
     def test_infer_schema(self, tmp_path):
         path = write_csv(tmp_path / "pool.csv", ["p0,p1,p2,j0,j1", "1,2,3,4,5"])
@@ -106,24 +102,29 @@ class TestLoadPool:
         with pytest.raises(SchemaMismatch):
             infer_pool_schema(path)
 
-    def test_duplicate_ids_rejected(self):
-        cands = [DesignCandidate(0, np.zeros(2)), DesignCandidate(0, np.ones(2))]
+    def test_pool_from_arrays_checks_shapes_and_values(self):
         with pytest.raises(SchemaMismatch):
-            CandidatePool(cands, 2, np.array([[0.0, 1.0], [0.0, 1.0]]))
+            pool_from_arrays(np.zeros((3, 2)), np.zeros((4, 2)))
+        with pytest.raises(SchemaMismatch):
+            pool_from_arrays(np.zeros(3), np.zeros((3, 2)))
+        with pytest.raises(SchemaMismatch):
+            pool_from_arrays(np.zeros((0, 2)), np.zeros((0, 2)))
+        with pytest.raises(NonFiniteValue):
+            pool_from_arrays(np.zeros((3, 2)), np.array([[0.0, 1.0], [np.inf, 0.0], [1.0, 1.0]]))
 
 
 class TestSampling:
     def test_initial_sample_exhaustive(self):
         pool = small_pool(n=5)
         picked = initial_sample(pool, 5, np.random.default_rng(0))
-        assert sorted(c.id for c in picked) == [0, 1, 2, 3, 4]
+        assert sorted(picked.tolist()) == [0, 1, 2, 3, 4]
         assert pool.available == 0
 
     def test_initial_sample_consumes(self):
         pool = small_pool(n=10)
         picked = initial_sample(pool, 4, np.random.default_rng(0))
         assert pool.available == 6
-        assert {c.id for c in picked} <= pool.consumed
+        assert pool.consumed[picked].all()
 
     def test_initial_sample_deterministic(self):
         base = pool_from_arrays(
@@ -134,7 +135,7 @@ class TestSampling:
         for _ in range(2):
             pool = base.copy()
             picked = initial_sample(pool, 100, np.random.default_rng(42))
-            ids.append({c.id for c in picked})
+            ids.append(set(picked.tolist()))
         assert ids[0] == ids[1]
         assert len(ids[0]) == 100
 
@@ -147,7 +148,7 @@ class TestSampling:
         pool = small_pool(n=5)
         consume(pool, [0, 3])
         drawn = bootstrap_draw(pool, 3, np.random.default_rng(0))
-        assert sorted(c.id for c in drawn) == [1, 2, 4]
+        assert sorted(drawn.tolist()) == [1, 2, 4]
 
     def test_bootstrap_does_not_consume(self):
         pool = small_pool(n=10)
@@ -156,19 +157,19 @@ class TestSampling:
 
     def test_bootstrap_deterministic_and_seed_sensitive(self):
         pool = small_pool(n=1000, seed=3)
-        a = {c.id for c in bootstrap_draw(pool, 100, np.random.default_rng(7))}
-        b = {c.id for c in bootstrap_draw(pool, 100, np.random.default_rng(7))}
-        c = {c.id for c in bootstrap_draw(pool, 100, np.random.default_rng(8))}
-        assert a == b
-        assert a != c
+        a = bootstrap_draw(pool, 100, np.random.default_rng(7))
+        b = bootstrap_draw(pool, 100, np.random.default_rng(7))
+        c = bootstrap_draw(pool, 100, np.random.default_rng(8))
+        np.testing.assert_array_equal(a, b)
+        assert set(a.tolist()) != set(c.tolist())
 
     def test_bootstrap_never_returns_consumed(self):
         pool = small_pool(n=40)
         consume(pool, list(range(20)))
         rng = np.random.default_rng(11)
         for _ in range(25):
-            drawn = {c.id for c in bootstrap_draw(pool, 10, rng)}
-            assert drawn.isdisjoint(pool.consumed)
+            drawn = bootstrap_draw(pool, 10, rng)
+            assert not pool.consumed[drawn].any()
 
     def test_bootstrap_exhausted(self):
         pool = small_pool(n=5)
@@ -191,9 +192,9 @@ class TestSampling:
         for _ in range(2):
             pool = base.copy()
             rng = np.random.default_rng(123)
-            seq = [c.id for c in initial_sample(pool, 30, rng)]
+            seq = initial_sample(pool, 30, rng).tolist()
             for _ in range(3):
-                seq.extend(c.id for c in bootstrap_draw(pool, 50, rng))
+                seq.extend(bootstrap_draw(pool, 50, rng).tolist())
             sequences.append(seq)
         assert sequences[0] == sequences[1]
 
@@ -203,7 +204,7 @@ class TestConsume:
         pool = small_pool(n=60)
         consume(pool, list(range(25)))
         assert pool.available == 35
-        assert len(pool.consumed) + pool.available == len(pool)
+        np.testing.assert_array_equal(np.flatnonzero(pool.consumed), np.arange(25))
 
     def test_consume_empty_is_noop(self):
         pool = small_pool()
@@ -225,11 +226,18 @@ class TestConsume:
         pool = small_pool(n=5)
         with pytest.raises(UnknownId):
             consume(pool, [99])
+        with pytest.raises(UnknownId):
+            consume(pool, [5])
+        with pytest.raises(UnknownId):  # must not wrap around to the last row
+            consume(pool, [-1])
+        assert pool.available == 5
 
     def test_consume_validates_before_mutating(self):
         pool = small_pool(n=5)
         with pytest.raises(UnknownId):
             consume(pool, [1, 99])
+        with pytest.raises(AlreadyConsumed):
+            consume(pool, [0, 3, 3])
         assert pool.available == 5
 
 
@@ -270,7 +278,7 @@ class TestNormalizers:
     def test_features_map_into_unit_interval(self):
         pool = small_pool(n=50, d=6, seed=2)
         fnorm, _ = fit_normalizers(pool, np.zeros((1, 2)))
-        scaled = fnorm.transform(params_matrix(pool.candidates))
+        scaled = fnorm.transform(pool.params)
         assert scaled.min() >= 0.0
         assert scaled.max() <= 1.0
         # Bounds themselves map to the interval ends.
@@ -302,9 +310,9 @@ class TestPoolInvariants:
         pool = small_pool(n=30)
         rng = np.random.default_rng(0)
         initial_sample(pool, 10, rng)
-        assert pool.available + len(pool.consumed) == len(pool)
-        consume(pool, [c.id for c in bootstrap_draw(pool, 5, rng)])
-        assert pool.available + len(pool.consumed) == len(pool)
+        assert pool.available + np.count_nonzero(pool.consumed) == len(pool)
+        consume(pool, bootstrap_draw(pool, 5, rng))
+        assert pool.available + np.count_nonzero(pool.consumed) == len(pool)
 
     def test_copy_isolates_consumption(self):
         pool = small_pool(n=10)
@@ -312,3 +320,12 @@ class TestPoolInvariants:
         consume(pool, [0, 1])
         assert clone.available == 10
         assert pool.available == 8
+        assert clone.params is pool.params and clone.objectives is pool.objectives
+
+    def test_table_arrays_are_read_only(self):
+        params = np.zeros((3, 2))
+        pool = pool_from_arrays(params, np.zeros((3, 2)))
+        with pytest.raises(ValueError):
+            pool.objectives[0, 0] = 1.0
+        params[0, 0] = 1.0  # the pool holds its own copy
+        assert pool.params[0, 0] == 0.0

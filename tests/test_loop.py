@@ -12,7 +12,8 @@ from dado.loop import (
     run_sweep,
     stderr_of,
 )
-from dado.oracle import ExpertOracle, SyntheticPoolSpec, annotate, gen_synthetic_pool
+from dado.datapool import pool_from_arrays
+from dado.oracle import SyntheticPoolSpec, annotate, gen_synthetic_pool
 from dado.strategies import StrategyKind
 from dado.surrogate import MlpConfig, TrainConfig
 
@@ -33,11 +34,6 @@ def pool():
     return gen_synthetic_pool(SyntheticPoolSpec.analytic(300, 3, seed=17))
 
 
-@pytest.fixture
-def oracle():
-    return ExpertOracle.pool_backed(2)
-
-
 class TestScenarioConfig:
     def test_low_budget_scenario_iterates_16_times(self):
         cfg = fast_scenario(initial_size=100, draw_size=400, aq_size=25, budget=500)
@@ -55,93 +51,91 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError):
             fast_scenario(draw_size=10, aq_size=20, budget=60)
 
+    def test_aq_below_two_is_rejected(self):
+        # srocc over the top aq_size candidates needs at least two of them.
+        with pytest.raises(ConfigError, match="aq_size"):
+            fast_scenario(initial_size=20, draw_size=40, aq_size=1, budget=40)
+
     def test_budget_must_exceed_initial(self):
         with pytest.raises(ConfigError):
             fast_scenario(initial_size=50, budget=50)
 
 
 class TestRunExperiment:
-    def test_structure_and_budget_accounting(self, pool, oracle):
+    def test_structure_and_budget_accounting(self, pool):
         cfg = fast_scenario(initial_size=20, aq_size=10, budget=60)
-        result = run_experiment(pool, oracle, cfg)
+        result = run_experiment(pool, cfg)
         assert len(result.curve.records) == cfg.n_iter == 4
         for i, rec in enumerate(result.curve.records):
             assert rec.iteration == i
             assert rec.train_set_size == cfg.initial_size + i * cfg.aq_size
             assert len(result.acquired_ids[i]) == cfg.aq_size
-        assert len(pool.consumed) == cfg.budget
+        assert np.count_nonzero(pool.consumed) == cfg.budget
         # No candidate enters the training set twice.
         all_ids = list(result.initial_ids) + [i for batch in result.acquired_ids for i in batch]
         assert len(all_ids) == len(set(all_ids)) == cfg.budget
 
-    def test_summary_final_matches_last_record(self, pool, oracle):
-        result = run_experiment(pool, oracle, fast_scenario())
+    def test_summary_final_matches_last_record(self, pool):
+        result = run_experiment(pool, fast_scenario())
         last = result.curve.records[-1]
         assert result.summary["intersections"]["final"] == last.intersections
         assert result.summary["rnd_mse"]["final"] == last.rnd_mse
 
-    def test_mr_norm_is_one_at_iteration_zero(self, pool, oracle):
-        result = run_experiment(pool, oracle, fast_scenario(seed=5))
+    def test_mr_norm_is_one_at_iteration_zero(self, pool):
+        result = run_experiment(pool, fast_scenario(seed=5))
         first = result.curve.records[0]
         if first.mr_raw > (fast_scenario().aq_size + 1) / 2:
             assert first.mr_norm == 1.0
 
     @pytest.mark.parametrize("kind", [StrategyKind.L2_SELECT, StrategyKind.L2_REJECT])
-    def test_perfect_predictor_maxes_the_metrics(self, pool, oracle, kind):
+    def test_perfect_predictor_maxes_the_metrics(self, pool, kind):
         def perfect(draw, fnorm, tnorm):
-            return tnorm.transform(annotate(oracle, draw))
+            return tnorm.transform(annotate(pool, draw))
 
         cfg = fast_scenario(strategy=kind, initial_size=20, aq_size=10, budget=60)
-        result = run_experiment(pool, oracle, cfg, predict_override=perfect)
+        result = run_experiment(pool, cfg, predict_override=perfect)
         for rec in result.curve.records:
             assert rec.intersections == 1.0
             assert rec.srocc == 1.0
             assert rec.best_mse == 0.0
             assert rec.rnd_mse == 0.0
 
-    def test_deterministic_across_runs(self, pool, oracle):
+    def test_deterministic_across_runs(self, pool):
         cfg = fast_scenario(seed=9)
-        r1 = run_experiment(pool.copy(), oracle, cfg)
-        r2 = run_experiment(pool.copy(), oracle, cfg)
+        r1 = run_experiment(pool.copy(), cfg)
+        r2 = run_experiment(pool.copy(), cfg)
         assert r1.acquired_ids == r2.acquired_ids
         assert r1.initial_ids == r2.initial_ids
         for a, b in zip(r1.curve.records, r2.curve.records):
             assert a == b
 
-    def test_seed_changes_the_run(self, pool, oracle):
-        r1 = run_experiment(pool.copy(), oracle, fast_scenario(seed=1))
-        r2 = run_experiment(pool.copy(), oracle, fast_scenario(seed=2))
+    def test_seed_changes_the_run(self, pool):
+        r1 = run_experiment(pool.copy(), fast_scenario(seed=1))
+        r2 = run_experiment(pool.copy(), fast_scenario(seed=2))
         assert r1.initial_ids != r2.initial_ids
 
-    def test_draw_truths_never_reach_training(self, pool, oracle):
+    def test_draw_truths_never_reach_training(self, pool):
         """Perturbing objectives of never-acquired candidates leaves the whole
         acquisition trajectory unchanged; those truths feed metrics only."""
         cfg = fast_scenario(seed=3)
-        reference = run_experiment(pool.copy(), oracle, cfg)
+        reference = run_experiment(pool.copy(), cfg)
         used = set(reference.initial_ids) | {
             i for batch in reference.acquired_ids for i in batch
         }
-        perturbed = pool.copy()
-        perturbed.candidates = [
-            c
-            if c.id in used
-            else type(c)(c.id, c.params, c.true_objectives + 100.0)
-            for c in pool.candidates
-        ]
-        rerun = run_experiment(
-            type(perturbed)(perturbed.candidates, perturbed.num_obj, perturbed.feature_bounds),
-            oracle,
-            cfg,
-        )
+        unused = np.ones(len(pool), dtype=bool)
+        unused[list(used)] = False
+        objectives = pool.objectives.copy()
+        objectives[unused] += 100.0
+        rerun = run_experiment(pool_from_arrays(pool.params, objectives), cfg)
         assert rerun.initial_ids == reference.initial_ids
         assert rerun.acquired_ids == reference.acquired_ids
 
-    def test_pool_too_small_fails_before_running(self, oracle):
+    def test_pool_too_small_fails_before_running(self):
         pool = gen_synthetic_pool(SyntheticPoolSpec.analytic(50, 3, seed=0))
         with pytest.raises(PoolExhausted):
-            run_experiment(pool, oracle, fast_scenario())
+            run_experiment(pool, fast_scenario())
 
-    def test_high_budget_shape_runs_20_iterations(self, oracle):
+    def test_high_budget_shape_runs_20_iterations(self):
         # 500 initial, draws of 2000, 50 acquired per loop, budget 1500.
         pool = gen_synthetic_pool(SyntheticPoolSpec.analytic(4000, 3, seed=2))
         cfg = fast_scenario(
@@ -153,10 +147,10 @@ class TestRunExperiment:
             aq_size=cfg.aq_size, budget=cfg.budget, strategy=cfg.strategy,
             seed=cfg.seed, mlp=MlpConfig(hidden=(4, 2)), train=TrainConfig(max_epochs=1),
         )
-        result = run_experiment(pool, oracle, cfg)
+        result = run_experiment(pool, cfg)
         assert len(result.curve.records) == 20
 
-    def test_model_dims_must_match_pool(self, pool, oracle):
+    def test_model_dims_must_match_pool(self, pool):
         from dado.errors import DimensionMismatch
 
         cfg = fast_scenario(name="wrong-dims")
@@ -172,7 +166,7 @@ class TestRunExperiment:
             train=FAST_TRAIN,
         )
         with pytest.raises(DimensionMismatch):
-            run_experiment(pool, oracle, cfg)
+            run_experiment(pool, cfg)
 
 
 class TestSeedDerivation:

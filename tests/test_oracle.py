@@ -1,52 +1,56 @@
-"""Oracle lookup/evaluation and synthetic pool generation."""
+"""Annotation lookup and synthetic pool generation."""
 
 import numpy as np
 import pytest
 
-from dado.datapool import DesignCandidate, save_pool
-from dado.errors import ConfigError, InvalidCovariance, MissingAnnotation
-from dado.oracle import ExpertOracle, SyntheticPoolSpec, annotate, gen_synthetic_pool
+from dado.datapool import pool_from_arrays, save_pool
+from dado.errors import ConfigError, InvalidCovariance
+from dado.oracle import SyntheticPoolSpec, annotate, gen_synthetic_pool
+
+
+def indexed_pool(n=5):
+    """Pool whose row i has objectives (i, -i)."""
+    ids = np.arange(n, dtype=float)
+    return pool_from_arrays(np.zeros((n, 2)), np.column_stack([ids, -ids]))
 
 
 class TestAnnotate:
     def test_pool_backed_lookup_identity(self):
-        cand = DesignCandidate(0, np.zeros(3), np.array([12.5, 0.3]))
-        out = annotate(ExpertOracle.pool_backed(2), [cand])
-        np.testing.assert_array_equal(out, [[12.5, 0.3]])
-
-    def test_pool_backed_missing_annotation(self):
-        cand = DesignCandidate(7, np.zeros(3))
-        with pytest.raises(MissingAnnotation, match="7"):
-            annotate(ExpertOracle.pool_backed(2), [cand])
+        pool = pool_from_arrays(np.zeros((2, 3)), np.array([[1.0, 2.0], [12.5, 0.3]]))
+        np.testing.assert_array_equal(annotate(pool, [1]), [[12.5, 0.3]])
 
     def test_analytic_at_anchor(self):
-        a = np.array([0.2, 0.8])
+        # The parameters do not depend on the anchors, so anchor a can be put
+        # on row 0: f1 is 0 there and f2 is |a - b|^2.
+        a = gen_synthetic_pool(SyntheticPoolSpec.analytic(3, 2, seed=4)).params[0]
         b = np.array([0.9, 0.1])
-        oracle = ExpertOracle.squared_distances(a, b)
-        out = annotate(oracle, [DesignCandidate(0, a)])
+        spec = SyntheticPoolSpec.analytic(3, 2, seed=4, anchor_a=a, anchor_b=b)
+        pool = gen_synthetic_pool(spec)
+        np.testing.assert_array_equal(pool.params[0], a)
+        out = annotate(pool, [0])
         np.testing.assert_allclose(out, [[0.0, float(np.sum((a - b) ** 2))]], atol=1e-15)
 
     def test_analytic_hand_values(self):
-        oracle = ExpertOracle.squared_distances([0.0, 0.0], [1.0, 1.0])
-        out = annotate(oracle, [DesignCandidate(0, np.array([1.0, 0.0]))])
+        # Row 0 sits at offset (1, 0) from anchor a and (0, 1) from anchor b.
+        p = gen_synthetic_pool(SyntheticPoolSpec.analytic(1, 2, seed=6)).params[0]
+        spec = SyntheticPoolSpec.analytic(
+            1, 2, seed=6, anchor_a=p - [1.0, 0.0], anchor_b=p - [0.0, 1.0]
+        )
+        out = annotate(gen_synthetic_pool(spec), [0])
         np.testing.assert_allclose(out, [[1.0, 1.0]], atol=1e-15)
 
     def test_order_preserving(self):
-        cands = [
-            DesignCandidate(i, np.zeros(2), np.array([float(i), -float(i)]))
-            for i in range(5)
-        ]
-        out = annotate(ExpertOracle.pool_backed(2), list(reversed(cands)))
+        out = annotate(indexed_pool(), np.array([4, 3, 2, 1, 0]))
         np.testing.assert_array_equal(out[:, 0], [4.0, 3.0, 2.0, 1.0, 0.0])
 
     def test_empty_candidate_list(self):
-        out = annotate(ExpertOracle.pool_backed(2), [])
+        out = annotate(indexed_pool(), np.empty(0, dtype=np.int64))
         assert out.shape == (0, 2)
 
     def test_annotate_is_deterministic(self):
-        oracle = ExpertOracle.squared_distances(np.zeros(4), np.ones(4))
-        cand = DesignCandidate(0, np.random.default_rng(0).random(4))
-        np.testing.assert_array_equal(annotate(oracle, [cand]), annotate(oracle, [cand]))
+        pool = gen_synthetic_pool(SyntheticPoolSpec.analytic(20, 4, seed=0))
+        rows = np.array([7, 3, 19])
+        np.testing.assert_array_equal(annotate(pool, rows), annotate(pool, rows))
 
 
 class TestSyntheticPools:
@@ -55,7 +59,7 @@ class TestSyntheticPools:
         cov = np.array([[1.5, 0.3], [0.3, 0.5]])
         spec = SyntheticPoolSpec.gaussian(400, 2, seed=3, mean=mean, cov=cov)
         pool = gen_synthetic_pool(spec)
-        objectives = np.array([c.true_objectives for c in pool.candidates])
+        objectives = pool.objectives
         sigma = np.sqrt(np.diag(cov))
         tol = 4.0 * sigma / np.sqrt(400)
         assert np.all(np.abs(objectives.mean(axis=0) - mean) < tol)
@@ -64,7 +68,7 @@ class TestSyntheticPools:
         # For a standard 2-D normal, P(r^2 <= 1) = 1 - exp(-1/2) ~ 0.3935.
         spec = SyntheticPoolSpec.gaussian(400, 2, seed=11)
         pool = gen_synthetic_pool(spec)
-        objectives = np.array([c.true_objectives for c in pool.candidates])
+        objectives = pool.objectives
         frac = float(np.mean((objectives**2).sum(axis=1) <= 1.0))
         assert abs(frac - 0.3935) < 0.05
 
@@ -72,22 +76,21 @@ class TestSyntheticPools:
         cov = np.array([[2.0, -0.6], [-0.6, 1.0]])
         spec = SyntheticPoolSpec.gaussian(20000, 2, seed=5, mean=[0.0, 0.0], cov=cov)
         pool = gen_synthetic_pool(spec)
-        objectives = np.array([c.true_objectives for c in pool.candidates])
+        objectives = pool.objectives
         np.testing.assert_allclose(np.cov(objectives.T), cov, atol=0.08)
 
     def test_gaussian_params_in_unit_cube(self):
         pool = gen_synthetic_pool(SyntheticPoolSpec.gaussian(200, 5, seed=0))
-        params = np.array([c.params for c in pool.candidates])
+        params = pool.params
         assert params.min() >= 0.0
         assert params.max() <= 1.0
 
     def test_analytic_matches_direct_evaluation(self):
         spec = SyntheticPoolSpec.analytic(100, 6, seed=9)
         pool = gen_synthetic_pool(spec)
-        oracle = ExpertOracle.squared_distances(spec.anchor_a, spec.anchor_b)
-        stored = np.array([c.true_objectives for c in pool.candidates])
-        recomputed = annotate(oracle, pool.candidates)
-        np.testing.assert_array_equal(stored, recomputed)
+        a, b = spec.anchor_a, spec.anchor_b
+        recomputed = np.array([[np.sum((x - a) ** 2), np.sum((x - b) ** 2)] for x in pool.params])
+        np.testing.assert_array_equal(pool.objectives, recomputed)
 
     def test_regeneration_serializes_identically(self, tmp_path):
         spec = SyntheticPoolSpec.analytic(50, 4, seed=21)
@@ -113,5 +116,5 @@ class TestSyntheticPools:
 
     def test_pool_starts_unconsumed_with_row_ids(self):
         pool = gen_synthetic_pool(SyntheticPoolSpec.gaussian(25, 3, seed=1))
-        assert pool.available == 25
-        assert [c.id for c in pool.candidates] == list(range(25))
+        assert pool.available == len(pool) == 25
+        assert pool.consumed.shape == (25,) and not pool.consumed.any()

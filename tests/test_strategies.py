@@ -5,12 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dado.errors import AcquisitionTooLarge, ConfigError, DimensionMismatch, EmptyDraw
+from dado.errors import AcquisitionTooLarge, ConfigError, EmptyDraw
 from dado.strategies import (
     StrategyKind,
     component_max,
-    score_l2r,
-    score_l2s,
     select,
     selection_order,
 )
@@ -37,16 +35,27 @@ def brute_force_reject_complement(ys, aq):
 
 
 class TestScores:
+    """The scores behind selection_order: L2-Select ranks by the norm of the
+    prediction, L2-Reject by its distance to the componentwise maximum."""
+
     def test_l2s_origin(self):
-        assert score_l2s([0.0, 0.0]) == 0.0
+        # The origin scores 0, so it ranks first wherever it sits in the draw.
+        ys = [[0.5, 0.0], [0.0, -0.1], [0.0, 0.0]]
+        assert selection_order(StrategyKind.L2_SELECT, ys)[0] == 2
 
     def test_l2s_pythagorean(self):
-        assert score_l2s([3.0, 4.0]) == pytest.approx(5.0, abs=1e-15)
+        # |(3, 4)| = 5 exactly: it ties (5, 0), and the tie goes to the lower position.
+        ys = [[5.0, 0.0], [3.0, 4.0], [0.0, 5.0 + 1e-12], [0.0, 5.0 - 1e-12]]
+        assert selection_order(StrategyKind.L2_SELECT, ys).tolist() == [3, 0, 1, 2]
 
     @given(finite_vec)
     def test_l2s_square_equals_dot(self, y):
+        # The L2-Select order is ascending in y . y for every scaling of y.
         y_arr = np.asarray(y)
-        assert score_l2s(y) ** 2 == pytest.approx(float(y_arr @ y_arr), rel=1e-12, abs=1e-9)
+        ys = np.array([s * y_arr for s in (3.0, -1.0, 0.5, 2.0)])
+        dots = np.einsum("ij,ij->i", ys, ys)
+        order = selection_order(StrategyKind.L2_SELECT, ys)
+        assert np.all(np.diff(dots[order]) >= -1e-9 * max(1.0, dots.max()))
 
     def test_component_max_not_necessarily_a_member(self):
         np.testing.assert_array_equal(component_max([[1.0, 0.0], [0.0, 1.0]]), [1.0, 1.0])
@@ -66,18 +75,25 @@ class TestScores:
             component_max(np.empty((0, 2)))
 
     def test_l2r_at_the_maximum(self):
-        assert score_l2r([1.0, 1.0], [1.0, 1.0]) == 0.0
+        # A prediction equal to the componentwise maximum scores 0: it is rejected first.
+        ys = [[1.0, 1.0], [0.0, 1.0], [1.0, 0.5]]
+        assert selection_order(StrategyKind.L2_REJECT, ys)[-1] == 0
 
     def test_l2r_unit_square_diagonal(self):
-        assert score_l2r([0.0, 0.0], [1.0, 1.0]) == pytest.approx(np.sqrt(2), abs=1e-15)
+        # Distances to the maximum (1, 1) are 0, sqrt(2), 1 and sqrt(1.16).
+        ys = [[1.0, 1.0], [0.0, 0.0], [1.0, 0.0], [0.0, 0.6]]
+        assert selection_order(StrategyKind.L2_REJECT, ys).tolist() == [1, 3, 2, 0]
 
     @given(finite_vec)
     def test_l2r_with_zero_origin_equals_l2s(self, y):
-        assert score_l2r(y, np.zeros(len(y))) == pytest.approx(score_l2s(y), abs=1e-12)
-
-    def test_l2r_shape_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            score_l2r([1.0, 2.0], [1.0, 2.0, 3.0])
+        # When the componentwise maximum is the origin, both scores are the
+        # norm, so the L2-Reject order is the L2-Select order reversed.
+        y_arr = -np.abs(np.asarray(y))
+        ys = np.array([y_arr, np.zeros(len(y)), 0.5 * y_arr, y_arr[::-1]])
+        np.testing.assert_array_equal(
+            selection_order(StrategyKind.L2_REJECT, ys),
+            selection_order(StrategyKind.L2_SELECT, ys)[::-1],
+        )
 
 
 class TestSelect:
@@ -88,8 +104,6 @@ class TestSelect:
         # to the lower position.
         result = select(StrategyKind.L2_SELECT, self.preds, 2)
         assert result.selected_indices == [0, 1]
-        np.testing.assert_allclose(result.scores, [0.0, 1.0, 1.0, np.sqrt(2)])
-        assert result.y_max is None
 
     def test_l2r_hand_example(self):
         # Distances to y_max=(1,1): sqrt(2), 1, 1, 0. Reject the two smallest
@@ -97,8 +111,6 @@ class TestSelect:
         result = select(StrategyKind.L2_REJECT, self.preds, 2)
         assert set(result.selected_indices) == {0, 2}
         assert result.selected_indices[0] == 0  # farthest from the maximum first
-        np.testing.assert_array_equal(result.y_max, [1.0, 1.0])
-        np.testing.assert_allclose(result.scores, [np.sqrt(2), 1.0, 1.0, 0.0])
 
     @pytest.mark.parametrize("kind", list(StrategyKind))
     def test_aq_equals_draw_selects_everything(self, kind):
@@ -113,7 +125,6 @@ class TestSelect:
         a = select(StrategyKind.RANDOM, self.preds, 2, rng=np.random.default_rng(3))
         b = select(StrategyKind.RANDOM, self.preds, 2, rng=np.random.default_rng(3))
         assert a.selected_indices == b.selected_indices
-        assert a.scores.size == 0
 
     def test_random_needs_rng(self):
         with pytest.raises(ValueError):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dado.datapool import DesignCandidate, FeatureNormalizer, TargetNormalizer
+from dado.datapool import TargetNormalizer
 from dado.errors import DimensionMismatch, NumericalDivergence
 from dado.surrogate import (
     EVAL,
@@ -16,11 +16,9 @@ from dado.surrogate import (
     forward,
     grad_check,
     init_model,
-    load_weights,
     loss_gradients,
     max_relative_error,
     predict_batch,
-    save_weights,
     train,
 )
 
@@ -301,60 +299,35 @@ class TestGradients:
 
 
 class TestPredictBatch:
-    @staticmethod
-    def identity_normalizers(d, num_obj):
-        fnorm = FeatureNormalizer(np.zeros(d), np.ones(d))
-        tnorm = TargetNormalizer(np.zeros(num_obj), np.ones(num_obj))
-        return fnorm, tnorm
-
     def test_empty_list(self):
         model = init_model(SMALL, seed=0)
-        fnorm, tnorm = self.identity_normalizers(5, 2)
-        assert predict_batch(model, [], fnorm, tnorm).shape == (0, 2)
+        assert predict_batch(model, np.empty((0, 5))).shape == (0, 2)
 
     def test_raw_space_applies_inverse_normalization(self):
+        # Predictions are normalized; the target normalizer's inverse maps
+        # them to raw space, as a raw-space scenario scores them.
         model = init_model(SMALL, seed=0)
         for w in model.weights:
             w[:] = 0.0
-        fnorm = FeatureNormalizer(np.zeros(5), np.ones(5))
         tnorm = TargetNormalizer(np.array([1.0, 1.0]), np.array([2.0, 2.0]))
-        cands = [DesignCandidate(0, np.full(5, 0.5))]
-        np.testing.assert_array_equal(
-            predict_batch(model, cands, fnorm, tnorm, space="normalized"), [[0.0, 0.0]]
-        )
-        np.testing.assert_array_equal(
-            predict_batch(model, cands, fnorm, tnorm, space="raw"), [[1.0, 1.0]]
-        )
+        preds = predict_batch(model, np.full((1, 5), 0.5))
+        np.testing.assert_array_equal(preds, [[0.0, 0.0]])
+        np.testing.assert_array_equal(tnorm.inverse(preds), [[1.0, 1.0]])
 
     def test_batch_matches_single_forward(self):
         model = init_model(SMALL, seed=2)
-        fnorm, tnorm = self.identity_normalizers(5, 2)
-        rng = np.random.default_rng(3)
-        cands = [DesignCandidate(i, rng.random(5)) for i in range(8)]
-        batch = predict_batch(model, cands, fnorm, tnorm)
-        single = np.array([forward(model, fnorm.transform(c.params)) for c in cands])
+        x = np.random.default_rng(3).random((8, 5))
+        batch = predict_batch(model, x)
+        single = np.array([forward(model, row) for row in x])
         np.testing.assert_allclose(batch, single, atol=1e-14)
 
     def test_requires_eval_mode(self):
         model = init_model(SMALL, seed=0)
         model.mode = TRAIN
-        fnorm, tnorm = self.identity_normalizers(5, 2)
         with pytest.raises(ValueError):
-            predict_batch(model, [DesignCandidate(0, np.zeros(5))], fnorm, tnorm)
+            predict_batch(model, np.zeros((1, 5)))
 
     def test_wrong_candidate_width_rejected(self):
         model = init_model(SMALL, seed=0)
-        fnorm, tnorm = self.identity_normalizers(3, 2)
         with pytest.raises(DimensionMismatch):
-            predict_batch(model, [DesignCandidate(0, np.zeros(3))], fnorm, tnorm)
-
-
-class TestWeightSnapshot:
-    def test_roundtrip(self, tmp_path):
-        model = init_model(SMALL, seed=13)
-        path = tmp_path / "weights.json"
-        save_weights(model, path)
-        loaded = load_weights(path)
-        assert loaded.config == model.config
-        for a, b in zip(model.weights + model.biases, loaded.weights + loaded.biases):
-            np.testing.assert_array_equal(a, b)
+            predict_batch(model, np.zeros((1, 3)))
