@@ -5,6 +5,14 @@ low-cost multi-objective query strategies from a simulated, pre-annotated
 candidate pool; runs are scored with ranking-centric learning-curve metrics.
 """
 
+import os
+
+# The surrogate's matrices are small, so extra OpenBLAS threads buy nothing,
+# and in a sweep they spin on the cores the other workers need. The setting
+# only takes effect if it is made before numpy is first imported, hence here,
+# before any submodule loads; a value the caller has set still wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .datapool import (
     CandidatePool,
     FeatureNormalizer,

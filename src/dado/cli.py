@@ -20,8 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .adam import native_kernel
 from .datapool import infer_pool_schema, load_pool, save_pool
-from .errors import ConfigError, DadoError, MissingFile, SizeMismatch
+from .errors import ConfigError, DadoError, MissingFile, SchemaMismatch, SizeMismatch
 from .loop import ScenarioConfig, run_experiment, run_sweep, stderr_of
 from .metrics import METRIC_FIELDS, LearningCurve
 from .oracle import SyntheticPoolSpec, gen_synthetic_pool
@@ -105,8 +106,17 @@ def read_iterations(path) -> dict[str, list[float]]:
         for row in reader:
             if not row:
                 continue
+            if len(row) != len(ITERATIONS_HEADER):
+                raise SchemaMismatch(
+                    f"{p}:{reader.line_num}: expected {len(ITERATIONS_HEADER)} cells, got {len(row)}"
+                )
             for name, cell in zip(ITERATIONS_HEADER, row):
-                columns[name].append(float(cell))
+                try:
+                    columns[name].append(float(cell))
+                except ValueError:
+                    raise SchemaMismatch(
+                        f"{p}:{reader.line_num}: {name} is not a number: {cell!r}"
+                    ) from None
     return columns
 
 
@@ -244,6 +254,7 @@ def _write_run_outputs(out_dir: Path, pool_entry: dict, result) -> None:
         "created_utc": _utc_now(),
         "pool": pool_entry,
         "config": scenario_to_dict(result.scenario),
+        "adam": "numpy" if native_kernel() is None else "native",
         "outputs": {"iterations": "iterations.csv", "summary": "summary.json"},
     }
     _write_json(out_dir / "manifest.json", manifest)
@@ -443,9 +454,11 @@ def cmd_report(args) -> int:
         manifest_path = run_path / "manifest.json"
         if not manifest_path.is_file():
             raise MissingFile(f"no manifest.json under {run_path}")
-        with open(manifest_path, encoding="utf-8") as fh:
-            manifest = json.load(fh)
-        strategy = manifest["config"]["strategy"]
+        try:
+            with open(manifest_path, encoding="utf-8") as fh:
+                strategy = json.load(fh)["config"]["strategy"]
+        except (ValueError, KeyError, TypeError):
+            raise SchemaMismatch(f"{manifest_path}: not a run manifest with config.strategy") from None
         columns = read_iterations(run_path / "iterations.csv")
         series = columns[metric]
         if n_iter is None:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .adam import adam_updater, native_kernel
 from .errors import DimensionMismatch, NumericalDivergence
 
 TRAIN = "train"
@@ -236,7 +237,10 @@ def train(model: SurrogateModel, inputs, targets, cfg: TrainConfig, rng):
 
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
-    scratch = np.empty_like(theta)
+    update = adam_updater(
+        native_kernel(), theta, grad, m, v,
+        learning_rate=cfg.learning_rate, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.adam_eps,
+    )
     step = 0
     n = x.shape[0]
     stopper = EarlyStopping(cfg.patience)
@@ -250,22 +254,7 @@ def train(model: SurrogateModel, inputs, targets, cfg: TrainConfig, rng):
             idx = order[start : start + cfg.batch_size]
             _loss_and_grads(work, x[idx], t[idx], True, rng, gw, gb)
             step += 1
-            # Adam, allocation-free: m and v are exponential moving averages of
-            # the gradient and its square, with bias correction folded into the
-            # scalar step size.
-            m *= cfg.beta1
-            np.multiply(grad, 1.0 - cfg.beta1, out=scratch)
-            m += scratch
-            v *= cfg.beta2
-            np.multiply(grad, grad, out=scratch)
-            scratch *= 1.0 - cfg.beta2
-            v += scratch
-            np.multiply(v, 1.0 / (1.0 - cfg.beta2**step), out=scratch)
-            np.sqrt(scratch, out=scratch)
-            scratch += cfg.adam_eps
-            np.divide(m, scratch, out=scratch)
-            scratch *= cfg.learning_rate / (1.0 - cfg.beta1**step)
-            theta -= scratch
+            update(step)
         pred, _ = _forward(work, x, False, None)
         epoch_loss = float(np.mean((pred - t) ** 2))
         if not np.isfinite(epoch_loss):

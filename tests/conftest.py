@@ -1,11 +1,12 @@
 """Test-suite setup, run before any test module imports numpy.
 
-The surrogate's matrices are small, so OpenBLAS's extra threads buy nothing
-and, in a multi-process sweep, spin on the cores the other workers need. On a
-2-vCPU host a 2-job desk sweep took 49 s with the default thread count and
-22 s with one thread, with identical results. The desk-study fixture behind
-acceptance criteria 6-9 is such a sweep and takes most of the suite's time,
-so the suite pins OpenBLAS to one thread unless the caller has chosen a count.
+`dado/__init__.py` pins OpenBLAS to one thread, unless the caller has chosen
+a count, before any of its submodules imports numpy. That covers the CLI,
+library users who import `dado` first, and forked sweep workers. Test modules
+import numpy before `dado`, and OpenBLAS reads the setting only when numpy
+loads, so the suite sets the same default here. Without it, the desk-study
+fixture behind acceptance criteria 6-9, a multi-process sweep, runs each
+worker with the default thread pool and takes more than twice as long.
 """
 
 import os

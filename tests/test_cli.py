@@ -3,10 +3,15 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from dado.adam import native_kernel
 from dado.cli import ITERATIONS_HEADER, main
 from dado.datapool import load_pool
 
@@ -118,6 +123,16 @@ class TestRun:
             "iterations": "iterations.csv",
             "summary": "summary.json",
         }
+
+    def test_manifest_names_the_adam_path(self, tmp_path):
+        pool = make_pool(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(FAST_CFG)
+        out_dir = tmp_path / "out"
+        assert run_cli("run", "--pool", pool, "--config", cfg, "--out-dir", out_dir) == 0
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert manifest["adam"] in ("native", "numpy")
+        assert manifest["adam"] == ("numpy" if native_kernel() is None else "native")
 
     def test_low_budget_shape_gives_16_iterations(self, tmp_path):
         pool = make_pool(tmp_path, n=1000, d=3)
@@ -283,6 +298,34 @@ class TestReport:
         assert run_cli("report", "--runs", d1, d2, "--metric", "srocc",
                        "--out", tmp_path / "c.csv") == 1
 
+    @pytest.mark.parametrize(
+        "manifest", ["{not json", '{"config": {}}', '["config"]', "\xff"]
+    )
+    def test_bad_manifest_exits_1_and_names_it(self, tmp_path, capsys, manifest):
+        run_dir = tmp_path / "r1"
+        run_dir.mkdir()
+        (run_dir / "manifest.json").write_bytes(manifest.encode("latin-1"))
+        assert run_cli("report", "--runs", run_dir, "--metric", "srocc",
+                       "--out", tmp_path / "c.csv") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(run_dir / "manifest.json") in err
+
+    @pytest.mark.parametrize("bad_row", ["0,20,1,2,3,oops,5,6", "0,20,1,2,3"])
+    def test_bad_iterations_row_exits_1_and_names_it(self, tmp_path, capsys, bad_row):
+        pool = make_pool(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(FAST_CFG)
+        d1 = tmp_path / "r1"
+        assert run_cli("run", "--pool", pool, "--config", cfg, "--out-dir", d1) == 0
+        iterations = d1 / "iterations.csv"
+        lines = iterations.read_text().splitlines()
+        lines[2] = bad_row
+        iterations.write_text("\n".join(lines) + "\n")
+        assert run_cli("report", "--runs", d1, "--metric", "srocc",
+                       "--out", tmp_path / "c.csv") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{iterations}:3:" in err
+
     def test_unknown_metric_is_usage_error(self, tmp_path):
         assert run_cli("report", "--runs", tmp_path, "--metric", "accuracy",
                        "--out", tmp_path / "c.csv") == 2
@@ -356,3 +399,24 @@ class TestGoldenDigests:
         out_dir = tmp_path / "sweep"
         assert run_cli("sweep", "--config", cfg, "--pool", pool, "--out-dir", out_dir) == 0
         assert self.digest(out_dir / "table.csv") == GOLDEN_SHA256["table.csv"]
+
+
+class TestBlasPin:
+    """Importing dado pins OpenBLAS to one thread before numpy loads."""
+
+    @staticmethod
+    def blas_threads_after_import(**env):
+        src = Path(__file__).resolve().parents[1] / "src"
+        child_env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        child_env.update(env, PYTHONPATH=str(src))
+        out = subprocess.run(
+            [sys.executable, "-c", "import dado, os; print(os.environ['OPENBLAS_NUM_THREADS'])"],
+            env=child_env, capture_output=True, text=True, check=True, timeout=60,
+        )
+        return out.stdout.strip()
+
+    def test_unset_becomes_one(self):
+        assert self.blas_threads_after_import() == "1"
+
+    def test_caller_setting_wins(self):
+        assert self.blas_threads_after_import(OPENBLAS_NUM_THREADS="2") == "2"

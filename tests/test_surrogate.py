@@ -1,8 +1,12 @@
-"""MLP init, forward/backward correctness, training protocol, prediction."""
+"""MLP init, forward/backward correctness, training protocol, Adam, prediction."""
+
+import shutil
 
 import numpy as np
 import pytest
 
+import dado.adam as adam
+import dado.surrogate as surrogate
 from dado.datapool import TargetNormalizer
 from dado.errors import DimensionMismatch, NumericalDivergence
 from dado.surrogate import (
@@ -249,6 +253,99 @@ class TestTrain:
         with pytest.raises(DimensionMismatch):
             train(model, np.empty((0, 5)), np.empty((0, 2)), TrainConfig(),
                   np.random.default_rng(0))
+
+
+@pytest.fixture(scope="module")
+def kernel():
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler, so only the numpy Adam can run")
+    k = adam.native_kernel()
+    assert k is not None, "the C Adam loop failed to build, load or pass its self-check"
+    return k
+
+
+def hard_gradients(n, count, seed):
+    """Gradients with zeros of both signs, subnormals and magnitudes 1e-8 to 1e2."""
+    rng = np.random.default_rng(seed)
+    grads = rng.standard_normal((count, n)) * 10.0 ** rng.uniform(-8.0, 2.0, (count, n))
+    special = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2e-308, 1e-8, 1e2])
+    mask = rng.random((count, n)) < 0.2
+    grads[mask] = rng.choice(special, size=int(mask.sum()))
+    return grads
+
+
+class TestAdam:
+    @pytest.mark.parametrize("n", [1, 7, 26_103])
+    def test_native_matches_numpy_bitwise(self, kernel, n):
+        grads = hard_gradients(n, 16, seed=n)
+        theta0 = np.random.default_rng(1).standard_normal(n)
+        states = []
+        for k in (None, kernel):
+            theta, grad, m, v = theta0.copy(), np.empty(n), np.zeros(n), np.zeros(n)
+            update = adam.adam_updater(k, theta, grad, m, v, learning_rate=5e-4,
+                                       beta1=0.9, beta2=0.999, eps=1e-8)
+            for step in range(1, 2001):
+                # Cycle the bank with a changing sign so m and v keep moving.
+                np.multiply(grads[step % 16], -1.0 if step % 3 else 1.0, out=grad)
+                update(step)
+            states.append((theta, m, v))
+        for name, a, b in zip(("theta", "m", "v"), *states):
+            assert np.array_equal(a, b), name
+
+    def test_train_native_equals_numpy(self, kernel, monkeypatch):
+        cfg = MlpConfig(input_dim=4, output_dim=2, hidden=(9, 5))
+        rng = np.random.default_rng(21)
+        x = rng.random((30, 4))
+        t = rng.normal(size=(30, 2))
+        tcfg = TrainConfig(learning_rate=3e-3, max_epochs=40, patience=5)
+        native, native_log = train(init_model(cfg, seed=4), x, t, tcfg, np.random.default_rng(5))
+        monkeypatch.setattr(surrogate, "native_kernel", lambda: None)
+        ref, ref_log = train(init_model(cfg, seed=4), x, t, tcfg, np.random.default_rng(5))
+        assert native_log == ref_log
+        for a, b in zip(native.weights + native.biases, ref.weights + ref.biases):
+            np.testing.assert_array_equal(a, b)
+
+    def test_no_compiler_falls_back_to_numpy(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        monkeypatch.setenv("PATH", "")
+        assert adam.load_kernel() is None
+        monkeypatch.setattr(surrogate, "native_kernel", adam.load_kernel)
+        rng = np.random.default_rng(0)
+        trained, log = train(init_model(SMALL, seed=0), rng.random((8, 5)),
+                             rng.normal(size=(8, 2)), TrainConfig(max_epochs=3),
+                             np.random.default_rng(1))
+        assert len(log.losses) == 3
+        assert all(np.isfinite(w).all() for w in trained.weights)
+
+    def test_build_is_cached_by_source_and_flags(self, kernel, tmp_path, monkeypatch):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        assert adam.load_kernel() is not None
+        built = list((tmp_path / "dado").iterdir())
+        assert len(built) == 1 and built[0].name.startswith("adam-")
+        mtime = built[0].stat().st_mtime_ns
+        assert adam.load_kernel() is not None
+        assert list((tmp_path / "dado").iterdir()) == built
+        assert built[0].stat().st_mtime_ns == mtime
+
+    def test_unwritable_cache_builds_in_a_private_directory(self, kernel, tmp_path, monkeypatch):
+        blocker = tmp_path / "not-a-directory"
+        blocker.write_text("")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+        assert adam.load_kernel() is not None
+
+    def test_failed_build_or_self_check_falls_back(self, kernel, tmp_path, monkeypatch):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        source = adam._SOURCE.read_text()
+        broken = tmp_path / "broken.c"
+        broken.write_text("this is not C\n")
+        monkeypatch.setattr(adam, "_SOURCE", broken)
+        assert adam.load_kernel() is None
+        # Builds and loads, but adds eps twice, so the self-check must refuse it.
+        wrong = tmp_path / "wrong.c"
+        wrong.write_text(source.replace("+ eps)", "+ eps + eps)"))
+        assert wrong.read_text() != source
+        monkeypatch.setattr(adam, "_SOURCE", wrong)
+        assert adam.load_kernel() is None
 
 
 class TestGradients:
