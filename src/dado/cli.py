@@ -13,9 +13,10 @@ import csv
 import hashlib
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import MISSING, asdict, fields, is_dataclass
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -27,33 +28,45 @@ from .loop import ScenarioConfig, run_experiment, run_sweep, stderr_of
 from .metrics import METRIC_FIELDS, LearningCurve
 from .oracle import SyntheticPoolSpec, gen_synthetic_pool
 from .strategies import StrategyKind
-from .surrogate import MlpConfig, TrainConfig
 
 ITERATIONS_HEADER = ("iter", "train_size") + METRIC_FIELDS
 
-_TRAIN_KEYS = ("learning_rate", "batch_size", "patience", "max_epochs")
-_MLP_KEYS = ("hidden", "dropout_rate", "leaky_slope")
-_RUN_KEYS = (
-    "name",
-    "strategy",
-    "initial_size",
-    "draw_size",
-    "aq_size",
-    "budget",
-    "seed",
-    "target_space",
+# Sweep list keys, each naming the scenario field it varies across the grid.
+_SWEEP_AXES = {"aq_sizes": "aq_size", "strategies": "strategy", "seeds": "seed"}
+# Values for the scenario fields that have no default in ScenarioConfig.
+_RUN_DEFAULTS = {"name": "run", "seed": 0}
+# MlpConfig dims that `resolved()` fills in from the pool; they are not config keys.
+_POOL_DIMS = ("input_dim", "output_dim")
+
+
+def _field_types(cls) -> dict:
+    hints = get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls)}
+
+
+# The nested configs of a scenario (mlp, train); their fields are flat config keys.
+_SUBCONFIGS = {name: tp for name, tp in _field_types(ScenarioConfig).items() if is_dataclass(tp)}
+
+
+def _config_keys() -> dict:
+    """Config key -> (the sub-config field holding it, or None; the field's type)."""
+    keys = {}
+    for name, tp in _field_types(ScenarioConfig).items():
+        if name in _SUBCONFIGS:
+            keys.update((key, (name, key_tp)) for key, key_tp in _field_types(tp).items()
+                        if key not in _POOL_DIMS)
+        else:
+            keys[name] = (None, tp)
+    return keys
+
+
+_CONFIG_KEYS = _config_keys()
+RUN_KEYS = frozenset(_CONFIG_KEYS)
+SWEEP_KEYS = RUN_KEYS.difference(_SWEEP_AXES.values()).union(_SWEEP_AXES, ["pool"])
+_RUN_REQUIRED = {f.name for f in fields(ScenarioConfig) if f.default is MISSING}.difference(
+    _RUN_DEFAULTS
 )
-_SWEEP_KEYS = (
-    "pool",
-    "name",
-    "initial_size",
-    "draw_size",
-    "budget",
-    "aq_sizes",
-    "strategies",
-    "seeds",
-    "target_space",
-)
+_SWEEP_REQUIRED = _RUN_REQUIRED.difference(_SWEEP_AXES.values()).union(_SWEEP_AXES)
 
 
 def _fmt(value) -> str:
@@ -127,110 +140,83 @@ def _write_json(path, payload) -> None:
 
 
 def scenario_to_dict(cfg: ScenarioConfig) -> dict:
-    out = {
-        "name": cfg.name,
-        "strategy": cfg.strategy.value,
-        "initial_size": cfg.initial_size,
-        "draw_size": cfg.draw_size,
-        "aq_size": cfg.aq_size,
-        "budget": cfg.budget,
-        "seed": cfg.seed,
-        "n_iter": cfg.n_iter,
-        "target_space": cfg.target_space,
-        "train": asdict(cfg.train),
-        "mlp": {**asdict(cfg.mlp), "hidden": list(cfg.mlp.hidden)},
-    }
-    return out
+    out = asdict(cfg)
+    out["mlp"]["hidden"] = list(cfg.mlp.hidden)
+    return {**out, "strategy": cfg.strategy.value, "n_iter": cfg.n_iter}
 
 
 def parse_kv_file(path) -> dict[str, str]:
-    """Parse a flat `key = value` config file; # starts a comment."""
+    """Parse a flat `key = value` config file; # starts a comment; keys appear once."""
     p = Path(path)
     if not p.is_file():
         raise MissingFile(f"config file not found: {p}")
     out: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     for lineno, raw in enumerate(p.read_text(encoding="utf-8").splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ConfigError(f"{p}:{lineno}: expected 'key = value', got {raw!r}")
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in out:
+            raise ConfigError(f"{p}:{lineno}: key {key!r} repeats line {first_line[key]}")
+        out[key], first_line[key] = value, lineno
     return out
 
 
-def _parse_int(kv: dict, key: str) -> int:
+def _split(text: str) -> list[str]:
+    return [item.strip() for item in text.split(",") if item.strip()]
+
+
+def _convert(key: str, tp, text: str):
+    if tp is StrategyKind:
+        return StrategyKind.from_name(text)
     try:
-        return int(kv[key])
+        return tp(text)
     except ValueError:
-        raise ConfigError(f"config key {key!r} must be an integer, got {kv[key]!r}") from None
+        kind = "an integer" if tp is int else "a number"
+        raise ConfigError(f"config key {key!r} must be {kind}, got {text!r}") from None
 
 
-def _parse_float(kv: dict, key: str) -> float:
-    try:
-        return float(kv[key])
-    except ValueError:
-        raise ConfigError(f"config key {key!r} must be a number, got {kv[key]!r}") from None
+def _parse_value(key: str, text: str):
+    """Parse one config value by the type of the field it sets.
+
+    Comma lists give a tuple[int, ...] field and each sweep list key.
+    """
+    if key == "pool":
+        return text
+    tp = _CONFIG_KEYS[_SWEEP_AXES.get(key, key)][1]
+    if key in _SWEEP_AXES:
+        return [_convert(key, tp, item) for item in _split(text)]
+    if tp == tuple[int, ...]:
+        return tuple(_convert(key, int, item) for item in _split(text))
+    return _convert(key, tp, text)
 
 
-def _parse_int_list(kv: dict, key: str) -> list[int]:
-    try:
-        return [int(v.strip()) for v in kv[key].split(",") if v.strip()]
-    except ValueError:
-        raise ConfigError(f"config key {key!r} must be comma-separated integers") from None
-
-
-def _train_config_from(kv: dict) -> TrainConfig:
-    kwargs = {}
-    if "learning_rate" in kv:
-        kwargs["learning_rate"] = _parse_float(kv, "learning_rate")
-    for key in ("batch_size", "patience", "max_epochs"):
-        if key in kv:
-            kwargs[key] = _parse_int(kv, key)
-    try:
-        return TrainConfig(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
-def _mlp_config_from(kv: dict) -> MlpConfig:
-    kwargs = {}
-    if "hidden" in kv:
-        kwargs["hidden"] = tuple(_parse_int_list(kv, "hidden"))
-    if "dropout_rate" in kv:
-        kwargs["dropout_rate"] = _parse_float(kv, "dropout_rate")
-    if "leaky_slope" in kv:
-        kwargs["leaky_slope"] = _parse_float(kv, "leaky_slope")
-    try:
-        return MlpConfig(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
-def _check_keys(kv: dict, allowed, what: str) -> None:
-    unknown = sorted(set(kv) - set(allowed))
+def _parse_config(kv: dict[str, str], keys, required, what: str) -> dict:
+    unknown = sorted(set(kv) - keys)
     if unknown:
         raise ConfigError(f"unknown {what} config keys: {', '.join(unknown)}")
+    missing = sorted(required - set(kv))
+    if missing:
+        raise ConfigError(f"{what} config is missing required keys: {', '.join(missing)}")
+    return {key: _parse_value(key, text) for key, text in kv.items()}
 
 
-def scenario_from_mapping(kv: dict) -> ScenarioConfig:
-    _check_keys(kv, _RUN_KEYS + _TRAIN_KEYS + _MLP_KEYS, "run")
-    for key in ("strategy", "initial_size", "draw_size", "aq_size", "budget"):
-        if key not in kv:
-            raise ConfigError(f"run config is missing required key {key!r}")
-    return ScenarioConfig(
-        name=kv.get("name", "run"),
-        initial_size=_parse_int(kv, "initial_size"),
-        draw_size=_parse_int(kv, "draw_size"),
-        aq_size=_parse_int(kv, "aq_size"),
-        budget=_parse_int(kv, "budget"),
-        strategy=StrategyKind.from_name(kv["strategy"]),
-        seed=_parse_int(kv, "seed") if "seed" in kv else 0,
-        mlp=_mlp_config_from(kv),
-        train=_train_config_from(kv),
-        target_space=kv.get("target_space", "normalized"),
-    )
+def _scenario(values: dict) -> ScenarioConfig:
+    """Build a scenario from parsed run config values, nesting the sub-config keys."""
+    top = dict(_RUN_DEFAULTS)
+    nested = {section: {} for section in _SUBCONFIGS}
+    for key, value in values.items():
+        section = _CONFIG_KEYS[key][0]
+        (nested[section] if section else top)[key] = value
+    try:
+        return ScenarioConfig(
+            **top, **{section: cls(**nested[section]) for section, cls in _SUBCONFIGS.items()}
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _load_pool_auto(path):
@@ -292,38 +278,11 @@ def cmd_gen_pool(args) -> int:
 
 
 def cmd_run(args) -> int:
-    if args.config:
-        kv = parse_kv_file(args.config)
-        if args.max_epochs is not None:
-            kv["max_epochs"] = str(args.max_epochs)
-        cfg = scenario_from_mapping(kv)
-    else:
-        missing = [
-            flag
-            for flag, value in (
-                ("--strategy", args.strategy),
-                ("--initial", args.initial),
-                ("--draw", args.draw),
-                ("--aq", args.aq),
-                ("--budget", args.budget),
-            )
-            if value is None
-        ]
-        if missing:
-            raise ConfigError(f"without --config these flags are required: {', '.join(missing)}")
-        kv = {}
-        if args.max_epochs is not None:
-            kv["max_epochs"] = str(args.max_epochs)
-        cfg = ScenarioConfig(
-            name=args.name,
-            initial_size=args.initial,
-            draw_size=args.draw,
-            aq_size=args.aq,
-            budget=args.budget,
-            strategy=StrategyKind.from_name(args.strategy),
-            seed=args.seed,
-            train=_train_config_from(kv),
-        )
+    kv = parse_kv_file(args.config) if args.config else {}
+    # A flag's dest is its config key; a flag that was given overrides the file.
+    kv.update((key, str(value)) for key, value in vars(args).items()
+              if key in RUN_KEYS and value is not None)
+    cfg = _scenario(_parse_config(kv, RUN_KEYS, _RUN_REQUIRED, "run"))
     pool, pool_entry = _load_pool_auto(args.pool)
     result = run_experiment(pool, cfg)
     _write_run_outputs(Path(args.out_dir), pool_entry, result)
@@ -332,37 +291,23 @@ def cmd_run(args) -> int:
 
 
 def _sweep_plan(kv: dict, config_dir: Path, pool_flag):
-    _check_keys(kv, _SWEEP_KEYS + _TRAIN_KEYS + _MLP_KEYS, "sweep")
-    for key in ("initial_size", "draw_size", "budget", "aq_sizes", "strategies", "seeds"):
-        if key not in kv:
-            raise ConfigError(f"sweep config is missing required key {key!r}")
+    values = _parse_config(kv, SWEEP_KEYS, _SWEEP_REQUIRED, "sweep")
     if pool_flag:
         pool_path = Path(pool_flag)
-    elif "pool" in kv:
-        raw = Path(kv["pool"])
+    elif "pool" in values:
+        raw = Path(values["pool"])
         pool_path = raw if raw.is_absolute() else config_dir / raw
     else:
         raise ConfigError("sweep needs a pool: pass --pool or set 'pool' in the config")
-    strategies = [StrategyKind.from_name(s.strip()) for s in kv["strategies"].split(",") if s.strip()]
-    seeds = _parse_int_list(kv, "seeds")
-    aq_sizes = _parse_int_list(kv, "aq_sizes")
+    values.pop("pool", None)
+    aq_sizes, strategies, seeds = (values.pop(key) for key in _SWEEP_AXES)
     if not strategies or not seeds or not aq_sizes:
         raise ConfigError("aq_sizes, strategies, and seeds must all be non-empty")
-    base_name = kv.get("name", "scenario")
-    train_cfg = _train_config_from(kv)
-    mlp_cfg = _mlp_config_from(kv)
+    base_name = values.pop("name", "scenario")
     scenarios = [
-        ScenarioConfig(
-            name=f"{base_name}-aq{aq}",
-            initial_size=_parse_int(kv, "initial_size"),
-            draw_size=_parse_int(kv, "draw_size"),
-            aq_size=aq,
-            budget=_parse_int(kv, "budget"),
-            strategy=strategies[0],
-            seed=seeds[0],
-            mlp=mlp_cfg,
-            train=train_cfg,
-            target_space=kv.get("target_space", "normalized"),
+        _scenario(
+            {**values, "name": f"{base_name}-aq{aq}", "aq_size": aq,
+             "strategy": strategies[0], "seed": seeds[0]}
         )
         for aq in aq_sizes
     ]
@@ -528,12 +473,12 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--pool", required=True)
     run.add_argument("--config", help="key = value run config file")
     run.add_argument("--strategy", choices=[k.value for k in StrategyKind])
-    run.add_argument("--initial", type=_positive_int)
-    run.add_argument("--draw", type=_positive_int)
-    run.add_argument("--aq", type=_positive_int)
+    run.add_argument("--initial", dest="initial_size", type=_positive_int)
+    run.add_argument("--draw", dest="draw_size", type=_positive_int)
+    run.add_argument("--aq", dest="aq_size", type=_positive_int)
     run.add_argument("--budget", type=_positive_int)
-    run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--name", default="run")
+    run.add_argument("--seed", type=int, help="default 0")
+    run.add_argument("--name", help="default 'run'")
     run.add_argument("--max-epochs", type=_positive_int, help="override the training epoch cap")
     run.add_argument("--out-dir", required=True)
     run.set_defaults(func=cmd_run)

@@ -11,6 +11,7 @@ training set are marked *consumed* and never drawn again.
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -121,35 +122,37 @@ def load_pool(path, d: int, num_obj: int) -> CandidatePool:
     """Read a pool CSV with a header row, d parameter columns, then num_obj objectives.
 
     Row order defines candidate ids 0..n-1. Raises MissingFile, SchemaMismatch
-    on a wrong column count, or NonFiniteValue naming the offending data row.
+    on a wrong column count or a non-numeric cell, or NonFiniteValue naming
+    the offending data row.
     """
     p = Path(path)
     if not p.is_file():
         raise MissingFile(f"pool file not found: {p}")
     expected = d + num_obj
-    rows: list[list[float]] = []
     with open(p, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise SchemaMismatch(f"{p}: empty file, expected a header row")
-        if len(header) != expected:
-            raise SchemaMismatch(
-                f"{p}: expected {expected} columns ({d} params + {num_obj} objectives), "
-                f"found {len(header)}"
+        header = next(csv.reader(fh), None)
+    if header is None:
+        raise SchemaMismatch(f"{p}: empty file, expected a header row")
+    if len(header) != expected:
+        raise SchemaMismatch(
+            f"{p}: expected {expected} columns ({d} params + {num_obj} objectives), "
+            f"found {len(header)}"
+        )
+    try:
+        with warnings.catch_warnings():
+            # A header-only file is reported below as having no data rows.
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            data = np.loadtxt(
+                p, dtype=float, delimiter=",", skiprows=1, ndmin=2, comments=None,
+                encoding="utf-8",
             )
-        for i, row in enumerate(reader):
-            if not row:
-                continue
-            if len(row) != expected:
-                raise SchemaMismatch(f"{p}: row {i} has {len(row)} columns, expected {expected}")
-            try:
-                rows.append([float(cell) for cell in row])
-            except ValueError:
-                raise SchemaMismatch(f"{p}: row {i} contains a non-numeric cell") from None
-    if not rows:
+    except ValueError as exc:
+        # numpy names the row of a non-numeric cell or of a column-count change.
+        raise SchemaMismatch(f"{p}: {exc}") from None
+    if data.shape[0] == 0:
         raise SchemaMismatch(f"{p}: no data rows")
-    data = np.asarray(rows, dtype=float)
+    if data.shape[1] != expected:
+        raise SchemaMismatch(f"{p}: data rows have {data.shape[1]} columns, expected {expected}")
     finite = np.isfinite(data).all(axis=1)
     if not finite.all():
         bad = int(np.flatnonzero(~finite)[0])

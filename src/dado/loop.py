@@ -288,6 +288,9 @@ def run_sweep(
     names = [sc.name for sc in scenarios]
     if len(set(names)) != len(names):
         raise ConfigError("scenario names must be unique within a sweep")
+    for what, values in (("strategies", strategies), ("seeds", seeds)):
+        if len(set(values)) != len(values):
+            raise ConfigError(f"{what} must be unique within a sweep")
 
     jobs = [
         replace(sc, strategy=st, seed=sd)

@@ -19,6 +19,11 @@ from .errors import DimensionMismatch, NumericalDivergence
 TRAIN = "train"
 EVAL = "eval"
 
+# Adam's moment decay rates and denominator floor (Kingma & Ba's defaults).
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass(frozen=True)
 class MlpConfig:
@@ -56,9 +61,6 @@ class TrainConfig:
     batch_size: int = 4
     patience: int = 10
     max_epochs: int = 1000
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -239,7 +241,7 @@ def train(model: SurrogateModel, inputs, targets, cfg: TrainConfig, rng):
     v = np.zeros_like(theta)
     update = adam_updater(
         native_kernel(), theta, grad, m, v,
-        learning_rate=cfg.learning_rate, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.adam_eps,
+        learning_rate=cfg.learning_rate, beta1=ADAM_BETA1, beta2=ADAM_BETA2, eps=ADAM_EPS,
     )
     step = 0
     n = x.shape[0]

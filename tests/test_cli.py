@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from dado.adam import native_kernel
-from dado.cli import ITERATIONS_HEADER, main
+from dado.cli import ITERATIONS_HEADER, RUN_KEYS, SWEEP_KEYS, main
 from dado.datapool import load_pool
 
 FAST_CFG = """
@@ -184,6 +184,27 @@ class TestRun:
         assert (d1 / "iterations.csv").read_bytes() == (d2 / "iterations.csv").read_bytes()
         assert (d1 / "summary.json").read_bytes() == (d2 / "summary.json").read_bytes()
 
+    def test_flags_override_config_keys(self, tmp_path):
+        pool = make_pool(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(FAST_CFG)
+        out_dir = tmp_path / "out"
+        assert run_cli("run", "--pool", pool, "--config", cfg, "--seed", 5,
+                       "--strategy", "random", "--out-dir", out_dir) == 0
+        config = json.loads((out_dir / "manifest.json").read_text())["config"]
+        assert (config["seed"], config["strategy"]) == (5, "random")
+        assert config["mlp"]["hidden"] == [8, 4]  # the file's other keys still apply
+
+    def test_repeated_config_key_is_a_config_error(self, tmp_path, capsys):
+        pool = make_pool(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(FAST_CFG + "seed = 2\n")
+        code = run_cli("run", "--pool", pool, "--config", cfg, "--out-dir", tmp_path / "o")
+        assert code == 2
+        line = FAST_CFG.count("\n") + 1
+        assert f"{cfg}:{line}:" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_diverged_training_exits_1(self, tmp_path, capsys):
         pool = make_pool(tmp_path)
         cfg = tmp_path / "run.cfg"
@@ -248,6 +269,20 @@ class TestSweep:
         code = run_cli("sweep", "--config", cfg, "--out-dir", tmp_path / "o")
         assert code == 2
         assert "aq_size" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [("strategies = l2-select, random", "strategies = random, random"),
+         ("seeds = 0, 1", "seeds = 0, 0")],
+    )
+    def test_repeated_grid_values_are_a_config_error(self, tmp_path, capsys, old, new):
+        pool = make_pool(tmp_path)
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(SWEEP_CFG.replace(old, new) + f"\npool = {pool}\n")
+        code = run_cli("sweep", "--config", cfg, "--out-dir", tmp_path / "o")
+        assert code == 2
+        assert new.split(" =")[0] in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_single_seed_stderr_is_zero(self, tmp_path):
@@ -399,6 +434,97 @@ class TestGoldenDigests:
         out_dir = tmp_path / "sweep"
         assert run_cli("sweep", "--config", cfg, "--pool", pool, "--out-dir", out_dir) == 0
         assert self.digest(out_dir / "table.csv") == GOLDEN_SHA256["table.csv"]
+
+GOLDEN_MLP = {"dropout_rate": 0.1, "hidden": [8, 4], "input_dim": None, "leaky_slope": 0.01,
+              "output_dim": None}
+GOLDEN_TRAIN = {"batch_size": 4, "learning_rate": 0.0005, "max_epochs": 3, "patience": 10}
+
+
+class TestManifestConfig:
+    """The manifest's record of a run's and a sweep's settings, pinned as literals."""
+
+    def test_run_config(self, tmp_path):
+        pool = TestGoldenDigests().golden_pool(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(GOLDEN_RUN_CFG)
+        out_dir = tmp_path / "run"
+        assert run_cli("run", "--pool", pool, "--config", cfg, "--out-dir", out_dir) == 0
+        assert json.loads((out_dir / "manifest.json").read_text())["config"] == {
+            "aq_size": 10, "budget": 60, "draw_size": 60, "initial_size": 30, "n_iter": 3,
+            "name": "run", "seed": 9, "strategy": "l2-select", "target_space": "normalized",
+            "mlp": GOLDEN_MLP, "train": GOLDEN_TRAIN,
+        }
+
+    def test_sweep_grid(self, tmp_path):
+        pool = TestGoldenDigests().golden_pool(tmp_path)
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(GOLDEN_SWEEP_CFG)
+        out_dir = tmp_path / "sweep"
+        assert run_cli("sweep", "--config", cfg, "--pool", pool, "--out-dir", out_dir) == 0
+        assert json.loads((out_dir / "manifest.json").read_text())["grid"] == {
+            "scenarios": [{
+                "aq_size": 10, "budget": 60, "draw_size": 60, "initial_size": 30, "n_iter": 3,
+                "name": "golden-aq10", "seed": 0, "strategy": "random",
+                "target_space": "normalized", "mlp": GOLDEN_MLP, "train": GOLDEN_TRAIN,
+            }],
+            "strategies": ["random", "l2-reject"],
+            "seeds": [0, 1],
+        }
+
+
+TRAINING_KEYS = {
+    "hidden", "dropout_rate", "leaky_slope", "learning_rate", "batch_size", "patience",
+    "max_epochs",
+}
+ACCEPTED_RUN_KEYS = {
+    "name", "strategy", "initial_size", "draw_size", "aq_size", "budget", "seed",
+    "target_space",
+} | TRAINING_KEYS
+ACCEPTED_SWEEP_KEYS = {
+    "pool", "name", "initial_size", "draw_size", "budget", "aq_sizes", "strategies", "seeds",
+    "target_space",
+} | TRAINING_KEYS
+
+
+def readme_config_blocks():
+    """Config keys of each plain fenced block in the README that holds `key = value` lines."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = readme.read_text(encoding="utf-8").split("```")[1::2]
+    out = []
+    for block in blocks:
+        info, _, body = block.partition("\n")
+        lines = [line.split("#", 1)[0] for line in body.splitlines()]
+        keys = [line.split("=", 1)[0].strip() for line in lines if "=" in line]
+        if not info.strip() and keys:
+            out.append(keys)
+    return out
+
+
+class TestConfigKeys:
+    """The config keys `dado run` and `dado sweep` accept, and the README's list of them."""
+
+    def test_accepted_key_sets(self):
+        assert RUN_KEYS == ACCEPTED_RUN_KEYS
+        assert SWEEP_KEYS == ACCEPTED_SWEEP_KEYS
+
+    @pytest.mark.parametrize("key", ["beta1", "input_dim", "warmup"])
+    def test_other_keys_are_rejected(self, tmp_path, capsys, key):
+        pool = make_pool(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(FAST_CFG + f"{key} = 5\n")
+        assert run_cli("run", "--pool", pool, "--config", cfg, "--out-dir", tmp_path / "o") == 2
+        cfg.write_text(SWEEP_CFG + f"{key} = 5\npool = {pool}\n")
+        assert run_cli("sweep", "--config", cfg, "--out-dir", tmp_path / "s") == 2
+        assert capsys.readouterr().err.count(key) == 2
+
+    def test_readme_lists_exactly_the_accepted_keys(self):
+        blocks = readme_config_blocks()
+        run_blocks = [keys for keys in blocks if "aq_size" in keys]
+        sweep_blocks = [keys for keys in blocks if "aq_sizes" in keys]
+        assert len(run_blocks) == 1 and len(sweep_blocks) == 1
+        for keys, accepted in ((run_blocks[0], RUN_KEYS), (sweep_blocks[0], SWEEP_KEYS)):
+            assert len(keys) == len(set(keys))
+            assert set(keys) == accepted
 
 
 class TestBlasPin:

@@ -70,6 +70,19 @@ class TestLoadPool:
         with pytest.raises(SchemaMismatch):
             load_pool(path, d=1, num_obj=1)
 
+    @pytest.mark.parametrize(
+        "rows", [["0.1,0.2", "0.3,oops"], ["0.1,0.2", "0.3"], ["0.1,0.2", "0.3,0.4,0.5"]]
+    )
+    def test_bad_row_is_named(self, tmp_path, rows):
+        path = write_csv(tmp_path / "pool.csv", ["p0,j0", *rows])
+        with pytest.raises(SchemaMismatch, match=r"row \d"):
+            load_pool(path, d=1, num_obj=1)
+
+    def test_data_rows_wider_than_header(self, tmp_path):
+        path = write_csv(tmp_path / "pool.csv", ["p0,j0", "0.1,0.2,0.3", "0.4,0.5,0.6"])
+        with pytest.raises(SchemaMismatch, match="columns"):
+            load_pool(path, d=1, num_obj=1)
+
     def test_no_data_rows(self, tmp_path):
         path = write_csv(tmp_path / "pool.csv", ["p0,j0"])
         with pytest.raises(SchemaMismatch):
