@@ -50,7 +50,6 @@ from .metrics import (
 )
 from .oracle import SyntheticPoolSpec, annotate, gen_synthetic_pool
 from .strategies import (
-    SelectionResult,
     StrategyKind,
     component_max,
     select,
@@ -62,7 +61,6 @@ from .surrogate import (
     SurrogateModel,
     TrainConfig,
     TrainLog,
-    forward,
     grad_check,
     init_model,
     predict_batch,

@@ -303,6 +303,8 @@ def _sweep_plan(kv: dict, config_dir: Path, pool_flag):
     aq_sizes, strategies, seeds = (values.pop(key) for key in _SWEEP_AXES)
     if not strategies or not seeds or not aq_sizes:
         raise ConfigError("aq_sizes, strategies, and seeds must all be non-empty")
+    if len(set(aq_sizes)) != len(aq_sizes):
+        raise ConfigError("aq_sizes must be unique within a sweep")
     base_name = values.pop("name", "scenario")
     scenarios = [
         _scenario(

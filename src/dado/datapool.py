@@ -169,9 +169,8 @@ def save_pool(pool: CandidatePool, path) -> None:
     header = [f"p{i}" for i in range(pool.d)] + [f"j{i}" for i in range(pool.num_obj)]
     table = np.hstack([pool.params, pool.objectives]).tolist()
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows([repr(v) for v in row] for row in table)
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(",".join(map(repr, row)) + "\r\n" for row in table)
 
 
 def infer_pool_schema(path) -> tuple[int, int]:

@@ -175,8 +175,7 @@ def run_experiment(
         else:
             score_preds, score_truths = preds, truths
 
-        sel = select(cfg.strategy, score_preds, cfg.aq_size, derive_rng(cfg.seed, "select", i))
-        sel_idx = sel.selected_indices
+        sel_idx = select(cfg.strategy, score_preds, cfg.aq_size, derive_rng(cfg.seed, "select", i))
 
         true_order = reference_order(score_truths, cfg.strategy)
         pred_order = reference_order(score_preds, cfg.strategy)

@@ -10,7 +10,6 @@ predicted cloud.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -30,13 +29,6 @@ class StrategyKind(Enum):
                 return kind
         names = ", ".join(k.value for k in cls)
         raise ConfigError(f"unknown strategy {name!r}; expected one of: {names}")
-
-
-@dataclass
-class SelectionResult:
-    """Outcome of one acquisition: the draw positions picked."""
-
-    selected_indices: list[int]
 
 
 def component_max(ys) -> np.ndarray:
@@ -69,8 +61,8 @@ def selection_order(kind: StrategyKind, ys) -> np.ndarray:
     return np.argsort(np.linalg.norm(ys, axis=1), kind="stable")
 
 
-def select(kind: StrategyKind, predictions, aq_size: int, rng=None) -> SelectionResult:
-    """Choose aq_size draw positions according to the query strategy.
+def select(kind: StrategyKind, predictions, aq_size: int, rng=None) -> np.ndarray:
+    """Choose aq_size draw positions (an int array) according to the query strategy.
 
     The random strategy samples uniformly without replacement; the norm
     strategies are fully deterministic (ties broken by draw position).
@@ -82,7 +74,5 @@ def select(kind: StrategyKind, predictions, aq_size: int, rng=None) -> Selection
     if kind is StrategyKind.RANDOM:
         if rng is None:
             raise ValueError("random selection needs an rng")
-        picked = rng.choice(n, size=aq_size, replace=False)
-    else:
-        picked = selection_order(kind, ys)[:aq_size]
-    return SelectionResult([int(i) for i in picked])
+        return rng.choice(n, size=aq_size, replace=False)
+    return selection_order(kind, ys)[:aq_size]

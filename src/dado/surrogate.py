@@ -16,9 +16,6 @@ import numpy as np
 from .adam import adam_updater, native_kernel
 from .errors import DimensionMismatch, NumericalDivergence
 
-TRAIN = "train"
-EVAL = "eval"
-
 # Adam's moment decay rates and denominator floor (Kingma & Ba's defaults).
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -95,39 +92,52 @@ class EarlyStopping:
         return epoch - self.best_epoch >= self.patience
 
 
-@dataclass
-class SurrogateModel:
-    """Weights and biases per layer, shape (fan_out, fan_in), plus a train/eval flag."""
+def _layer_shapes(config: MlpConfig) -> list[tuple[int, int]]:
+    """(fan_out, fan_in) per layer, input to output."""
+    if config.input_dim is None or config.output_dim is None:
+        raise ValueError("the model needs a config with resolved input/output dims")
+    dims = (config.input_dim, *config.hidden, config.output_dim)
+    return list(zip(dims[1:], dims[:-1]))
 
-    config: MlpConfig
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-    mode: str = EVAL
+
+class SurrogateModel:
+    """The whole network as one contiguous float64 vector `theta`.
+
+    Layout: W0, b0, W1, b1, ... with each weight of shape (fan_out, fan_in).
+    `weights[k]` and `biases[k]` are views into `theta`, so a write through
+    either shows in the other, and the Adam step updates every layer at once.
+    """
+
+    def __init__(self, config: MlpConfig, theta):
+        self.config = config
+        self.theta = np.ascontiguousarray(theta, dtype=np.float64)
+        shapes = _layer_shapes(config)
+        size = sum(fan_out * (fan_in + 1) for fan_out, fan_in in shapes)
+        if self.theta.shape != (size,):
+            raise DimensionMismatch(
+                f"theta of shape {self.theta.shape} does not fit a model of {size} parameters"
+            )
+        self.weights: list[np.ndarray] = []
+        self.biases: list[np.ndarray] = []
+        offset = 0
+        for fan_out, fan_in in shapes:
+            end = offset + fan_out * fan_in
+            self.weights.append(self.theta[offset:end].reshape(fan_out, fan_in))
+            self.biases.append(self.theta[end : end + fan_out])
+            offset = end + fan_out
 
     def copy(self) -> "SurrogateModel":
-        return SurrogateModel(
-            self.config,
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-            self.mode,
-        )
-
-    def parameter_count(self) -> int:
-        return int(sum(w.size for w in self.weights) + sum(b.size for b in self.biases))
+        return SurrogateModel(self.config, self.theta.copy())
 
 
 def init_model(config: MlpConfig, seed: int) -> SurrogateModel:
     """Fan-in-scaled uniform weight init, zero biases, deterministic under seed."""
-    if config.input_dim is None or config.output_dim is None:
-        raise ValueError("init_model needs a config with resolved input/output dims")
     rng = np.random.default_rng(seed)
-    dims = (config.input_dim, *config.hidden, config.output_dim)
-    weights, biases = [], []
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+    parts = []
+    for fan_out, fan_in in _layer_shapes(config):
         bound = 1.0 / np.sqrt(fan_in)
-        weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
-        biases.append(np.zeros(fan_out))
-    return SurrogateModel(config, weights, biases)
+        parts += [rng.uniform(-bound, bound, size=fan_out * fan_in), np.zeros(fan_out)]
+    return SurrogateModel(config, np.concatenate(parts))
 
 
 def _leaky(z: np.ndarray, slope: float) -> np.ndarray:
@@ -177,24 +187,6 @@ def _loss_and_grads(model, x, targets, train_mode, rng, gw, gb) -> float:
     return loss
 
 
-def forward(model: SurrogateModel, x, rng=None) -> np.ndarray:
-    """Single-candidate forward pass in the model's current mode.
-
-    Train mode applies inverted dropout and therefore needs an rng; eval mode
-    is a pure affine/activation chain.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.shape[0] != model.config.input_dim:
-        raise DimensionMismatch(
-            f"input of shape {x.shape} does not match input_dim {model.config.input_dim}"
-        )
-    train_mode = model.mode == TRAIN
-    if train_mode and rng is None:
-        raise ValueError("train-mode forward needs an rng for dropout masks")
-    y, _ = _forward(model, x[None, :], train_mode, rng)
-    return y[0]
-
-
 def train(model: SurrogateModel, inputs, targets, cfg: TrainConfig, rng):
     """Train a copy of the model; returns (trained model, TrainLog).
 
@@ -216,26 +208,10 @@ def train(model: SurrogateModel, inputs, targets, cfg: TrainConfig, rng):
         )
 
     work = model.copy()
-    # Pack all parameters into one flat vector (layer views) so the Adam update
-    # is a handful of whole-vector operations.
-    arrays: list[np.ndarray] = []
-    for w, b in zip(work.weights, work.biases):
-        arrays.extend((w, b))
-    sizes = [a.size for a in arrays]
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    theta = np.concatenate([a.ravel() for a in arrays])
+    theta = work.theta
     grad = np.zeros_like(theta)
-
-    def views(flat):
-        return [
-            flat[offsets[i] : offsets[i + 1]].reshape(arrays[i].shape)
-            for i in range(len(arrays))
-        ]
-
-    tviews, gviews = views(theta), views(grad)
-    work.weights = tviews[0::2]
-    work.biases = tviews[1::2]
-    gw, gb = gviews[0::2], gviews[1::2]
+    grads = SurrogateModel(work.config, grad)
+    gw, gb = grads.weights, grads.biases
 
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
@@ -249,7 +225,6 @@ def train(model: SurrogateModel, inputs, targets, cfg: TrainConfig, rng):
     losses: list[float] = []
     best_theta = theta.copy()
     stopped_epoch = cfg.max_epochs - 1
-    work.mode = TRAIN
     for epoch in range(cfg.max_epochs):
         order = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
@@ -271,14 +246,11 @@ def train(model: SurrogateModel, inputs, targets, cfg: TrainConfig, rng):
     theta[:] = best_theta
     if not np.isfinite(theta).all():
         raise NumericalDivergence("non-finite weights after training")
-    work.mode = EVAL
     return work, TrainLog(losses, stopper.best_epoch, stopped_epoch)
 
 
 def predict_batch(model: SurrogateModel, inputs) -> np.ndarray:
     """Predict normalized objectives for (n, d) normalized inputs, order preserving."""
-    if model.mode != EVAL:
-        raise ValueError("predict_batch requires a model in eval mode")
     x = np.asarray(inputs, dtype=float)
     if x.ndim != 2 or x.shape[1] != model.config.input_dim:
         raise DimensionMismatch(
@@ -297,48 +269,39 @@ def _sample_loss(model: SurrogateModel, x: np.ndarray, y: np.ndarray) -> float:
 def loss_gradients(model: SurrogateModel, x, y):
     """Analytic MSE gradients for one sample with dropout disabled.
 
-    Returns (loss, weight gradients, bias gradients).
+    Returns (loss, gradient vector laid out like `model.theta`).
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    gw = [np.empty_like(w) for w in model.weights]
-    gb = [np.empty_like(b) for b in model.biases]
-    loss = _loss_and_grads(model, x[None, :], y[None, :], False, None, gw, gb)
-    return loss, gw, gb
+    grads = SurrogateModel(model.config, np.empty_like(model.theta))
+    loss = _loss_and_grads(model, x[None, :], y[None, :], False, None, grads.weights, grads.biases)
+    return loss, grads.theta
 
 
-def finite_difference_gradients(model: SurrogateModel, x, y, eps: float):
-    """Central-difference MSE gradients for one sample, every parameter."""
+def finite_difference_gradients(model: SurrogateModel, x, y, eps: float) -> np.ndarray:
+    """Central-difference MSE gradients for one sample, laid out like `model.theta`."""
     if eps <= 0:
         raise ValueError("eps must be positive")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     work = model.copy()
-    work.mode = EVAL
-    gw = [np.empty_like(w) for w in work.weights]
-    gb = [np.empty_like(b) for b in work.biases]
-    for grads, params in ((gw, work.weights), (gb, work.biases)):
-        for g, p in zip(grads, params):
-            flat_p = p.reshape(-1)
-            flat_g = g.reshape(-1)
-            for i in range(flat_p.size):
-                orig = flat_p[i]
-                flat_p[i] = orig + eps
-                hi = _sample_loss(work, x, y)
-                flat_p[i] = orig - eps
-                lo = _sample_loss(work, x, y)
-                flat_p[i] = orig
-                flat_g[i] = (hi - lo) / (2.0 * eps)
-    return gw, gb
+    theta = work.theta
+    grad = np.empty_like(theta)
+    for i in range(theta.size):
+        orig = theta[i]
+        theta[i] = orig + eps
+        hi = _sample_loss(work, x, y)
+        theta[i] = orig - eps
+        lo = _sample_loss(work, x, y)
+        theta[i] = orig
+        grad[i] = (hi - lo) / (2.0 * eps)
+    return grad
 
 
 def max_relative_error(analytic, numeric, floor: float = 1e-6) -> float:
-    """Worst relative disagreement between two gradient sets, floored denominator."""
-    worst = 0.0
-    for a, n in zip(analytic, numeric):
-        denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), floor)
-        worst = max(worst, float(np.max(np.abs(a - n) / denom)))
-    return worst
+    """Worst relative disagreement between two gradient vectors, floored denominator."""
+    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), floor)
+    return float(np.max(np.abs(analytic - numeric) / denom))
 
 
 def grad_check(model: SurrogateModel, sample, eps: float = 1e-5) -> float:
@@ -348,6 +311,5 @@ def grad_check(model: SurrogateModel, sample, eps: float = 1e-5) -> float:
     disabled on both paths.
     """
     x, y = sample
-    _, gw, gb = loss_gradients(model, x, y)
-    nw, nb = finite_difference_gradients(model, x, y, eps)
-    return max(max_relative_error(gw, nw), max_relative_error(gb, nb))
+    _, analytic = loss_gradients(model, x, y)
+    return max_relative_error(analytic, finite_difference_gradients(model, x, y, eps))

@@ -72,13 +72,13 @@ class TestCriterion1:
             norms = np.linalg.norm(ys, axis=1)
             order = sorted(range(n), key=lambda i: (norms[i], i))
             expected_l2s = set(order[:aq])
-            got_l2s = set(select(StrategyKind.L2_SELECT, ys, aq).selected_indices)
+            got_l2s = set(select(StrategyKind.L2_SELECT, ys, aq))
             assert got_l2s == expected_l2s
 
             dists = np.linalg.norm(ys - ys.max(axis=0), axis=1)
             order = sorted(range(n), key=lambda i: (dists[i], i))
             expected_l2r = set(range(n)) - set(order[: n - aq])
-            got_l2r = set(select(StrategyKind.L2_REJECT, ys, aq).selected_indices)
+            got_l2r = set(select(StrategyKind.L2_REJECT, ys, aq))
             assert got_l2r == expected_l2r
         elapsed = time.monotonic() - start
         report(1, elapsed < 10.0, f"100 draws exactly matched both oracles in {elapsed:.2f}s")

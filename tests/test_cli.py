@@ -274,7 +274,8 @@ class TestSweep:
     @pytest.mark.parametrize(
         "old, new",
         [("strategies = l2-select, random", "strategies = random, random"),
-         ("seeds = 0, 1", "seeds = 0, 0")],
+         ("seeds = 0, 1", "seeds = 0, 0"),
+         ("aq_sizes = 10", "aq_sizes = 10, 10")],
     )
     def test_repeated_grid_values_are_a_config_error(self, tmp_path, capsys, old, new):
         pool = make_pool(tmp_path)

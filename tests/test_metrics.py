@@ -42,7 +42,7 @@ class TestReferenceOrder:
         truths = rng.normal(size=(50, 2))
         order = reference_order(truths, StrategyKind.L2_REJECT)
         for aq in (3, 10, 25):
-            picked = select(StrategyKind.L2_REJECT, truths, aq).selected_indices
+            picked = select(StrategyKind.L2_REJECT, truths, aq)
             assert set(order[:aq]) == set(picked)
 
 

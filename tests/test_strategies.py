@@ -103,19 +103,19 @@ class TestSelect:
         # Norms are 0, 1, 1, sqrt(2); the tie between positions 1 and 2 goes
         # to the lower position.
         result = select(StrategyKind.L2_SELECT, self.preds, 2)
-        assert result.selected_indices == [0, 1]
+        assert result.tolist() == [0, 1]
 
     def test_l2r_hand_example(self):
         # Distances to y_max=(1,1): sqrt(2), 1, 1, 0. Reject the two smallest
         # (positions 3 and 1), keep positions 0 and 2.
         result = select(StrategyKind.L2_REJECT, self.preds, 2)
-        assert set(result.selected_indices) == {0, 2}
-        assert result.selected_indices[0] == 0  # farthest from the maximum first
+        assert set(result) == {0, 2}
+        assert result[0] == 0  # farthest from the maximum first
 
     @pytest.mark.parametrize("kind", list(StrategyKind))
     def test_aq_equals_draw_selects_everything(self, kind):
         result = select(kind, self.preds, 4, rng=np.random.default_rng(0))
-        assert sorted(result.selected_indices) == [0, 1, 2, 3]
+        assert sorted(result) == [0, 1, 2, 3]
 
     def test_aq_too_large(self):
         with pytest.raises(AcquisitionTooLarge):
@@ -124,7 +124,7 @@ class TestSelect:
     def test_random_is_reproducible(self):
         a = select(StrategyKind.RANDOM, self.preds, 2, rng=np.random.default_rng(3))
         b = select(StrategyKind.RANDOM, self.preds, 2, rng=np.random.default_rng(3))
-        assert a.selected_indices == b.selected_indices
+        assert a.tolist() == b.tolist()
 
     def test_random_needs_rng(self):
         with pytest.raises(ValueError):
@@ -136,7 +136,7 @@ class TestSelect:
         counts = np.zeros(draw)
         preds = np.zeros((draw, 2))
         for _ in range(trials):
-            for i in select(StrategyKind.RANDOM, preds, aq, rng=rng).selected_indices:
+            for i in select(StrategyKind.RANDOM, preds, aq, rng=rng):
                 counts[i] += 1
         np.testing.assert_allclose(counts / trials, aq / draw, atol=0.02)
 
@@ -146,7 +146,7 @@ class TestSelect:
             n = int(rng.integers(2, 60))
             aq = int(rng.integers(1, n + 1))
             ys = rng.normal(size=(n, int(rng.integers(2, 4))))
-            got = set(select(StrategyKind.L2_SELECT, ys, aq).selected_indices)
+            got = set(select(StrategyKind.L2_SELECT, ys, aq))
             assert got == brute_force_smallest_norm(ys, aq)
 
     def test_l2r_matches_reject_complement(self):
@@ -155,7 +155,7 @@ class TestSelect:
             n = int(rng.integers(2, 60))
             aq = int(rng.integers(1, n + 1))
             ys = rng.normal(size=(n, int(rng.integers(2, 4))))
-            got = set(select(StrategyKind.L2_REJECT, ys, aq).selected_indices)
+            got = set(select(StrategyKind.L2_REJECT, ys, aq))
             assert got == brute_force_reject_complement(ys, aq)
 
     def test_l2r_tie_break_agrees_with_reject_semantics(self):
@@ -163,7 +163,7 @@ class TestSelect:
         # therefore selection keeps the highest-position duplicates.
         ys = np.array([[1.0, 1.0], [1.0, 1.0], [2.0, 2.0]])
         result = select(StrategyKind.L2_REJECT, ys, 2)
-        assert set(result.selected_indices) == brute_force_reject_complement(ys, 2)
+        assert set(result) == brute_force_reject_complement(ys, 2)
 
     @settings(max_examples=50)
     @given(
@@ -175,8 +175,8 @@ class TestSelect:
         rng = np.random.default_rng(seed)
         ys = rng.normal(size=(12, 2))
         for kind in (StrategyKind.L2_SELECT, StrategyKind.L2_REJECT):
-            base = set(select(kind, ys, aq).selected_indices)
-            scaled = set(select(kind, ys * scale, aq).selected_indices)
+            base = set(select(kind, ys, aq))
+            scaled = set(select(kind, ys * scale, aq))
             assert base == scaled
 
     @settings(max_examples=50)
@@ -188,8 +188,8 @@ class TestSelect:
     def test_translation_preserves_l2r_only(self, aq, shift, seed):
         rng = np.random.default_rng(seed)
         ys = rng.normal(size=(12, 2))
-        base = set(select(StrategyKind.L2_REJECT, ys, aq).selected_indices)
-        moved = set(select(StrategyKind.L2_REJECT, ys + shift, aq).selected_indices)
+        base = set(select(StrategyKind.L2_REJECT, ys, aq))
+        moved = set(select(StrategyKind.L2_REJECT, ys + shift, aq))
         assert base == moved
 
 
@@ -200,7 +200,7 @@ class TestSelectionOrder:
         order = selection_order(StrategyKind.L2_SELECT, ys)
         for aq in (1, 7, 30):
             assert set(order[:aq]) == set(
-                select(StrategyKind.L2_SELECT, ys, aq).selected_indices
+                select(StrategyKind.L2_SELECT, ys, aq)
             )
 
     def test_l2r_first_aq_equals_selection_for_every_aq(self):
@@ -209,7 +209,7 @@ class TestSelectionOrder:
         order = selection_order(StrategyKind.L2_REJECT, ys)
         for aq in (1, 7, 30):
             assert set(order[:aq]) == set(
-                select(StrategyKind.L2_REJECT, ys, aq).selected_indices
+                select(StrategyKind.L2_REJECT, ys, aq)
             )
 
     def test_random_reference_uses_the_norm_geometry(self):

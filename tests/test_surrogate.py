@@ -10,14 +10,12 @@ import dado.surrogate as surrogate
 from dado.datapool import TargetNormalizer
 from dado.errors import DimensionMismatch, NumericalDivergence
 from dado.surrogate import (
-    EVAL,
-    TRAIN,
     EarlyStopping,
     MlpConfig,
     SurrogateModel,
     TrainConfig,
+    _forward,
     finite_difference_gradients,
-    forward,
     grad_check,
     init_model,
     loss_gradients,
@@ -68,7 +66,7 @@ class TestInit:
         dims = (28, 200, 100, 2)
         expected = sum(o * i + o for i, o in zip(dims[:-1], dims[1:]))
         assert expected == 26102
-        assert model.parameter_count() == expected
+        assert model.theta.size == expected
 
     def test_biases_start_at_zero(self):
         model = init_model(SMALL, seed=0)
@@ -86,20 +84,52 @@ class TestInit:
             init_model(MlpConfig(), seed=0)
 
 
+class TestLayout:
+    def test_init_is_the_concatenated_layer_draws(self):
+        # Recompute the documented layout: per layer, the weight draws of
+        # shape (fan_out, fan_in), then that layer's zero biases.
+        rng = np.random.default_rng(4)
+        dims = (5, 7, 3, 2)
+        parts = []
+        for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+            bound = 1.0 / np.sqrt(fan_in)
+            parts += [rng.uniform(-bound, bound, (fan_out, fan_in)).ravel(), np.zeros(fan_out)]
+        np.testing.assert_array_equal(init_model(SMALL, seed=4).theta, np.concatenate(parts))
+
+    def test_weights_and_biases_are_views_into_theta(self):
+        model = init_model(SMALL, seed=0)
+        # W0 (7x5) at 0, b0 at 35, W1 (3x7) at 42, b1 at 63, W2 (2x3) at 66, b2 at 72.
+        assert model.theta.size == 74
+        model.theta[:] = np.arange(74)
+        assert model.weights[0][1, 2] == 7.0
+        np.testing.assert_array_equal(model.biases[0], np.arange(35, 42))
+        assert model.weights[1][0, 0] == 42.0
+        np.testing.assert_array_equal(model.biases[1], [63.0, 64.0, 65.0])
+        np.testing.assert_array_equal(model.weights[2], [[66.0, 67.0, 68.0], [69.0, 70.0, 71.0]])
+        np.testing.assert_array_equal(model.biases[2], [72.0, 73.0])
+        model.weights[2][1, 0] = -1.0
+        model.biases[0][0] = -2.0
+        assert model.theta[69] == -1.0 and model.theta[35] == -2.0
+
+    @pytest.mark.parametrize("size", [0, 73, 75])
+    def test_wrong_theta_length_rejected(self, size):
+        with pytest.raises(DimensionMismatch):
+            SurrogateModel(SMALL, np.zeros(size))
+
+
 class TestForward:
     def test_zero_weights_give_zero_output(self):
         model = init_model(SMALL, seed=0)
         for w in model.weights:
             w[:] = 0.0
-        np.testing.assert_array_equal(forward(model, np.ones(5)), [0.0, 0.0])
+        np.testing.assert_array_equal(predict_batch(model, np.ones(5)[None])[0], [0.0, 0.0])
 
     def test_leaky_slope_on_negative_preactivation(self):
         # One unit per layer wired as identity: input -1 comes out scaled by
         # the negative slope once per hidden layer.
         cfg = MlpConfig(input_dim=1, output_dim=1, hidden=(1,), leaky_slope=0.01)
-        model = SurrogateModel(cfg, [np.array([[1.0]]), np.array([[1.0]])],
-                               [np.zeros(1), np.zeros(1)])
-        out = forward(model, np.array([-1.0]))
+        model = SurrogateModel(cfg, np.array([1.0, 0.0, 1.0, 0.0]))
+        out = predict_batch(model, np.array([-1.0])[None])[0]
         assert out[0] == pytest.approx(-0.01, abs=1e-15)
 
     def test_matches_naive_triple_loop(self):
@@ -107,43 +137,36 @@ class TestForward:
         rng = np.random.default_rng(0)
         for _ in range(5):
             x = rng.random(5)
-            fast = forward(model, x)
+            fast = predict_batch(model, x[None])[0]
             slow = naive_forward(model, x)
             np.testing.assert_allclose(fast, slow, rtol=1e-12, atol=1e-14)
 
     def test_eval_forward_is_pure(self):
         model = init_model(SMALL, seed=1)
         x = np.random.default_rng(2).random(5)
-        np.testing.assert_array_equal(forward(model, x), forward(model, x))
-
-    def test_train_mode_requires_rng(self):
-        model = init_model(SMALL, seed=1)
-        model.mode = TRAIN
-        with pytest.raises(ValueError):
-            forward(model, np.zeros(5))
+        np.testing.assert_array_equal(predict_batch(model, x[None])[0],
+                                      predict_batch(model, x[None])[0])
 
     def test_train_mode_with_zero_dropout_equals_eval(self):
         cfg = MlpConfig(input_dim=5, output_dim=2, hidden=(7, 3), dropout_rate=0.0)
         model = init_model(cfg, seed=3)
         x = np.random.default_rng(4).random(5)
-        eval_out = forward(model, x)
-        model.mode = TRAIN
-        train_out = forward(model, x, rng=np.random.default_rng(0))
+        eval_out = predict_batch(model, x[None])[0]
+        train_out = _forward(model, x[None], True, np.random.default_rng(0))[0][0]
         np.testing.assert_array_equal(eval_out, train_out)
 
     def test_inverted_dropout_is_unbiased(self):
         model = init_model(SMALL, seed=6)
         x = np.random.default_rng(7).random(5)
-        reference = forward(model, x)
-        model.mode = TRAIN
+        reference = predict_batch(model, x[None])[0]
         rng = np.random.default_rng(8)
-        mean = np.mean([forward(model, x, rng=rng) for _ in range(4000)], axis=0)
+        mean = np.mean([_forward(model, x[None], True, rng)[0][0] for _ in range(4000)], axis=0)
         np.testing.assert_allclose(mean, reference, atol=0.05)
 
     def test_dimension_mismatch(self):
         model = init_model(SMALL, seed=0)
         with pytest.raises(DimensionMismatch):
-            forward(model, np.zeros(4))
+            predict_batch(model, np.zeros(4)[None])
 
 
 class TestEarlyStopping:
@@ -209,7 +232,7 @@ class TestTrain:
         t = rng.normal(size=(16, 2))
         trained, log = train(model, x, t, TrainConfig(max_epochs=40, patience=5),
                              np.random.default_rng(7))
-        out = np.array([forward(trained, row) for row in x])
+        out = np.array([predict_batch(trained, row[None])[0] for row in x])
         final_loss = float(np.mean((out - t) ** 2))
         assert final_loss == pytest.approx(min(log.losses), abs=1e-15)
 
@@ -367,20 +390,20 @@ class TestGradients:
     def test_zero_loss_sample_has_zero_gradient(self):
         model = init_model(SMALL, seed=3)
         x = np.random.default_rng(4).random(5)
-        y = forward(model, x)
-        _, gw, gb = loss_gradients(model, x, y)
-        assert max(np.abs(g).max() for g in gw + gb) < 1e-12
+        y = predict_batch(model, x[None])[0]
+        _, grad = loss_gradients(model, x, y)
+        assert np.abs(grad).max() < 1e-12
 
     def test_perturbed_gradient_is_detected(self):
         model = init_model(SMALL, seed=9)
         rng = np.random.default_rng(10)
         x = rng.random(5)
         y = rng.normal(size=2)
-        _, gw, gb = loss_gradients(model, x, y)
-        nw, nb = finite_difference_gradients(model, x, y, eps=1e-5)
-        clean = max(max_relative_error(gw, nw), max_relative_error(gb, nb))
-        gw[0][0, 0] += 1e-2
-        mutated = max(max_relative_error(gw, nw), max_relative_error(gb, nb))
+        _, grad = loss_gradients(model, x, y)
+        numeric = finite_difference_gradients(model, x, y, eps=1e-5)
+        clean = max_relative_error(grad, numeric)
+        grad[0] += 1e-2  # W0[0, 0]
+        mutated = max_relative_error(grad, numeric)
         assert clean < 1e-4
         assert mutated > 1e-3
         assert mutated > clean
@@ -415,14 +438,8 @@ class TestPredictBatch:
         model = init_model(SMALL, seed=2)
         x = np.random.default_rng(3).random((8, 5))
         batch = predict_batch(model, x)
-        single = np.array([forward(model, row) for row in x])
+        single = np.array([predict_batch(model, row[None])[0] for row in x])
         np.testing.assert_allclose(batch, single, atol=1e-14)
-
-    def test_requires_eval_mode(self):
-        model = init_model(SMALL, seed=0)
-        model.mode = TRAIN
-        with pytest.raises(ValueError):
-            predict_batch(model, np.zeros((1, 5)))
 
     def test_wrong_candidate_width_rejected(self):
         model = init_model(SMALL, seed=0)
