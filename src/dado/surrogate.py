@@ -40,6 +40,8 @@ class MlpConfig:
             raise ValueError("hidden layer sizes must be positive")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout_rate must lie in [0, 1)")
+        if not 0.0 <= self.leaky_slope <= 1.0:
+            raise ValueError("leaky_slope must lie in [0, 1]")
 
     def resolved(self, input_dim: int, output_dim: int) -> "MlpConfig":
         """Fill in unset dims; set dims must already match the given ones."""
@@ -60,8 +62,8 @@ class TrainConfig:
     max_epochs: int = 1000
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0.0 < self.learning_rate < float("inf"):
+            raise ValueError("learning_rate must be positive and finite")
         if self.batch_size < 1 or self.patience < 1 or self.max_epochs < 1:
             raise ValueError("batch_size, patience, and max_epochs must be >= 1")
 
@@ -140,51 +142,66 @@ def init_model(config: MlpConfig, seed: int) -> SurrogateModel:
     return SurrogateModel(config, np.concatenate(parts))
 
 
-def _leaky(z: np.ndarray, slope: float) -> np.ndarray:
-    return np.where(z > 0.0, z, slope * z)
+def _dropout_masks(rng, rows: int, config: MlpConfig):
+    """One flat draw of inverted-dropout masks (1/(1-p) kept, 0 dropped) for `rows`
+    rows of every hidden layer; None without dropout."""
+    p = config.dropout_rate
+    if p == 0.0:
+        return None
+    masks = rng.random(rows * sum(config.hidden))
+    np.greater_equal(masks, p, out=masks)
+    masks /= 1.0 - p
+    return masks
 
 
 def _forward(model: SurrogateModel, x: np.ndarray, train_mode: bool, rng):
     """Batch forward pass; returns (output, cache) with per-layer backprop state."""
-    cfg = model.config
-    p = cfg.dropout_rate
+    masks = _dropout_masks(rng, len(x), model.config) if train_mode else None
+    return _propagate(model, x, masks)
+
+
+def _propagate(model: SurrogateModel, x: np.ndarray, masks):
+    """`_forward` with flat dropout `masks` (or None): layer 0's rows x hidden[0] first."""
+    slope = model.config.leaky_slope
     h = x
     cache = []
+    offset = 0
     for w, b in zip(model.weights[:-1], model.biases[:-1]):
-        z = h @ w.T + b
-        a = _leaky(z, cfg.leaky_slope)
+        z = h @ w.T
+        z += b
+        # Leaky ReLU; equals where(z > 0, z, slope * z) for slope in [0, 1].
+        a = np.maximum(z, slope * z)
         mask = None
-        if train_mode and p > 0.0:
-            mask = (rng.random(a.shape) >= p) / (1.0 - p)
-            a = a * mask
+        if masks is not None:
+            mask = masks[offset : offset + a.size].reshape(a.shape)
+            offset += a.size
+            a *= mask
         cache.append((h, z, mask))
         h = a
     cache.append((h, None, None))
-    y = h @ model.weights[-1].T + model.biases[-1]
+    y = h @ model.weights[-1].T
+    y += model.biases[-1]
     return y, cache
 
 
-def _loss_and_grads(model, x, targets, train_mode, rng, gw, gb) -> float:
-    """MSE loss over the batch plus gradients written into gw/gb in place."""
-    y, cache = _forward(model, x, train_mode, rng)
-    diff = y - targets
-    loss = float(np.mean(diff * diff))
-    g = (2.0 / diff.size) * diff
-    h_last = cache[-1][0]
-    np.matmul(g.T, h_last, out=gw[-1])
-    np.sum(g, axis=0, out=gb[-1])
+def _loss_and_grads(model, x, targets, masks, gw, gb) -> None:
+    """Gradients of the batch MSE, written into gw/gb in place; see `_propagate` for masks."""
+    g, cache = _propagate(model, x, masks)
+    g -= targets
+    g *= 2.0 / g.size
+    np.matmul(g.T, cache[-1][0], out=gw[-1])
+    np.add.reduce(g, axis=0, out=gb[-1])
     g = g @ model.weights[-1]
     slope = model.config.leaky_slope
     for layer in range(len(model.weights) - 2, -1, -1):
         h_in, z, mask = cache[layer]
         if mask is not None:
-            g = g * mask
-        g = g * np.where(z > 0.0, 1.0, slope)
+            g *= mask
+        g = np.where(z > 0.0, g, slope * g)
         np.matmul(g.T, h_in, out=gw[layer])
-        np.sum(g, axis=0, out=gb[layer])
+        np.add.reduce(g, axis=0, out=gb[layer])
         if layer > 0:
             g = g @ model.weights[layer]
-    return loss
 
 
 def train(model: SurrogateModel, inputs, targets, cfg: TrainConfig, rng):
@@ -194,6 +211,9 @@ def train(model: SurrogateModel, inputs, targets, cfg: TrainConfig, rng):
     evaluated on the whole training set in eval mode. Stops once the loss has
     not strictly decreased for `patience` epochs or at max_epochs, and reloads
     the best epoch's weights.
+
+    Per epoch `rng` gives one permutation, then one draw of every dropout mask
+    of the epoch, laid out batch by batch and, within a batch, layer by layer.
     """
     x = np.asarray(inputs, dtype=float)
     t = np.asarray(targets, dtype=float)
@@ -221,19 +241,24 @@ def train(model: SurrogateModel, inputs, targets, cfg: TrainConfig, rng):
     )
     step = 0
     n = x.shape[0]
+    width = sum(work.config.hidden)
     stopper = EarlyStopping(cfg.patience)
     losses: list[float] = []
     best_theta = theta.copy()
     stopped_epoch = cfg.max_epochs - 1
     for epoch in range(cfg.max_epochs):
         order = rng.permutation(n)
+        masks = _dropout_masks(rng, n, work.config)
+        xs, ts = x[order], t[order]
         for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            _loss_and_grads(work, x[idx], t[idx], True, rng, gw, gb)
+            stop = start + cfg.batch_size
+            batch = None if masks is None else masks[start * width : stop * width]
+            _loss_and_grads(work, xs[start:stop], ts[start:stop], batch, gw, gb)
             step += 1
             update(step)
         pred, _ = _forward(work, x, False, None)
-        epoch_loss = float(np.mean((pred - t) ** 2))
+        pred -= t
+        epoch_loss = float(np.mean(pred * pred))
         if not np.isfinite(epoch_loss):
             raise NumericalDivergence(f"non-finite training loss at epoch {epoch}")
         losses.append(epoch_loss)
@@ -274,8 +299,8 @@ def loss_gradients(model: SurrogateModel, x, y):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     grads = SurrogateModel(model.config, np.empty_like(model.theta))
-    loss = _loss_and_grads(model, x[None, :], y[None, :], False, None, grads.weights, grads.biases)
-    return loss, grads.theta
+    _loss_and_grads(model, x[None, :], y[None, :], None, grads.weights, grads.biases)
+    return _sample_loss(model, x, y), grads.theta
 
 
 def finite_difference_gradients(model: SurrogateModel, x, y, eps: float) -> np.ndarray:

@@ -205,6 +205,20 @@ class TestRun:
         assert f"{cfg}:{line}:" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "line",
+        ["learning_rate = nan", "learning_rate = inf", "leaky_slope = nan",
+         "leaky_slope = 2.0", "leaky_slope = -1"],
+    )
+    def test_bad_training_setting_is_a_config_error(self, tmp_path, capsys, line):
+        pool = make_pool(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(FAST_CFG + f"\n{line}\n")
+        code = run_cli("run", "--pool", pool, "--config", cfg, "--out-dir", tmp_path / "o")
+        assert code == 2
+        assert line.split()[0] in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_diverged_training_exits_1(self, tmp_path, capsys):
         pool = make_pool(tmp_path)
         cfg = tmp_path / "run.cfg"

@@ -1,5 +1,6 @@
 """MLP init, forward/backward correctness, training protocol, Adam, prediction."""
 
+import math
 import shutil
 
 import numpy as np
@@ -14,6 +15,7 @@ from dado.surrogate import (
     MlpConfig,
     SurrogateModel,
     TrainConfig,
+    TrainLog,
     _forward,
     finite_difference_gradients,
     grad_check,
@@ -445,3 +447,156 @@ class TestPredictBatch:
         model = init_model(SMALL, seed=0)
         with pytest.raises(DimensionMismatch):
             predict_batch(model, np.zeros((1, 3)))
+
+
+# Frozen reference step: the train step as it was before dropout masks were
+# drawn once per epoch. Two `rng.random` draws per batch (one per hidden
+# layer), fancy-indexed batches, `np.where` leaky ReLU and `np.sum` bias
+# gradients. `train` must reproduce it bit for bit.
+
+def reference_forward(model, x, train_mode, rng):
+    p = model.config.dropout_rate
+    slope = model.config.leaky_slope
+    h = x
+    cache = []
+    for w, b in zip(model.weights[:-1], model.biases[:-1]):
+        z = h @ w.T + b
+        a = np.where(z > 0.0, z, slope * z)
+        mask = None
+        if train_mode and p > 0.0:
+            mask = (rng.random(a.shape) >= p) / (1.0 - p)
+            a = a * mask
+        cache.append((h, z, mask))
+        h = a
+    cache.append((h, None, None))
+    return h @ model.weights[-1].T + model.biases[-1], cache
+
+
+def reference_loss_and_grads(model, x, targets, rng, gw, gb):
+    y, cache = reference_forward(model, x, True, rng)
+    diff = y - targets
+    g = (2.0 / diff.size) * diff
+    np.matmul(g.T, cache[-1][0], out=gw[-1])
+    np.sum(g, axis=0, out=gb[-1])
+    g = g @ model.weights[-1]
+    slope = model.config.leaky_slope
+    for layer in range(len(model.weights) - 2, -1, -1):
+        h_in, z, mask = cache[layer]
+        if mask is not None:
+            g = g * mask
+        g = g * np.where(z > 0.0, 1.0, slope)
+        np.matmul(g.T, h_in, out=gw[layer])
+        np.sum(g, axis=0, out=gb[layer])
+        if layer > 0:
+            g = g @ model.weights[layer]
+
+
+def reference_train(model, x, t, cfg, rng):
+    work = model.copy()
+    theta = work.theta
+    grad = np.zeros_like(theta)
+    grads = SurrogateModel(work.config, grad)
+    m, v = np.zeros_like(theta), np.zeros_like(theta)
+    update = adam.adam_updater(adam.native_kernel(), theta, grad, m, v,
+                               learning_rate=cfg.learning_rate, beta1=surrogate.ADAM_BETA1,
+                               beta2=surrogate.ADAM_BETA2, eps=surrogate.ADAM_EPS)
+    step = 0
+    n = x.shape[0]
+    stopper = EarlyStopping(cfg.patience)
+    losses = []
+    best_theta = theta.copy()
+    stopped_epoch = cfg.max_epochs - 1
+    for epoch in range(cfg.max_epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            reference_loss_and_grads(work, x[idx], t[idx], rng, grads.weights, grads.biases)
+            step += 1
+            update(step)
+        pred, _ = reference_forward(work, x, False, None)
+        epoch_loss = float(np.mean((pred - t) ** 2))
+        losses.append(epoch_loss)
+        if epoch_loss < stopper.best_loss:
+            best_theta[:] = theta
+        if stopper.update(epoch, epoch_loss):
+            stopped_epoch = epoch
+            break
+    return best_theta, TrainLog(losses, stopper.best_epoch, stopped_epoch)
+
+
+DESK = MlpConfig(input_dim=28, output_dim=2)
+
+
+def fit_both(mlp, n, tcfg, seed=0):
+    rng = np.random.default_rng(seed)
+    x = rng.random((n, mlp.input_dim))
+    t = rng.normal(size=(n, mlp.output_dim))
+    model = init_model(mlp, seed=seed + 1)
+    got, got_log = train(model, x, t, tcfg, np.random.default_rng(seed + 2))
+    ref_theta, ref_log = reference_train(model, x, t, tcfg, np.random.default_rng(seed + 2))
+    return got.theta, got_log, ref_theta, ref_log
+
+
+class TestStepEquivalence:
+    """`train` is bit-identical to the frozen reference step above."""
+
+    @pytest.mark.parametrize("n", [100, 101, 102, 103])
+    def test_desk_shape_every_partial_batch(self, n):
+        got, got_log, ref, ref_log = fit_both(DESK, n, TrainConfig(max_epochs=3), seed=n)
+        assert np.array_equal(got, ref)
+        assert got_log == ref_log
+
+    @pytest.mark.parametrize(
+        "mlp, tcfg",
+        [
+            (MlpConfig(input_dim=28, output_dim=2, dropout_rate=0.0), TrainConfig(max_epochs=3)),
+            (DESK, TrainConfig(batch_size=1, max_epochs=2)),
+            (MlpConfig(input_dim=6, output_dim=3, hidden=(64, 32, 16), dropout_rate=0.3),
+             TrainConfig(batch_size=7, max_epochs=5)),
+        ],
+        ids=["no-dropout", "batch-1", "three-hidden-layers"],
+    )
+    def test_other_shapes(self, mlp, tcfg):
+        got, got_log, ref, ref_log = fit_both(mlp, 45, tcfg)
+        assert np.array_equal(got, ref)
+        assert got_log == ref_log
+
+    def test_patience_stop(self):
+        mlp = MlpConfig(input_dim=5, output_dim=2, hidden=(16, 8))
+        tcfg = TrainConfig(learning_rate=0.05, patience=2, max_epochs=200)
+        got, got_log, ref, ref_log = fit_both(mlp, 30, tcfg)
+        assert got_log.stopped_epoch < tcfg.max_epochs - 1
+        assert np.array_equal(got, ref)
+        assert got_log == ref_log
+
+    def test_predict_batch(self):
+        model = init_model(DESK, seed=3)
+        x = np.random.default_rng(4).random((2000, 28))
+        assert np.array_equal(predict_batch(model, x), reference_forward(model, x, False, None)[0])
+
+
+class TestTracerHooks:
+    """`train` calls `_loss_and_grads` once per step and `_forward` in eval mode once
+    per epoch, through the module globals, so a wrapper patched there sees them."""
+
+    def test_call_counts(self, monkeypatch):
+        calls = {"steps": 0, "eval": 0}
+        loss_and_grads, forward = surrogate._loss_and_grads, surrogate._forward
+
+        def counting_loss_and_grads(*args):
+            calls["steps"] += 1
+            return loss_and_grads(*args)
+
+        def counting_forward(model, x, train_mode, rng):
+            calls["eval"] += not train_mode
+            return forward(model, x, train_mode, rng)
+
+        monkeypatch.setattr(surrogate, "_loss_and_grads", counting_loss_and_grads)
+        monkeypatch.setattr(surrogate, "_forward", counting_forward)
+        rng = np.random.default_rng(0)
+        n, tcfg = 23, TrainConfig(batch_size=4, max_epochs=6)
+        _, log = train(init_model(SMALL, seed=0), rng.random((n, 5)), rng.normal(size=(n, 2)),
+                       tcfg, np.random.default_rng(1))
+        epochs = len(log.losses)
+        assert epochs == tcfg.max_epochs
+        assert calls == {"steps": epochs * math.ceil(n / tcfg.batch_size), "eval": epochs}
