@@ -48,7 +48,7 @@ from .metrics import (
     reference_order,
     srocc,
 )
-from .oracle import SyntheticPoolSpec, annotate, gen_synthetic_pool
+from .oracle import annotate, gen_synthetic_pool
 from .strategies import (
     StrategyKind,
     component_max,

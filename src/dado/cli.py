@@ -26,7 +26,7 @@ from .datapool import infer_pool_schema, load_pool, save_pool
 from .errors import ConfigError, DadoError, MissingFile, SchemaMismatch, SizeMismatch
 from .loop import ScenarioConfig, run_experiment, run_sweep, stderr_of
 from .metrics import METRIC_FIELDS, LearningCurve
-from .oracle import SyntheticPoolSpec, gen_synthetic_pool
+from .oracle import gen_synthetic_pool
 from .strategies import StrategyKind
 
 ITERATIONS_HEADER = ("iter", "train_size") + METRIC_FIELDS
@@ -251,24 +251,7 @@ def _write_run_outputs(out_dir: Path, pool_entry: dict, result) -> None:
 
 
 def cmd_gen_pool(args) -> int:
-    if args.kind == "gaussian":
-        mean = np.asarray(args.mean if args.mean is not None else [0.0, 0.0])
-        if args.cov is not None:
-            k = len(mean)
-            if len(args.cov) != k * k:
-                raise ConfigError(f"--cov needs {k * k} row-major entries for {k} objectives")
-            cov = np.asarray(args.cov).reshape(k, k)
-        else:
-            cov = None
-        spec = SyntheticPoolSpec.gaussian(args.n, args.d, args.seed, mean=mean, cov=cov)
-    else:
-        for flag, vec in (("--anchor-a", args.anchor_a), ("--anchor-b", args.anchor_b)):
-            if vec is not None and len(vec) != args.d:
-                raise ConfigError(f"{flag} needs exactly {args.d} entries")
-        spec = SyntheticPoolSpec.analytic(
-            args.n, args.d, args.seed, anchor_a=args.anchor_a, anchor_b=args.anchor_b
-        )
-    pool = gen_synthetic_pool(spec)
+    pool = gen_synthetic_pool(args.n, args.d, args.seed, args.anchor_a, args.anchor_b)
     save_pool(pool, args.out)
     print(
         f"wrote {args.out}: n={len(pool)} d={pool.d} num_obj={pool.num_obj} "
@@ -460,13 +443,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen-pool", help="write a synthetic annotated pool CSV")
-    gen.add_argument("--kind", choices=["gaussian", "analytic"], required=True)
+    gen.add_argument("--kind", choices=["analytic"], default="analytic",
+                     help="pool family; analytic is the only one")
     gen.add_argument("--n", type=_positive_int, required=True, help="number of candidates")
     gen.add_argument("--d", type=_positive_int, required=True, help="parameter dimensions")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", required=True)
-    gen.add_argument("--mean", type=_float_list, help="gaussian objective means (default 0,0)")
-    gen.add_argument("--cov", type=_float_list, help="row-major covariance entries (default identity)")
     gen.add_argument("--anchor-a", type=_float_list, help="first analytic anchor (default 0.25,...)")
     gen.add_argument("--anchor-b", type=_float_list, help="second analytic anchor (default 0.75,...)")
     gen.set_defaults(func=cmd_gen_pool)

@@ -31,10 +31,6 @@ class AlreadyConsumed(DadoError):
     """Attempt to consume a candidate id twice."""
 
 
-class InvalidCovariance(DadoError):
-    """Covariance matrix is not symmetric positive-definite."""
-
-
 class DimensionMismatch(DadoError):
     """Vector or matrix shapes are inconsistent."""
 

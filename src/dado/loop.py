@@ -56,6 +56,9 @@ def derive_rng(master_seed: int, label: str, iteration: int = 0) -> np.random.Ge
 class ScenarioConfig:
     """One experiment's knobs: sampling sizes, budget, strategy, seed, surrogate.
 
+    `name` is part of a sweep's run directory names, so it may not contain a
+    path separator.
+
     `target_space` picks the space the strategies and rank metrics score in:
     "normalized" uses the z-scored targets; "raw" uses original units, which
     keeps the norm ball anchored at the true zero point and suits objectives
@@ -84,6 +87,8 @@ class ScenarioConfig:
             raise ConfigError("budget must exceed initial_size")
         if (self.budget - self.initial_size) % self.aq_size != 0:
             raise ConfigError("budget - initial_size must be a multiple of aq_size")
+        if "/" in self.name or os.sep in self.name:
+            raise ConfigError(f"scenario name {self.name!r} must not contain a path separator")
         if self.target_space not in ("normalized", "raw"):
             raise ConfigError("target_space must be 'normalized' or 'raw'")
 
@@ -254,9 +259,7 @@ def stderr_of(values) -> float:
     return float(v.std(ddof=1) / np.sqrt(v.size))
 
 
-def _sweep_workers(max_workers) -> int:
-    if max_workers is not None:
-        return max(1, int(max_workers))
+def _sweep_workers() -> int:
     raw = os.environ.get("DADO_THREADS", "")
     if raw:
         try:
@@ -266,15 +269,10 @@ def _sweep_workers(max_workers) -> int:
     return os.cpu_count() or 1
 
 
-def run_sweep(
-    pool: CandidatePool,
-    scenarios,
-    strategies,
-    seeds,
-    max_workers=None,
-) -> SweepSummary:
+def run_sweep(pool: CandidatePool, scenarios, strategies, seeds) -> SweepSummary:
     """Run the scenario x strategy x seed grid, each on a fresh pool copy.
 
+    The runs spread over `DADO_THREADS` worker processes (default: all cores).
     Failures are recorded per run and excluded from aggregation instead of
     aborting the sweep. Aggregates are the mean and standard error across
     seeds, per scenario, strategy, and metric, for both AUC and final value.
@@ -298,9 +296,9 @@ def run_sweep(
         for sd in seeds
     ]
     payloads = [(pool, cfg) for cfg in jobs]
-    workers = _sweep_workers(max_workers)
+    workers = _sweep_workers()
     if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as executor:
+        with ProcessPoolExecutor(min(workers, len(jobs))) as executor:
             outcomes = list(executor.map(_execute_run, payloads))
     else:
         outcomes = [_execute_run(p) for p in payloads]

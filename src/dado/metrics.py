@@ -134,7 +134,7 @@ def mse(pred, truth) -> float:
     return float(np.mean((p - t) ** 2))
 
 
-def auc(curve, normalize: bool = True) -> float:
+def auc(curve) -> float:
     """Trapezoidal area under a unit-spaced learning curve.
 
     Normalized by (n - 1) so a constant curve scores its own value.
@@ -142,5 +142,4 @@ def auc(curve, normalize: bool = True) -> float:
     v = np.asarray(curve, dtype=float)
     if v.ndim != 1 or v.size < 2:
         raise DegenerateInput("auc needs at least two curve points")
-    area = float(np.sum((v[1:] + v[:-1]) * 0.5))
-    return area / (v.size - 1) if normalize else area
+    return float(np.sum((v[1:] + v[:-1]) * 0.5)) / (v.size - 1)

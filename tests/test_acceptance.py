@@ -25,7 +25,7 @@ from dado.metrics import (
     optimal_mean_rank,
     srocc,
 )
-from dado.oracle import SyntheticPoolSpec, annotate, gen_synthetic_pool
+from dado.oracle import annotate, gen_synthetic_pool
 from dado.strategies import StrategyKind, select
 from dado.surrogate import MlpConfig, TrainConfig, grad_check, init_model
 
@@ -119,7 +119,7 @@ class TestCriterion3:
 class TestCriterion4:
     @pytest.mark.parametrize("kind", [StrategyKind.L2_SELECT, StrategyKind.L2_REJECT])
     def test_perfect_surrogate_end_to_end(self, kind):
-        pool = gen_synthetic_pool(SyntheticPoolSpec.analytic(1200, 6, seed=33))
+        pool = gen_synthetic_pool(1200, 6, seed=33)
 
         def perfect(draw, fnorm, tnorm):
             return tnorm.transform(annotate(pool, draw))
@@ -178,10 +178,8 @@ class TestCriterion5:
 def desk_study():
     """The 25-run reproduction study shared by criteria 6 through 9."""
     a, b = desk_anchors()
-    pool = gen_synthetic_pool(
-        SyntheticPoolSpec.analytic(DESK_POOL_N, DESK_POOL_D, seed=DESK_POOL_SEED,
-                                   anchor_a=a, anchor_b=b)
-    )
+    pool = gen_synthetic_pool(DESK_POOL_N, DESK_POOL_D, seed=DESK_POOL_SEED,
+                              anchor_a=a, anchor_b=b)
 
     def scenario(aq):
         return ScenarioConfig(

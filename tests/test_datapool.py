@@ -22,7 +22,7 @@ from dado.errors import (
     SchemaMismatch,
     UnknownId,
 )
-from dado.oracle import SyntheticPoolSpec, gen_synthetic_pool
+from dado.oracle import gen_synthetic_pool
 
 
 def write_csv(path, lines):
@@ -90,7 +90,7 @@ class TestLoadPool:
 
     def test_ubend_shaped_file(self, tmp_path):
         # 28 parameter columns followed by 2 objective columns.
-        pool = gen_synthetic_pool(SyntheticPoolSpec.analytic(20, 28, seed=5))
+        pool = gen_synthetic_pool(20, 28, seed=5)
         path = tmp_path / "ubend_like.csv"
         save_pool(pool, path)
         loaded = load_pool(path, d=28, num_obj=2)

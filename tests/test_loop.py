@@ -13,7 +13,7 @@ from dado.loop import (
     stderr_of,
 )
 from dado.datapool import pool_from_arrays
-from dado.oracle import SyntheticPoolSpec, annotate, gen_synthetic_pool
+from dado.oracle import annotate, gen_synthetic_pool
 from dado.strategies import StrategyKind
 from dado.surrogate import MlpConfig, TrainConfig
 
@@ -31,7 +31,7 @@ def fast_scenario(strategy=StrategyKind.L2_SELECT, seed=0, name="fast", **kwargs
 
 @pytest.fixture
 def pool():
-    return gen_synthetic_pool(SyntheticPoolSpec.analytic(300, 3, seed=17))
+    return gen_synthetic_pool(300, 3, seed=17)
 
 
 class TestScenarioConfig:
@@ -55,6 +55,11 @@ class TestScenarioConfig:
         # srocc over the top aq_size candidates needs at least two of them.
         with pytest.raises(ConfigError, match="aq_size"):
             fast_scenario(initial_size=20, draw_size=40, aq_size=1, budget=40)
+
+    def test_name_with_path_separator_is_rejected(self):
+        # A sweep writes each run under a directory named after its scenario.
+        with pytest.raises(ConfigError, match="path separator"):
+            fast_scenario(name="../../escape")
 
     def test_budget_must_exceed_initial(self):
         with pytest.raises(ConfigError):
@@ -131,13 +136,13 @@ class TestRunExperiment:
         assert rerun.acquired_ids == reference.acquired_ids
 
     def test_pool_too_small_fails_before_running(self):
-        pool = gen_synthetic_pool(SyntheticPoolSpec.analytic(50, 3, seed=0))
+        pool = gen_synthetic_pool(50, 3, seed=0)
         with pytest.raises(PoolExhausted):
             run_experiment(pool, fast_scenario())
 
     def test_high_budget_shape_runs_20_iterations(self):
         # 500 initial, draws of 2000, 50 acquired per loop, budget 1500.
-        pool = gen_synthetic_pool(SyntheticPoolSpec.analytic(4000, 3, seed=2))
+        pool = gen_synthetic_pool(4000, 3, seed=2)
         cfg = fast_scenario(
             name="s2", initial_size=500, draw_size=2000, aq_size=50, budget=1500,
             strategy=StrategyKind.RANDOM,
@@ -186,11 +191,16 @@ class TestSeedDerivation:
 
 
 class TestRunSweep:
+    @pytest.fixture(autouse=True)
+    def one_worker(self, monkeypatch):
+        """Run sweeps serially unless a test sets more workers."""
+        monkeypatch.setenv("DADO_THREADS", "1")
+
     def test_grid_shape_and_aggregates(self, pool):
         scenarios = [fast_scenario(name="grid")]
         strategies = list(StrategyKind)
         seeds = [0, 1]
-        summary = run_sweep(pool, scenarios, strategies, seeds, max_workers=1)
+        summary = run_sweep(pool, scenarios, strategies, seeds)
         assert len(summary.runs) == 6
         assert all(r.result is not None for r in summary.runs)
         # 3 strategies x 6 metrics.
@@ -210,22 +220,21 @@ class TestRunSweep:
             )
 
     def test_single_seed_has_zero_stderr(self, pool):
-        summary = run_sweep(
-            pool, [fast_scenario()], [StrategyKind.RANDOM], [3], max_workers=1
-        )
+        summary = run_sweep(pool, [fast_scenario()], [StrategyKind.RANDOM], [3])
         assert all(row.auc_stderr == 0.0 for row in summary.table)
 
-    def test_parallel_matches_serial(self, pool):
+    def test_parallel_matches_serial(self, pool, monkeypatch):
         scenarios = [fast_scenario(name="par")]
         strategies = [StrategyKind.L2_SELECT, StrategyKind.RANDOM]
-        serial = run_sweep(pool, scenarios, strategies, [0, 1], max_workers=1)
-        parallel = run_sweep(pool, scenarios, strategies, [0, 1], max_workers=2)
+        serial = run_sweep(pool, scenarios, strategies, [0, 1])
+        monkeypatch.setenv("DADO_THREADS", "2")
+        parallel = run_sweep(pool, scenarios, strategies, [0, 1])
         for a, b in zip(serial.table, parallel.table):
             assert a == b
 
     def test_failures_are_recorded_not_raised(self, pool):
         bad = fast_scenario(name="too-big", initial_size=290, draw_size=40, aq_size=10, budget=330)
-        summary = run_sweep(pool, [bad], [StrategyKind.RANDOM], [0], max_workers=1)
+        summary = run_sweep(pool, [bad], [StrategyKind.RANDOM], [0])
         assert summary.runs[0].result is None
         assert "PoolExhausted" in summary.runs[0].error
         assert summary.table == []
@@ -245,7 +254,7 @@ class TestRunSweep:
 
     def test_fresh_pool_per_run(self, pool):
         before = pool.available
-        run_sweep(pool, [fast_scenario()], [StrategyKind.RANDOM], [0, 1], max_workers=1)
+        run_sweep(pool, [fast_scenario()], [StrategyKind.RANDOM], [0, 1])
         assert pool.available == before
 
 

@@ -187,10 +187,6 @@ class TestAuc:
         with pytest.raises(DegenerateInput):
             auc([1.0])
 
-    def test_unnormalized_is_scaled_by_length(self):
-        curve = [0.2, 0.4, 0.9, 0.3]
-        assert auc(curve, normalize=False) == pytest.approx(auc(curve) * 3)
-
 
 class TestLearningCurve:
     @staticmethod

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from dado.datapool import pool_from_arrays, save_pool
-from dado.errors import ConfigError, InvalidCovariance
-from dado.oracle import SyntheticPoolSpec, annotate, gen_synthetic_pool
+from dado.errors import ConfigError
+from dado.oracle import annotate, gen_synthetic_pool
 
 
 def indexed_pool(n=5):
@@ -22,21 +22,18 @@ class TestAnnotate:
     def test_analytic_at_anchor(self):
         # The parameters do not depend on the anchors, so anchor a can be put
         # on row 0: f1 is 0 there and f2 is |a - b|^2.
-        a = gen_synthetic_pool(SyntheticPoolSpec.analytic(3, 2, seed=4)).params[0]
+        a = gen_synthetic_pool(3, 2, seed=4).params[0]
         b = np.array([0.9, 0.1])
-        spec = SyntheticPoolSpec.analytic(3, 2, seed=4, anchor_a=a, anchor_b=b)
-        pool = gen_synthetic_pool(spec)
+        pool = gen_synthetic_pool(3, 2, seed=4, anchor_a=a, anchor_b=b)
         np.testing.assert_array_equal(pool.params[0], a)
         out = annotate(pool, [0])
         np.testing.assert_allclose(out, [[0.0, float(np.sum((a - b) ** 2))]], atol=1e-15)
 
     def test_analytic_hand_values(self):
         # Row 0 sits at offset (1, 0) from anchor a and (0, 1) from anchor b.
-        p = gen_synthetic_pool(SyntheticPoolSpec.analytic(1, 2, seed=6)).params[0]
-        spec = SyntheticPoolSpec.analytic(
-            1, 2, seed=6, anchor_a=p - [1.0, 0.0], anchor_b=p - [0.0, 1.0]
-        )
-        out = annotate(gen_synthetic_pool(spec), [0])
+        p = gen_synthetic_pool(1, 2, seed=6).params[0]
+        pool = gen_synthetic_pool(1, 2, seed=6, anchor_a=p - [1.0, 0.0], anchor_b=p - [0.0, 1.0])
+        out = annotate(pool, [0])
         np.testing.assert_allclose(out, [[1.0, 1.0]], atol=1e-15)
 
     def test_order_preserving(self):
@@ -48,73 +45,35 @@ class TestAnnotate:
         assert out.shape == (0, 2)
 
     def test_annotate_is_deterministic(self):
-        pool = gen_synthetic_pool(SyntheticPoolSpec.analytic(20, 4, seed=0))
+        pool = gen_synthetic_pool(20, 4, seed=0)
         rows = np.array([7, 3, 19])
         np.testing.assert_array_equal(annotate(pool, rows), annotate(pool, rows))
 
 
 class TestSyntheticPools:
-    def test_gaussian_sample_mean_law_of_large_numbers(self):
-        mean = np.array([2.0, -1.0])
-        cov = np.array([[1.5, 0.3], [0.3, 0.5]])
-        spec = SyntheticPoolSpec.gaussian(400, 2, seed=3, mean=mean, cov=cov)
-        pool = gen_synthetic_pool(spec)
-        objectives = pool.objectives
-        sigma = np.sqrt(np.diag(cov))
-        tol = 4.0 * sigma / np.sqrt(400)
-        assert np.all(np.abs(objectives.mean(axis=0) - mean) < tol)
-
-    def test_gaussian_unit_circle_mass(self):
-        # For a standard 2-D normal, P(r^2 <= 1) = 1 - exp(-1/2) ~ 0.3935.
-        spec = SyntheticPoolSpec.gaussian(400, 2, seed=11)
-        pool = gen_synthetic_pool(spec)
-        objectives = pool.objectives
-        frac = float(np.mean((objectives**2).sum(axis=1) <= 1.0))
-        assert abs(frac - 0.3935) < 0.05
-
-    def test_gaussian_sample_covariance(self):
-        cov = np.array([[2.0, -0.6], [-0.6, 1.0]])
-        spec = SyntheticPoolSpec.gaussian(20000, 2, seed=5, mean=[0.0, 0.0], cov=cov)
-        pool = gen_synthetic_pool(spec)
-        objectives = pool.objectives
-        np.testing.assert_allclose(np.cov(objectives.T), cov, atol=0.08)
-
-    def test_gaussian_params_in_unit_cube(self):
-        pool = gen_synthetic_pool(SyntheticPoolSpec.gaussian(200, 5, seed=0))
+    def test_params_in_unit_cube(self):
+        pool = gen_synthetic_pool(200, 5, seed=0)
         params = pool.params
         assert params.min() >= 0.0
         assert params.max() <= 1.0
 
     def test_analytic_matches_direct_evaluation(self):
-        spec = SyntheticPoolSpec.analytic(100, 6, seed=9)
-        pool = gen_synthetic_pool(spec)
-        a, b = spec.anchor_a, spec.anchor_b
+        pool = gen_synthetic_pool(100, 6, seed=9)
+        a, b = np.full(6, 0.25), np.full(6, 0.75)
         recomputed = np.array([[np.sum((x - a) ** 2), np.sum((x - b) ** 2)] for x in pool.params])
         np.testing.assert_array_equal(pool.objectives, recomputed)
 
     def test_regeneration_serializes_identically(self, tmp_path):
-        spec = SyntheticPoolSpec.analytic(50, 4, seed=21)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        save_pool(gen_synthetic_pool(spec), p1)
-        save_pool(gen_synthetic_pool(spec), p2)
+        save_pool(gen_synthetic_pool(50, 4, seed=21), p1)
+        save_pool(gen_synthetic_pool(50, 4, seed=21), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_asymmetric_covariance_rejected(self):
-        spec = SyntheticPoolSpec.gaussian(10, 2, seed=0, cov=[[1.0, 0.5], [0.1, 1.0]])
-        with pytest.raises(InvalidCovariance):
-            gen_synthetic_pool(spec)
-
-    def test_indefinite_covariance_rejected(self):
-        spec = SyntheticPoolSpec.gaussian(10, 2, seed=0, cov=[[1.0, 2.0], [2.0, 1.0]])
-        with pytest.raises(InvalidCovariance):
-            gen_synthetic_pool(spec)
-
     def test_equal_anchors_rejected(self):
-        spec = SyntheticPoolSpec.analytic(10, 3, seed=0, anchor_a=np.ones(3), anchor_b=np.ones(3))
         with pytest.raises(ConfigError):
-            gen_synthetic_pool(spec)
+            gen_synthetic_pool(10, 3, seed=0, anchor_a=np.ones(3), anchor_b=np.ones(3))
 
     def test_pool_starts_unconsumed_with_row_ids(self):
-        pool = gen_synthetic_pool(SyntheticPoolSpec.gaussian(25, 3, seed=1))
+        pool = gen_synthetic_pool(25, 3, seed=1)
         assert pool.available == len(pool) == 25
         assert pool.consumed.shape == (25,) and not pool.consumed.any()
