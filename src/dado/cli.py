@@ -13,7 +13,7 @@ import csv
 import hashlib
 import json
 import sys
-from dataclasses import MISSING, asdict, fields, is_dataclass
+from dataclasses import MISSING, asdict, astuple, fields, is_dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import get_type_hints
@@ -24,8 +24,8 @@ from . import __version__
 from .adam import native_kernel
 from .datapool import infer_pool_schema, load_pool, save_pool
 from .errors import ConfigError, DadoError, MissingFile, SchemaMismatch, SizeMismatch
-from .loop import ScenarioConfig, run_experiment, run_sweep, stderr_of
-from .metrics import METRIC_FIELDS, LearningCurve
+from .loop import AggregateRow, ScenarioConfig, run_experiment, run_sweep, stderr_of
+from .metrics import METRIC_FIELDS
 from .oracle import gen_synthetic_pool
 from .strategies import StrategyKind
 
@@ -87,49 +87,47 @@ def _utc_now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
-def write_iterations(path, curve: LearningCurve) -> None:
+def _write_csv(path, header, rows) -> None:
+    """Write a result table: numbers through `_fmt`, strings as they are."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(ITERATIONS_HEADER)
-        for rec in curve.records:
-            writer.writerow(
-                [
-                    rec.iteration,
-                    rec.train_set_size,
-                    _fmt(rec.intersections),
-                    _fmt(rec.mr_raw),
-                    _fmt(rec.mr_norm),
-                    _fmt(rec.srocc),
-                    _fmt(rec.best_mse),
-                    _fmt(rec.rnd_mse),
-                ]
-            )
+        writer.writerow(header)
+        writer.writerows([c if isinstance(c, str) else _fmt(c) for c in row] for row in rows)
+
+
+def _read_lines(path: Path, error: type[DadoError]) -> list[str]:
+    """The lines of a UTF-8 text file; a file in another encoding raises `error`."""
+    try:
+        return path.read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError:
+        raise error(f"{path}: not UTF-8 text") from None
 
 
 def read_iterations(path) -> dict[str, list[float]]:
     p = Path(path)
     if not p.is_file():
         raise MissingFile(f"iterations file not found: {p}")
-    with open(p, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != ITERATIONS_HEADER:
-            raise SizeMismatch(f"{p}: unexpected iterations.csv header")
-        columns: dict[str, list[float]] = {name: [] for name in ITERATIONS_HEADER}
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(ITERATIONS_HEADER):
+    reader = csv.reader(_read_lines(p, SchemaMismatch))
+    header = next(reader, None)
+    if header is None or tuple(header) != ITERATIONS_HEADER:
+        raise SizeMismatch(f"{p}: unexpected iterations.csv header")
+    columns: dict[str, list[float]] = {name: [] for name in ITERATIONS_HEADER}
+    for row in reader:
+        if not row:
+            continue
+        if len(row) != len(ITERATIONS_HEADER):
+            raise SchemaMismatch(
+                f"{p}:{reader.line_num}: expected {len(ITERATIONS_HEADER)} cells, got {len(row)}"
+            )
+        for name, cell in zip(ITERATIONS_HEADER, row):
+            try:
+                columns[name].append(float(cell))
+            except ValueError:
                 raise SchemaMismatch(
-                    f"{p}:{reader.line_num}: expected {len(ITERATIONS_HEADER)} cells, got {len(row)}"
-                )
-            for name, cell in zip(ITERATIONS_HEADER, row):
-                try:
-                    columns[name].append(float(cell))
-                except ValueError:
-                    raise SchemaMismatch(
-                        f"{p}:{reader.line_num}: {name} is not a number: {cell!r}"
-                    ) from None
+                    f"{p}:{reader.line_num}: {name} is not a number: {cell!r}"
+                ) from None
+    if not columns["iter"]:
+        raise SchemaMismatch(f"{p}: no iteration rows")
     return columns
 
 
@@ -152,7 +150,7 @@ def parse_kv_file(path) -> dict[str, str]:
         raise MissingFile(f"config file not found: {p}")
     out: dict[str, str] = {}
     first_line: dict[str, int] = {}
-    for lineno, raw in enumerate(p.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(_read_lines(p, ConfigError), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -232,7 +230,7 @@ def _load_pool_auto(path):
 
 def _write_run_outputs(out_dir: Path, pool_entry: dict, result) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_iterations(out_dir / "iterations.csv", result.curve)
+    _write_csv(out_dir / "iterations.csv", ITERATIONS_HEADER, map(astuple, result.curve.records))
     _write_json(out_dir / "summary.json", result.summary)
     manifest = {
         "tool": "dado",
@@ -299,36 +297,6 @@ def _sweep_plan(kv: dict, config_dir: Path, pool_flag):
     return pool_path, scenarios, strategies, seeds
 
 
-def write_table(path, rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "scenario",
-                "aq_size",
-                "strategy",
-                "metric",
-                "auc_mean",
-                "auc_stderr",
-                "final_mean",
-                "final_stderr",
-            ]
-        )
-        for row in rows:
-            writer.writerow(
-                [
-                    row.scenario,
-                    row.aq_size,
-                    row.strategy,
-                    row.metric,
-                    _fmt(row.auc_mean),
-                    _fmt(row.auc_stderr),
-                    _fmt(row.final_mean),
-                    _fmt(row.final_stderr),
-                ]
-            )
-
-
 def cmd_sweep(args) -> int:
     kv = parse_kv_file(args.config)
     pool_path, scenarios, strategies, seeds = _sweep_plan(
@@ -349,7 +317,8 @@ def cmd_sweep(args) -> int:
         run_dir = out_dir / "runs" / run_name
         _write_run_outputs(run_dir, pool_entry, record.result)
         run_dirs.append(str(run_dir.relative_to(out_dir)))
-    write_table(out_dir / "table.csv", summary.table)
+    _write_csv(out_dir / "table.csv", [f.name for f in fields(AggregateRow)],
+               map(astuple, summary.table))
     _write_json(
         out_dir / "manifest.json",
         {
@@ -399,20 +368,11 @@ def cmd_report(args) -> int:
             )
         by_strategy.setdefault(strategy, []).append(series)
 
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "strategy", "mean", "stderr"])
-        for strategy in sorted(by_strategy):
-            stacked = np.asarray(by_strategy[strategy])
-            for i in range(n_iter):
-                writer.writerow(
-                    [
-                        i,
-                        strategy,
-                        _fmt(float(stacked[:, i].mean())),
-                        _fmt(stderr_of(stacked[:, i])),
-                    ]
-                )
+    rows = []
+    for strategy in sorted(by_strategy):
+        stacked = np.asarray(by_strategy[strategy])
+        rows += [(i, strategy, col.mean(), stderr_of(col)) for i, col in enumerate(stacked.T)]
+    _write_csv(args.out, ("iteration", "strategy", "mean", "stderr"), rows)
     print(f"report for {metric!r}: {len(by_strategy)} strategies x {n_iter} iterations -> {args.out}")
     return 0
 
@@ -449,8 +409,12 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--d", type=_positive_int, required=True, help="parameter dimensions")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", required=True)
-    gen.add_argument("--anchor-a", type=_float_list, help="first analytic anchor (default 0.25,...)")
-    gen.add_argument("--anchor-b", type=_float_list, help="second analytic anchor (default 0.75,...)")
+    gen.add_argument("--anchor-a", type=_float_list,
+                     help="first analytic anchor (default 0.25,...); "
+                          "write a negative entry as --anchor-a=-0.1,0.2")
+    gen.add_argument("--anchor-b", type=_float_list,
+                     help="second analytic anchor (default 0.75,...); "
+                          "write a negative entry as --anchor-b=-0.1,0.2")
     gen.set_defaults(func=cmd_gen_pool)
 
     run = sub.add_parser("run", help="execute one experiment")

@@ -118,6 +118,20 @@ def pool_from_arrays(params: np.ndarray, objectives: np.ndarray) -> CandidatePoo
     return CandidatePool(params, objectives, bounds, np.zeros(params.shape[0], dtype=bool))
 
 
+def _read_header(p: Path) -> list[str]:
+    """The header row of a pool CSV; a missing, empty or non-UTF-8 file raises."""
+    if not p.is_file():
+        raise MissingFile(f"pool file not found: {p}")
+    try:
+        with open(p, newline="", encoding="utf-8") as fh:
+            header = next(csv.reader(fh), None)
+    except UnicodeDecodeError:
+        raise SchemaMismatch(f"{p}: not UTF-8 text") from None
+    if not header:
+        raise SchemaMismatch(f"{p}: empty file, expected a header row")
+    return header
+
+
 def load_pool(path, d: int, num_obj: int) -> CandidatePool:
     """Read a pool CSV with a header row, d parameter columns, then num_obj objectives.
 
@@ -126,13 +140,8 @@ def load_pool(path, d: int, num_obj: int) -> CandidatePool:
     the offending data row.
     """
     p = Path(path)
-    if not p.is_file():
-        raise MissingFile(f"pool file not found: {p}")
+    header = _read_header(p)
     expected = d + num_obj
-    with open(p, newline="", encoding="utf-8") as fh:
-        header = next(csv.reader(fh), None)
-    if header is None:
-        raise SchemaMismatch(f"{p}: empty file, expected a header row")
     if len(header) != expected:
         raise SchemaMismatch(
             f"{p}: expected {expected} columns ({d} params + {num_obj} objectives), "
@@ -176,12 +185,7 @@ def save_pool(pool: CandidatePool, path) -> None:
 def infer_pool_schema(path) -> tuple[int, int]:
     """Derive (d, num_obj) from a pool CSV header following the p*/j* convention."""
     p = Path(path)
-    if not p.is_file():
-        raise MissingFile(f"pool file not found: {p}")
-    with open(p, newline="", encoding="utf-8") as fh:
-        header = next(csv.reader(fh), None)
-    if not header:
-        raise SchemaMismatch(f"{p}: empty file, expected a header row")
+    header = _read_header(p)
     d = sum(1 for name in header if name.startswith("p"))
     num_obj = sum(1 for name in header if name.startswith("j"))
     names_ok = all(name.startswith("p") for name in header[:d]) and all(

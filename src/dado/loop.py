@@ -308,29 +308,18 @@ def run_sweep(pool: CandidatePool, scenarios, strategies, seeds) -> SweepSummary
         for cfg, (result, error) in zip(jobs, outcomes)
     ]
 
+    # Runs are in grid order, so the groups, and with them the table rows, are too.
+    groups: dict[tuple[str, int, str], list[dict]] = {}
+    for r in runs:
+        if r.result is not None:
+            groups.setdefault((r.scenario, r.aq_size, r.strategy), []).append(r.result.summary)
     table: list[AggregateRow] = []
-    for sc in scenarios:
-        for st in strategies:
-            group = [
-                r
-                for r in runs
-                if r.scenario == sc.name and r.strategy == st.value and r.result is not None
-            ]
-            if not group:
-                continue
-            for metric in METRIC_FIELDS:
-                aucs = [r.result.summary[metric]["auc"] for r in group]
-                finals = [r.result.summary[metric]["final"] for r in group]
-                table.append(
-                    AggregateRow(
-                        scenario=sc.name,
-                        aq_size=sc.aq_size,
-                        strategy=st.value,
-                        metric=metric,
-                        auc_mean=float(np.mean(aucs)),
-                        auc_stderr=stderr_of(aucs),
-                        final_mean=float(np.mean(finals)),
-                        final_stderr=stderr_of(finals),
-                    )
-                )
+    for (scenario, aq_size, strategy), summaries in groups.items():
+        for metric in METRIC_FIELDS:
+            aucs = [s[metric]["auc"] for s in summaries]
+            finals = [s[metric]["final"] for s in summaries]
+            table.append(
+                AggregateRow(scenario, aq_size, strategy, metric, float(np.mean(aucs)),
+                             stderr_of(aucs), float(np.mean(finals)), stderr_of(finals))
+            )
     return SweepSummary(runs, table)

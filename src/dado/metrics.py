@@ -7,14 +7,12 @@ selection is (aq + 1) / 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import DegenerateInput, SizeMismatch, UnknownId
 from .strategies import StrategyKind, selection_order
-
-METRIC_FIELDS = ("intersections", "mr_raw", "mr_norm", "srocc", "best_mse", "rnd_mse")
 
 
 @dataclass
@@ -27,6 +25,10 @@ class IterationRecord:
     srocc: float
     best_mse: float
     rnd_mse: float
+
+
+# The per-iteration metrics: every IterationRecord field after iteration and train_set_size.
+METRIC_FIELDS = tuple(f.name for f in fields(IterationRecord))[2:]
 
 
 @dataclass

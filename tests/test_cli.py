@@ -103,6 +103,13 @@ class TestGenPool:
         assert "seed" in err and "Traceback" not in err
         assert not out.exists()
 
+    def test_negative_anchor_in_equals_form(self, tmp_path):
+        out = tmp_path / "x.csv"
+        assert run_cli("gen-pool", "--n", 10, "--d", 2, "--anchor-a=-0.1,0.2", "--out", out) == 0
+        pool = load_pool(out, d=2, num_obj=2)
+        expected = ((pool.params[0] - np.array([-0.1, 0.2])) ** 2).sum()
+        assert pool.objectives[0, 0] == pytest.approx(expected, rel=1e-12)
+
     @pytest.mark.parametrize("anchor", ["nan,0", "inf,0"])
     def test_non_finite_anchor_is_a_config_error(self, tmp_path, capsys, anchor):
         out = tmp_path / "x.csv"
@@ -334,6 +341,44 @@ class TestSweep:
                 assert float(row["final_stderr"]) == 0.0
 
 
+def corrupt(path, old: bytes, new: bytes):
+    data = path.read_bytes()
+    assert old in data
+    path.write_bytes(data.replace(old, new, 1))
+
+
+class TestNonUtf8Input:
+    """A text input holding a byte that is not UTF-8 ends in a documented exit code."""
+
+    @pytest.mark.parametrize("what, code", [("run-config", 2), ("sweep-config", 2),
+                                            ("pool", 1), ("iterations", 1)])
+    def test_exits_with_code_and_names_the_file(self, tmp_path, capsys, what, code):
+        pool = make_pool(tmp_path)
+        cfg = tmp_path / "in.cfg"
+        if what == "iterations":
+            cfg.write_text(FAST_CFG)
+            assert run_cli("run", "--pool", pool, "--config", cfg, "--out-dir", tmp_path / "r") == 0
+            bad = tmp_path / "r" / "iterations.csv"
+            corrupt(bad, b"\r\n0,", b"\r\n\xff0,")
+            argv = ("report", "--runs", tmp_path / "r", "--metric", "srocc",
+                    "--out", tmp_path / "c.csv")
+        elif what == "pool":
+            corrupt(pool, b"p0", b"p\xff0")
+            cfg.write_text(FAST_CFG)
+            bad, argv = pool, ("run", "--pool", pool, "--config", cfg, "--out-dir", tmp_path / "o")
+        else:
+            command = what.split("-")[0]
+            cfg.write_bytes(
+                (FAST_CFG if command == "run" else SWEEP_CFG).encode() + b"# caf\xe9\n"
+            )
+            bad, argv = cfg, (command, "--pool", pool, "--config", cfg, "--out-dir", tmp_path / "o")
+        capsys.readouterr()
+        assert run_cli(*argv) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(bad) in err and "UTF-8" in err
+        assert not (tmp_path / "o").exists() and not (tmp_path / "c.csv").exists()
+
+
 class TestReport:
     def test_long_format_and_hand_averaged_means(self, tmp_path):
         sweep_dir = TestSweep().run_sweep(tmp_path)
@@ -394,6 +439,20 @@ class TestReport:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"{iterations}:3:" in err
 
+    def test_header_only_iterations_exits_1(self, tmp_path, capsys):
+        pool = make_pool(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(FAST_CFG)
+        d1 = tmp_path / "r1"
+        assert run_cli("run", "--pool", pool, "--config", cfg, "--out-dir", d1) == 0
+        iterations = d1 / "iterations.csv"
+        iterations.write_text(",".join(ITERATIONS_HEADER) + "\n")
+        out = tmp_path / "c.csv"
+        assert run_cli("report", "--runs", d1, "--metric", "srocc", "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(iterations) in err
+        assert not out.exists()
+
     def test_unknown_metric_is_usage_error(self, tmp_path):
         assert run_cli("report", "--runs", tmp_path, "--metric", "accuracy",
                        "--out", tmp_path / "c.csv") == 2
@@ -426,6 +485,7 @@ GOLDEN_SHA256 = {
     "iterations.csv": "7b8a8b0ff2c0ee4cc367fee0f51d61189109237a6b4b7d96a05f1e0c63234cf2",
     "summary.json": "97caff9702480ff0ab1757a865927ecdef43eebe668eddd518ad9ba92585d989",
     "table.csv": "f2502fc685147ca907be31c3c445f0d7cbd26c8ecb958501433536a3de8d7591",
+    "report.csv": "d263d20b616af5d5cb9a321c73e8217ce1f0aa835eea3963b375c27b4c6d5f6c",
 }
 
 
@@ -467,6 +527,18 @@ class TestGoldenDigests:
         out_dir = tmp_path / "sweep"
         assert run_cli("sweep", "--config", cfg, "--pool", pool, "--out-dir", out_dir) == 0
         assert self.digest(out_dir / "table.csv") == GOLDEN_SHA256["table.csv"]
+
+    def test_report(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("DADO_THREADS", "1")
+        pool = self.golden_pool(tmp_path)
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(GOLDEN_SWEEP_CFG)
+        out_dir = tmp_path / "sweep"
+        assert run_cli("sweep", "--config", cfg, "--pool", pool, "--out-dir", out_dir) == 0
+        report = tmp_path / "report.csv"
+        assert run_cli("report", "--runs", *sorted((out_dir / "runs").iterdir()),
+                       "--metric", "srocc", "--out", report) == 0
+        assert self.digest(report) == GOLDEN_SHA256["report.csv"]
 
 GOLDEN_MLP = {"dropout_rate": 0.1, "hidden": [8, 4], "input_dim": None, "leaky_slope": 0.01,
               "output_dim": None}
@@ -599,7 +671,7 @@ class TestBenchmarkTracer:
         with open(spans_dir / "spans-main.json", encoding="utf-8") as fh:
             return {span["name"] for span in json.load(fh)["spans"]}
 
-    def test_gen_pool_and_run_spans(self, tmp_path):
+    def test_gen_pool_and_run_spans(self, tmp_path, monkeypatch):
         pool = tmp_path / "pool.csv"
         names = self.traced(tmp_path, "gen-spans", "gen-pool", "--kind", "analytic",
                             "--n", 300, "--d", 3, "--seed", 17, "--out", pool)
@@ -610,3 +682,13 @@ class TestBenchmarkTracer:
                             "--out-dir", tmp_path / "run")
         assert {"loop.run_experiment", "surrogate.train", "surrogate.predict_batch",
                 "strategies.select"} <= names
+        monkeypatch.setenv("DADO_THREADS", "2")
+        cfg.write_text(SWEEP_CFG + f"\npool = {pool}\n")
+        names = self.traced(tmp_path, "sweep-spans", "sweep", "--config", cfg,
+                            "--out-dir", tmp_path / "sweep")
+        assert {"loop.run_sweep", "cli.write_run_outputs"} <= names
+        worker_names = set()
+        for path in (tmp_path / "sweep-spans").glob("spans-*-*.json"):
+            with open(path, encoding="utf-8") as fh:
+                worker_names.update(span["name"] for span in json.load(fh)["spans"])
+        assert "loop.execute_run" in worker_names
