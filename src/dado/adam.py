@@ -1,13 +1,18 @@
-"""Adam update of a flat parameter vector: a fused C loop with a numpy reference.
+"""The native train step: a fused C Adam loop and a C forward/backward pass.
 
-`_adam.c` does the numpy block's IEEE operations in the same order, and it is
-compiled without FMA contraction and without fast-math, so both paths give the
-same bits in theta, m and v. The C file is compiled on first use into
-`$XDG_CACHE_HOME/dado` (default `~/.cache/dado`), or into a private temporary
-directory when that one is not writable. The loaded kernel is used only after
-a self-check on a fixed vector matches the numpy path bit for bit. With no
-compiler, a failed build or load, or a failed self-check, training runs the
-numpy path, which gives the same results more slowly.
+`_native.c` holds both kernels. The Adam loop does `adam_numpy`'s IEEE
+operations in the same order. The forward/backward pass does those of
+`dado.surrogate._loss_and_grads`, and hands each matrix product to the BLAS
+routine numpy's matmul would pick for it: `scipy_cblas_dgemm64_`,
+`scipy_cblas_dgemv64_` or `scipy_cblas_ddot64_` of numpy's own OpenBLAS, found
+through `numpy._core._multiarray_umath`. Built without FMA contraction and
+without fast-math, both give numpy's bits. The C file is compiled on first use
+into `$XDG_CACHE_HOME/dado` (default `~/.cache/dado`), or into a private
+temporary directory when that one is not writable. The loaded kernels are used
+only after a self-check on fixed inputs matches the numpy paths bit for bit.
+With no compiler, a failed build or load, or a failed self-check, training runs
+numpy for both; without those BLAS symbols, it runs the C Adam loop and numpy's
+forward/backward pass. Either way the results are the same, only slower.
 """
 
 from __future__ import annotations
@@ -20,11 +25,20 @@ import shutil
 import subprocess
 import tempfile
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-_SOURCE = Path(__file__).with_name("_adam.c")
+_SOURCE = Path(__file__).with_name("_native.c")
 _CFLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-shared", "-fPIC")
+_BLAS_SYMBOLS = ("scipy_cblas_dgemm64_", "scipy_cblas_dgemv64_", "scipy_cblas_ddot64_")
+
+
+class Kernels(NamedTuple):
+    """The loaded C entry points; `fwd_bwd` is None when numpy's BLAS was not found."""
+
+    adam: Callable
+    fwd_bwd: Callable | None
 
 
 def adam_numpy(theta, grad, m, v, scratch, beta1, beta2, eps, inv_bc2, step_size) -> None:
@@ -52,8 +66,8 @@ def adam_updater(kernel, theta, grad, m, v, *, learning_rate, beta1, beta2, eps)
     """Return `update(step)`, which applies Adam step number `step` (from 1) in place.
 
     `kernel` is `native_kernel()`'s result; None selects the numpy path. The
-    array pointers are read once here, and the returned closure keeps the
-    arrays alive while the kernel may write to them.
+    array pointers are read once here, so the caller keeps the arrays alive
+    while `update` may run.
     """
     if kernel is None:
         scratch = np.empty_like(theta)
@@ -65,18 +79,66 @@ def adam_updater(kernel, theta, grad, m, v, *, learning_rate, beta1, beta2, eps)
         return update
 
     for a in (theta, grad, m, v):
-        if a.dtype != np.float64 or a.ndim != 1 or not a.flags.c_contiguous or a.size != theta.size:
-            raise ValueError("Adam arrays must be contiguous 1-D float64 of one length")
+        _check_vector(a, theta.size)
     if not (theta.flags.writeable and m.flags.writeable and v.flags.writeable):
         raise ValueError("theta, m and v must be writeable")
-    pointers = (theta.ctypes.data, grad.ctypes.data, m.ctypes.data, v.ctypes.data, theta.size)
-    one_minus_beta1, one_minus_beta2 = 1.0 - beta1, 1.0 - beta2
+    # Arguments converted to ctypes once here pass through each call unconverted.
+    adam = functools.partial(
+        kernel.adam, *(_address(a) for a in (theta, grad, m, v)), ctypes.c_size_t(theta.size),
+        *map(ctypes.c_double, (beta1, 1.0 - beta1, beta2, 1.0 - beta2, eps)),
+    )
 
     def update(step: int) -> None:
-        kernel(*pointers, beta1, one_minus_beta1, beta2, one_minus_beta2, eps,
-               1.0 / (1.0 - beta2**step), learning_rate / (1.0 - beta1**step))
+        adam(1.0 / (1.0 - beta2**step), learning_rate / (1.0 - beta1**step))
 
     return update
+
+
+def fwd_bwd_binder(kernel, theta, grad, dims, slope, batch_size):
+    """Return `bind(xs, ts, masks)` for the C forward/backward pass; None without one.
+
+    `dims` are the layer widths from input to output, and theta and grad are
+    laid out as `dado.surrogate.SurrogateModel` lays them out. `bind` takes an
+    epoch's shuffled inputs and targets and its flat dropout masks (or None),
+    and returns `run(start, stop)`, which writes the gradients of the batch
+    MSE of rows start:stop into grad, as `dado.surrogate._loss_and_grads`
+    does; it needs 0 <= start < stop <= len(xs) and at most `batch_size`
+    rows, and does not check them. Addresses are read once here and once per
+    `bind`, so the caller keeps theta, grad, xs, ts and masks alive while
+    `run` may be called.
+    """
+    if kernel is None or kernel.fwd_bwd is None:
+        return None
+    _check_vector(theta, theta.size)
+    _check_vector(grad, theta.size)
+    if not grad.flags.writeable:
+        raise ValueError("grad must be writeable")
+    width = sum(dims[1:-1])
+    layer_dims = (ctypes.c_int64 * len(dims))(*dims)
+    work = (ctypes.c_double * (batch_size * (2 * width + dims[-1])))()
+    model = functools.partial(kernel.fwd_bwd, layer_dims, ctypes.c_int64(len(dims) - 1),
+                              ctypes.c_double(slope), _address(theta), _address(grad), work)
+
+    def bind(xs, ts, masks):
+        rows = len(xs)
+        for a, shape in ((xs, (rows, dims[0])), (ts, (rows, dims[-1])),
+                         (masks, (rows * width,))):
+            if a is not None and (a.shape != shape or a.dtype != np.float64
+                                  or not a.flags.c_contiguous):
+                raise ValueError(f"expected a contiguous float64 array of shape {shape}")
+        return functools.partial(model, _address(xs), _address(ts),
+                                 None if masks is None else _address(masks))
+
+    return bind
+
+
+def _address(a) -> ctypes.c_void_p:
+    return ctypes.c_void_p(a.ctypes.data)
+
+
+def _check_vector(a, size: int) -> None:
+    if a.dtype != np.float64 or a.ndim != 1 or not a.flags.c_contiguous or a.size != size:
+        raise ValueError("theta and its companions must be contiguous 1-D float64 of one length")
 
 
 def _cache_dir() -> Path:
@@ -90,7 +152,7 @@ def _compile(cc: str, source: bytes, directory: Path, target: Path) -> None:
     The rename is atomic, so sweep workers building at the same moment each
     see either no file or a whole one.
     """
-    fd, tmp = tempfile.mkstemp(prefix=".adam-", suffix=".so", dir=directory)
+    fd, tmp = tempfile.mkstemp(prefix=".native-", suffix=".so", dir=directory)
     os.close(fd)
     try:
         subprocess.run(
@@ -104,7 +166,7 @@ def _compile(cc: str, source: bytes, directory: Path, target: Path) -> None:
 
 
 def load_kernel():
-    """Load the C loop, building it first if the cache lacks it; None if unusable.
+    """Load the C kernels, building them first if the cache lacks them; None if unusable.
 
     Never raises for a missing compiler, a failed build or load, or a
     self-check mismatch: each of those means the numpy path.
@@ -113,7 +175,7 @@ def load_kernel():
     try:
         source = _SOURCE.read_bytes()
         key = hashlib.sha256(source + "\0".join(_CFLAGS).encode()).hexdigest()[:20]
-        name = f"adam-{key}.so"
+        name = f"native-{key}.so"
         directory = _cache_dir()
         target = directory / name
         if not target.is_file():
@@ -127,19 +189,38 @@ def load_kernel():
                 private = directory = Path(tempfile.mkdtemp(prefix="dado-"))
                 target = directory / name
                 _compile(cc, source, directory, target)
-        kernel = ctypes.CDLL(str(target)).dado_adam_step
+        library = ctypes.CDLL(str(target))
+        adam, fwd_bwd = library.dado_adam_step, library.dado_fwd_bwd
+        set_blas = library.dado_set_blas
     except (OSError, AttributeError, subprocess.SubprocessError):
         return None
     finally:
         if private is not None:
             shutil.rmtree(private, ignore_errors=True)  # a loaded library stays mapped
-    kernel.argtypes = [ctypes.c_void_p] * 4 + [ctypes.c_size_t] + [ctypes.c_double] * 7
-    kernel.restype = None
-    return kernel if _self_check(kernel) else None
+    adam.argtypes = [ctypes.c_void_p] * 4 + [ctypes.c_size_t] + [ctypes.c_double] * 7
+    adam.restype = None
+    fwd_bwd.argtypes = ([ctypes.c_void_p, ctypes.c_int64, ctypes.c_double]
+                        + [ctypes.c_void_p] * 6 + [ctypes.c_int64] * 2)
+    fwd_bwd.restype = None
+    kernel = Kernels(adam, fwd_bwd if _bind_blas(set_blas) else None)
+    return kernel if _adam_check(kernel) and _fwd_bwd_check(kernel) else None
 
 
-def _self_check(kernel) -> bool:
-    """Run both paths on one fixed vector; True when theta, m and v agree bitwise.
+def _bind_blas(set_blas) -> bool:
+    """Point the C pass at numpy's own BLAS routines; False when they are not found."""
+    try:
+        blas = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        routines = [ctypes.cast(getattr(blas, name), ctypes.c_void_p) for name in _BLAS_SYMBOLS]
+    except (AttributeError, OSError):
+        return False
+    set_blas.argtypes = [ctypes.c_void_p] * 3
+    set_blas.restype = None
+    set_blas(*routines)
+    return True
+
+
+def _adam_check(kernel) -> bool:
+    """Run both Adam paths on one fixed vector; True when theta, m and v agree bitwise.
 
     The gradients mix zeros of both signs, subnormals and magnitudes from 1e-8
     to 1e2, and the length leaves a remainder after any vector width.
@@ -162,7 +243,39 @@ def _self_check(kernel) -> bool:
     return all(np.array_equal(a, b) for a, b in zip(*results))
 
 
+def _fwd_bwd_check(kernel) -> bool:
+    """Run both forward/backward paths on a fixed net; True when the gradients
+    agree bitwise, or when there is no C pass to check.
+
+    The 3 -> 8 -> 64 -> 1 net with dropout, on a 16-row and a 1-row batch,
+    reaches every branch of numpy's matmul dispatch: gemm, gemv with a one-row
+    left operand and with a one-column right operand, ddot for a 1 x 1
+    product, and numpy's own loop for an inner dimension of 1. The 16-row
+    output column is summed pairwise. The seeds are ones for which sending any
+    of these products, or that sum, down another branch changes the bits.
+    """
+    if kernel.fwd_bwd is None:
+        return True
+    from .surrogate import MlpConfig, SurrogateModel, _dropout_masks, _loss_and_grads, init_model
+
+    config = MlpConfig(input_dim=3, output_dim=1, hidden=(8, 64), dropout_rate=0.25)
+    model = init_model(config, seed=6)
+    rng = np.random.default_rng(7)
+    xs, ts = rng.random((17, 3)), rng.normal(size=(17, 1))
+    masks = _dropout_masks(rng, 17, config)
+    grad = np.empty_like(model.theta)
+    expected = SurrogateModel(config, np.empty_like(model.theta))
+    run = fwd_bwd_binder(kernel, model.theta, grad, (3, 8, 64, 1), config.leaky_slope, 16)(
+        xs, ts, masks)
+    for start, stop in ((0, 16), (16, 17)):
+        run(start, stop)
+        _loss_and_grads(model, xs, ts, masks, start, stop, expected.weights, expected.biases)
+        if grad.tobytes() != expected.theta.tobytes():
+            return False
+    return True
+
+
 @functools.cache
 def native_kernel():
-    """The process's C Adam loop, loaded once; None means the numpy path."""
+    """The process's C kernels, loaded once; None means the numpy path."""
     return load_kernel()

@@ -163,8 +163,11 @@ def parse_kv_file(path) -> dict[str, str]:
     return out
 
 
-def _split(text: str) -> list[str]:
-    return [item.strip() for item in text.split(",") if item.strip()]
+def _split(key: str, text: str) -> list[str]:
+    items = [item.strip() for item in text.split(",")]
+    if "" in items:
+        raise ConfigError(f"config key {key!r} has an empty item in {text!r}")
+    return items
 
 
 def _convert(key: str, tp, text: str):
@@ -186,9 +189,9 @@ def _parse_value(key: str, text: str):
         return text
     tp = _CONFIG_KEYS[_SWEEP_AXES.get(key, key)][1]
     if key in _SWEEP_AXES:
-        return [_convert(key, tp, item) for item in _split(text)]
+        return [_convert(key, tp, item) for item in _split(key, text)]
     if tp == tuple[int, ...]:
-        return tuple(_convert(key, int, item) for item in _split(text))
+        return tuple(_convert(key, int, item) for item in _split(key, text))
     return _convert(key, tp, text)
 
 
@@ -232,13 +235,15 @@ def _write_run_outputs(out_dir: Path, pool_entry: dict, result) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(out_dir / "iterations.csv", ITERATIONS_HEADER, map(astuple, result.curve.records))
     _write_json(out_dir / "summary.json", result.summary)
+    kernel = native_kernel()
     manifest = {
         "tool": "dado",
         "version": __version__,
         "created_utc": _utc_now(),
         "pool": pool_entry,
         "config": scenario_to_dict(result.scenario),
-        "adam": "numpy" if native_kernel() is None else "native",
+        "adam": "numpy" if kernel is None else "native",
+        "fwd_bwd": "numpy" if kernel is None or kernel.fwd_bwd is None else "native",
         "outputs": {"iterations": "iterations.csv", "summary": "summary.json"},
     }
     _write_json(out_dir / "manifest.json", manifest)

@@ -261,12 +261,15 @@ def stderr_of(values) -> float:
 
 def _sweep_workers() -> int:
     raw = os.environ.get("DADO_THREADS", "")
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            raise ConfigError(f"DADO_THREADS must be an integer, got {raw!r}") from None
-    return os.cpu_count() or 1
+    if not raw:
+        return os.cpu_count() or 1
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ConfigError(f"DADO_THREADS must be a positive integer, got {raw!r}")
+    return workers
 
 
 def run_sweep(pool: CandidatePool, scenarios, strategies, seeds) -> SweepSummary:

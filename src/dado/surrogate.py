@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adam import adam_updater, native_kernel
+from .adam import adam_updater, fwd_bwd_binder, native_kernel
 from .errors import DimensionMismatch, NumericalDivergence
 
 # Adam's moment decay rates and denominator floor (Kingma & Ba's defaults).
@@ -184,10 +184,22 @@ def _propagate(model: SurrogateModel, x: np.ndarray, masks):
     return y, cache
 
 
-def _loss_and_grads(model, x, targets, masks, gw, gb) -> None:
-    """Gradients of the batch MSE, written into gw/gb in place; see `_propagate` for masks."""
-    g, cache = _propagate(model, x, masks)
-    g -= targets
+def _loss_and_grads(model, xs, ts, masks, start, stop, gw, gb, native=None) -> None:
+    """Gradients of the MSE of batch rows start:stop of xs/ts, written into gw/gb in place.
+
+    `masks` holds every row's dropout masks as `_dropout_masks` lays them out,
+    or is None. `native` is the C pass bound to these arrays and to gw/gb
+    (`fwd_bwd_binder`), which gives the same bits; None runs numpy, the
+    reference.
+    """
+    if native is not None:
+        native(start, stop)
+        return
+    if masks is not None:
+        width = sum(model.config.hidden)
+        masks = masks[start * width : stop * width]
+    g, cache = _propagate(model, xs[start:stop], masks)
+    g -= ts[start:stop]
     g *= 2.0 / g.size
     np.matmul(g.T, cache[-1][0], out=gw[-1])
     np.add.reduce(g, axis=0, out=gb[-1])
@@ -235,25 +247,28 @@ def train(model: SurrogateModel, inputs, targets, cfg: TrainConfig, rng):
 
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
+    kernel = native_kernel()
     update = adam_updater(
-        native_kernel(), theta, grad, m, v,
+        kernel, theta, grad, m, v,
         learning_rate=cfg.learning_rate, beta1=ADAM_BETA1, beta2=ADAM_BETA2, eps=ADAM_EPS,
     )
-    step = 0
     n = x.shape[0]
-    width = sum(work.config.hidden)
+    batches = [(start, min(start + cfg.batch_size, n)) for start in range(0, n, cfg.batch_size)]
+    config = work.config
+    dims = (config.input_dim, *config.hidden, config.output_dim)
+    bind = fwd_bwd_binder(kernel, theta, grad, dims, config.leaky_slope, min(cfg.batch_size, n))
+    step = 0
     stopper = EarlyStopping(cfg.patience)
     losses: list[float] = []
     best_theta = theta.copy()
     stopped_epoch = cfg.max_epochs - 1
     for epoch in range(cfg.max_epochs):
         order = rng.permutation(n)
-        masks = _dropout_masks(rng, n, work.config)
+        masks = _dropout_masks(rng, n, config)
         xs, ts = x[order], t[order]
-        for start in range(0, n, cfg.batch_size):
-            stop = start + cfg.batch_size
-            batch = None if masks is None else masks[start * width : stop * width]
-            _loss_and_grads(work, xs[start:stop], ts[start:stop], batch, gw, gb)
+        native = None if bind is None else bind(xs, ts, masks)
+        for start, stop in batches:
+            _loss_and_grads(work, xs, ts, masks, start, stop, gw, gb, native)
             step += 1
             update(step)
         pred, _ = _forward(work, x, False, None)
@@ -299,7 +314,7 @@ def loss_gradients(model: SurrogateModel, x, y):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     grads = SurrogateModel(model.config, np.empty_like(model.theta))
-    _loss_and_grads(model, x[None, :], y[None, :], None, grads.weights, grads.biases)
+    _loss_and_grads(model, x[None, :], y[None, :], None, 0, 1, grads.weights, grads.biases)
     return _sample_loss(model, x, y), grads.theta
 
 

@@ -147,8 +147,12 @@ class TestRun:
         out_dir = tmp_path / "out"
         assert run_cli("run", "--pool", pool, "--config", cfg, "--out-dir", out_dir) == 0
         manifest = json.loads((out_dir / "manifest.json").read_text())
+        kernel = native_kernel()
         assert manifest["adam"] in ("native", "numpy")
-        assert manifest["adam"] == ("numpy" if native_kernel() is None else "native")
+        assert manifest["adam"] == ("numpy" if kernel is None else "native")
+        assert manifest["fwd_bwd"] in ("native", "numpy")
+        assert manifest["fwd_bwd"] == (
+            "numpy" if kernel is None or kernel.fwd_bwd is None else "native")
 
     def test_low_budget_shape_gives_16_iterations(self, tmp_path):
         pool = make_pool(tmp_path, n=1000, d=3)
@@ -235,6 +239,16 @@ class TestRun:
         assert line.split()[0] in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("value", ["8,,4", "8,4,", ",8"])
+    def test_empty_hidden_item_is_a_config_error(self, tmp_path, capsys, value):
+        pool = make_pool(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(FAST_CFG.replace("hidden = 8,4", f"hidden = {value}"))
+        code = run_cli("run", "--pool", pool, "--config", cfg, "--out-dir", tmp_path / "o")
+        assert code == 2
+        assert "'hidden' has an empty item" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_diverged_training_exits_1(self, tmp_path, capsys):
         pool = make_pool(tmp_path)
         cfg = tmp_path / "run.cfg"
@@ -314,6 +328,34 @@ class TestSweep:
         code = run_cli("sweep", "--config", cfg, "--out-dir", tmp_path / "o")
         assert code == 2
         assert new.split(" =")[0] in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [("aq_sizes = 10", "aq_sizes = 10,"),
+         ("strategies = l2-select, random", "strategies = l2-select,, random"),
+         ("seeds = 0, 1", "seeds = 0, 1, "),
+         ("hidden = 8,4", "hidden = 8,,4")],
+    )
+    def test_empty_list_item_is_a_config_error(self, tmp_path, capsys, old, new):
+        pool = make_pool(tmp_path)
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(SWEEP_CFG.replace(old, new) + f"\npool = {pool}\n")
+        code = run_cli("sweep", "--config", cfg, "--out-dir", tmp_path / "o")
+        assert code == 2
+        assert f"{new.split(' =')[0]!r} has an empty item" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("threads", ["0", "-5", "two"])
+    def test_dado_threads_must_be_a_positive_integer(self, tmp_path, capsys, monkeypatch,
+                                                     threads):
+        monkeypatch.setenv("DADO_THREADS", threads)
+        pool = make_pool(tmp_path)
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(SWEEP_CFG + f"\npool = {pool}\n")
+        code = run_cli("sweep", "--config", cfg, "--out-dir", tmp_path / "o")
+        assert code == 2
+        assert "DADO_THREADS must be a positive integer" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_name_with_path_separator_is_a_config_error(self, tmp_path, capsys):

@@ -346,7 +346,7 @@ class TestAdam:
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
         assert adam.load_kernel() is not None
         built = list((tmp_path / "dado").iterdir())
-        assert len(built) == 1 and built[0].name.startswith("adam-")
+        assert len(built) == 1 and built[0].name.startswith("native-")
         mtime = built[0].stat().st_mtime_ns
         assert adam.load_kernel() is not None
         assert list((tmp_path / "dado").iterdir()) == built
@@ -537,6 +537,31 @@ def fit_both(mlp, n, tcfg, seed=0):
     return got.theta, got_log, ref_theta, ref_log
 
 
+# Shapes that reach every branch of numpy's matmul dispatch and both ways of
+# summing bias gradients (pairwise for one column of 8 or more rows).
+WIDE_OUT_1 = MlpConfig(input_dim=6, output_dim=1, hidden=(50,))
+SHAPES = [
+    (WIDE_OUT_1, 45, TrainConfig(max_epochs=3)),
+    (WIDE_OUT_1, 45, TrainConfig(batch_size=1, max_epochs=2)),
+    (WIDE_OUT_1, 45, TrainConfig(batch_size=16, max_epochs=3)),
+    (MlpConfig(input_dim=1, output_dim=2, hidden=(16, 8)), 45, TrainConfig(max_epochs=3)),
+    (MlpConfig(input_dim=5, output_dim=2, hidden=(8, 1)), 45,
+     TrainConfig(batch_size=16, max_epochs=3)),
+    (MlpConfig(input_dim=1, output_dim=1, hidden=(1,)), 45, TrainConfig(max_epochs=3)),
+    (DESK, 100, TrainConfig(batch_size=16, max_epochs=3)),
+    (DESK, 150, TrainConfig(batch_size=64, max_epochs=3)),
+    (MlpConfig(input_dim=28, output_dim=2, leaky_slope=0.0), 45, TrainConfig(max_epochs=3)),
+    (MlpConfig(input_dim=28, output_dim=2, leaky_slope=1.0), 45, TrainConfig(max_epochs=3)),
+    (DESK, 125, TrainConfig(max_epochs=3)),
+    (MlpConfig(input_dim=10, output_dim=2, hidden=(200, 100, 50, 25)), 45,
+     TrainConfig(max_epochs=2)),
+    (DESK, 30, TrainConfig(batch_size=1000, max_epochs=3)),
+]
+SHAPE_IDS = ["output-width-1", "output-width-1-batch-1", "output-width-1-batch-16",
+             "input-width-1", "hidden-width-1-batch-16", "one-wide", "batch-16", "batch-64",
+             "slope-0", "slope-1", "n-125", "four-hidden-layers", "batch-over-n"]
+
+
 class TestStepEquivalence:
     """`train` is bit-identical to the frozen reference step above."""
 
@@ -561,6 +586,12 @@ class TestStepEquivalence:
         assert np.array_equal(got, ref)
         assert got_log == ref_log
 
+    @pytest.mark.parametrize("mlp, n, tcfg", SHAPES, ids=SHAPE_IDS)
+    def test_every_matmul_dispatch(self, mlp, n, tcfg):
+        got, got_log, ref, ref_log = fit_both(mlp, n, tcfg)
+        assert np.array_equal(got, ref)
+        assert got_log == ref_log
+
     def test_patience_stop(self):
         mlp = MlpConfig(input_dim=5, output_dim=2, hidden=(16, 8))
         tcfg = TrainConfig(learning_rate=0.05, patience=2, max_epochs=200)
@@ -573,6 +604,92 @@ class TestStepEquivalence:
         model = init_model(DESK, seed=3)
         x = np.random.default_rng(4).random((2000, 28))
         assert np.array_equal(predict_batch(model, x), reference_forward(model, x, False, None)[0])
+
+
+def train_recording_paths(monkeypatch, kernel, mlp, n, tcfg):
+    """Train with `surrogate.native_kernel` returning `kernel`; return the theta, the
+    log, and which forward/backward paths the steps took ("native", "numpy")."""
+    monkeypatch.setattr(surrogate, "native_kernel", lambda: kernel)
+    paths = set()
+    loss_and_grads = surrogate._loss_and_grads
+
+    def recording(*args):
+        paths.add("numpy" if args[-1] is None else "native")
+        return loss_and_grads(*args)
+
+    monkeypatch.setattr(surrogate, "_loss_and_grads", recording)
+    rng = np.random.default_rng(31)
+    x, t = rng.random((n, mlp.input_dim)), rng.normal(size=(n, mlp.output_dim))
+    trained, log = train(init_model(mlp, seed=32), x, t, tcfg, np.random.default_rng(33))
+    monkeypatch.setattr(surrogate, "_loss_and_grads", loss_and_grads)
+    return trained.theta, log, paths
+
+
+class TestNativePass:
+    """The C forward/backward pass: its self-check and its fallbacks."""
+
+    MLP = MlpConfig(input_dim=6, output_dim=1, hidden=(50,))
+    TCFG = TrainConfig(max_epochs=4)
+
+    @pytest.mark.parametrize("mlp, n, tcfg", SHAPES, ids=SHAPE_IDS)
+    def test_batch_gradients_are_numpys_bits(self, kernel, mlp, n, tcfg):
+        # Adam's update hides a last-bit change in a gradient, so compare gradients.
+        rng = np.random.default_rng(n)
+        model = init_model(mlp, seed=1)
+        xs, ts = rng.random((n, mlp.input_dim)), rng.normal(size=(n, mlp.output_dim))
+        masks = surrogate._dropout_masks(rng, n, mlp)
+        grad = np.empty_like(model.theta)
+        want = SurrogateModel(mlp, np.empty_like(model.theta))
+        run = adam.fwd_bwd_binder(kernel, model.theta, grad,
+                                  (mlp.input_dim, *mlp.hidden, mlp.output_dim),
+                                  mlp.leaky_slope, tcfg.batch_size)(xs, ts, masks)
+        for start in range(0, n, tcfg.batch_size):
+            stop = min(start + tcfg.batch_size, n)
+            run(start, stop)
+            surrogate._loss_and_grads(model, xs, ts, masks, start, stop,
+                                      want.weights, want.biases)
+            assert grad.tobytes() == want.theta.tobytes(), (start, stop)
+
+    def test_wrong_dispatch_fails_the_self_check(self, kernel, tmp_path, monkeypatch):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        source = adam._SOURCE.read_text()
+        # Sends matrix-vector products, such as a width-1 output layer's, to gemm.
+        wrong = tmp_path / "wrong.c"
+        wrong.write_text(source.replace("if (m == 1 || n == 1 || p == 1) {",
+                                        "if (m == 1 || n == 1) {"))
+        assert wrong.read_text() != source
+        monkeypatch.setattr(adam, "_SOURCE", wrong)
+        assert adam.load_kernel() is None
+        # The source builds and loads: the forward/backward check is what refuses it.
+        monkeypatch.setattr(adam, "_fwd_bwd_check", lambda kernel: True)
+        assert adam.load_kernel() is not None
+
+    def test_missing_blas_keeps_the_native_adam(self, kernel, tmp_path, monkeypatch):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        monkeypatch.setattr(adam, "_BLAS_SYMBOLS", ("no_dgemm", "no_dgemv", "no_ddot"))
+        adam_only = adam.load_kernel()
+        assert adam_only is not None and adam_only.fwd_bwd is None
+        got, got_log, got_paths = train_recording_paths(
+            monkeypatch, adam_only, self.MLP, 30, self.TCFG)
+        want, want_log, want_paths = train_recording_paths(
+            monkeypatch, kernel, self.MLP, 30, self.TCFG)
+        assert (got_paths, want_paths) == ({"numpy"}, {"native"})
+        assert np.array_equal(got, want)
+        assert got_log == want_log
+
+    def test_no_kernel_runs_numpy_for_both(self, kernel, monkeypatch):
+        calls = []
+        adam_numpy = adam.adam_numpy
+        monkeypatch.setattr(adam, "adam_numpy", lambda *args: calls.append(adam_numpy(*args)))
+        got, got_log, got_paths = train_recording_paths(monkeypatch, None, self.MLP, 30, self.TCFG)
+        assert got_paths == {"numpy"}
+        assert len(calls) == 4 * math.ceil(30 / self.TCFG.batch_size)
+        calls.clear()
+        want, want_log, want_paths = train_recording_paths(
+            monkeypatch, kernel, self.MLP, 30, self.TCFG)
+        assert want_paths == {"native"} and not calls
+        assert np.array_equal(got, want)
+        assert got_log == want_log
 
 
 class TestTracerHooks:
