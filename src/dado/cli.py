@@ -138,9 +138,7 @@ def _write_json(path, payload) -> None:
 
 
 def scenario_to_dict(cfg: ScenarioConfig) -> dict:
-    out = asdict(cfg)
-    out["mlp"]["hidden"] = list(cfg.mlp.hidden)
-    return {**out, "strategy": cfg.strategy.value, "n_iter": cfg.n_iter}
+    return {**asdict(cfg), "strategy": cfg.strategy.value, "n_iter": cfg.n_iter}
 
 
 def parse_kv_file(path) -> dict[str, str]:
@@ -166,7 +164,7 @@ def parse_kv_file(path) -> dict[str, str]:
 def _split(key: str, text: str) -> list[str]:
     items = [item.strip() for item in text.split(",")]
     if "" in items:
-        raise ConfigError(f"config key {key!r} has an empty item in {text!r}")
+        raise ConfigError(f"{key!r} has an empty item in {text!r}")
     return items
 
 
@@ -177,7 +175,11 @@ def _convert(key: str, tp, text: str):
         return tp(text)
     except ValueError:
         kind = "an integer" if tp is int else "a number"
-        raise ConfigError(f"config key {key!r} must be {kind}, got {text!r}") from None
+        raise ConfigError(f"{key!r} must be {kind}, got {text!r}") from None
+
+
+def _list(key: str, tp, text: str) -> list:
+    return [_convert(key, tp, item) for item in _split(key, text)]
 
 
 def _parse_value(key: str, text: str):
@@ -189,9 +191,9 @@ def _parse_value(key: str, text: str):
         return text
     tp = _CONFIG_KEYS[_SWEEP_AXES.get(key, key)][1]
     if key in _SWEEP_AXES:
-        return [_convert(key, tp, item) for item in _split(key, text)]
+        return _list(key, tp, text)
     if tp == tuple[int, ...]:
-        return tuple(_convert(key, int, item) for item in _split(key, text))
+        return tuple(_list(key, int, text))
     return _convert(key, tp, text)
 
 
@@ -254,7 +256,9 @@ def _write_run_outputs(out_dir: Path, pool_entry: dict, result) -> None:
 
 
 def cmd_gen_pool(args) -> int:
-    pool = gen_synthetic_pool(args.n, args.d, args.seed, args.anchor_a, args.anchor_b)
+    anchors = [None if text is None else _list(f"anchor-{ab}", float, text)
+               for ab, text in (("a", args.anchor_a), ("b", args.anchor_b))]
+    pool = gen_synthetic_pool(args.n, args.d, args.seed, *anchors)
     save_pool(pool, args.out)
     print(
         f"wrote {args.out}: n={len(pool)} d={pool.d} num_obj={pool.num_obj} "
@@ -265,9 +269,10 @@ def cmd_gen_pool(args) -> int:
 
 def cmd_run(args) -> int:
     kv = parse_kv_file(args.config) if args.config else {}
-    # A flag's dest is its config key; a flag that was given overrides the file.
-    kv.update((key, str(value)) for key, value in vars(args).items()
-              if key in RUN_KEYS and value is not None)
+    # A flag's dest is its config key and its text is parsed like the file's; a flag
+    # that was given overrides the file.
+    kv.update((key, text) for key, text in vars(args).items()
+              if key in RUN_KEYS and text is not None)
     cfg = _scenario(_parse_config(kv, RUN_KEYS, _RUN_REQUIRED, "run"))
     pool, pool_entry = _load_pool_auto(args.pool)
     result = run_experiment(pool, cfg)
@@ -287,8 +292,6 @@ def _sweep_plan(kv: dict, config_dir: Path, pool_flag):
         raise ConfigError("sweep needs a pool: pass --pool or set 'pool' in the config")
     values.pop("pool", None)
     aq_sizes, strategies, seeds = (values.pop(key) for key in _SWEEP_AXES)
-    if not strategies or not seeds or not aq_sizes:
-        raise ConfigError("aq_sizes, strategies, and seeds must all be non-empty")
     if len(set(aq_sizes)) != len(aq_sizes):
         raise ConfigError("aq_sizes must be unique within a sweep")
     base_name = values.pop("name", "scenario")
@@ -386,20 +389,6 @@ def cmd_report(args) -> int:
 # parser
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
-    return value
-
-
-def _float_list(text: str) -> list[float]:
-    try:
-        return [float(v.strip()) for v in text.split(",") if v.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError("must be comma-separated numbers") from None
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dado",
@@ -410,14 +399,14 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen-pool", help="write a synthetic annotated pool CSV")
     gen.add_argument("--kind", choices=["analytic"], default="analytic",
                      help="pool family; analytic is the only one")
-    gen.add_argument("--n", type=_positive_int, required=True, help="number of candidates")
-    gen.add_argument("--d", type=_positive_int, required=True, help="parameter dimensions")
+    gen.add_argument("--n", type=int, required=True, help="number of candidates")
+    gen.add_argument("--d", type=int, required=True, help="parameter dimensions")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", required=True)
-    gen.add_argument("--anchor-a", type=_float_list,
+    gen.add_argument("--anchor-a",
                      help="first analytic anchor (default 0.25,...); "
                           "write a negative entry as --anchor-a=-0.1,0.2")
-    gen.add_argument("--anchor-b", type=_float_list,
+    gen.add_argument("--anchor-b",
                      help="second analytic anchor (default 0.75,...); "
                           "write a negative entry as --anchor-b=-0.1,0.2")
     gen.set_defaults(func=cmd_gen_pool)
@@ -426,13 +415,13 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--pool", required=True)
     run.add_argument("--config", help="key = value run config file")
     run.add_argument("--strategy", choices=[k.value for k in StrategyKind])
-    run.add_argument("--initial", dest="initial_size", type=_positive_int)
-    run.add_argument("--draw", dest="draw_size", type=_positive_int)
-    run.add_argument("--aq", dest="aq_size", type=_positive_int)
-    run.add_argument("--budget", type=_positive_int)
-    run.add_argument("--seed", type=int, help="default 0")
+    run.add_argument("--initial", dest="initial_size")
+    run.add_argument("--draw", dest="draw_size")
+    run.add_argument("--aq", dest="aq_size")
+    run.add_argument("--budget")
+    run.add_argument("--seed", help="default 0")
     run.add_argument("--name", help="default 'run'")
-    run.add_argument("--max-epochs", type=_positive_int, help="override the training epoch cap")
+    run.add_argument("--max-epochs", help="override the training epoch cap")
     run.add_argument("--out-dir", required=True)
     run.set_defaults(func=cmd_run)
 
@@ -454,15 +443,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (DadoError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DadoError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ConfigError) else 1
 
 
 if __name__ == "__main__":

@@ -70,11 +70,10 @@ class TrainConfig:
 
 @dataclass
 class TrainLog:
-    """Per-epoch full-set losses plus where the minimum sat and where we stopped."""
+    """Per-epoch full-set losses, one per epoch run, and where the minimum sat."""
 
     losses: list[float]
     best_epoch: int
-    stopped_epoch: int
 
 
 class EarlyStopping:
@@ -261,7 +260,6 @@ def train(model: SurrogateModel, inputs, targets, cfg: TrainConfig, rng):
     stopper = EarlyStopping(cfg.patience)
     losses: list[float] = []
     best_theta = theta.copy()
-    stopped_epoch = cfg.max_epochs - 1
     for epoch in range(cfg.max_epochs):
         order = rng.permutation(n)
         masks = _dropout_masks(rng, n, config)
@@ -280,13 +278,12 @@ def train(model: SurrogateModel, inputs, targets, cfg: TrainConfig, rng):
         if epoch_loss < stopper.best_loss:
             best_theta[:] = theta
         if stopper.update(epoch, epoch_loss):
-            stopped_epoch = epoch
             break
 
     theta[:] = best_theta
     if not np.isfinite(theta).all():
         raise NumericalDivergence("non-finite weights after training")
-    return work, TrainLog(losses, stopper.best_epoch, stopped_epoch)
+    return work, TrainLog(losses, stopper.best_epoch)
 
 
 def predict_batch(model: SurrogateModel, inputs) -> np.ndarray:

@@ -1,9 +1,11 @@
 """Command-line behavior: pool generation, runs, sweeps, reports, exit codes."""
 
+import argparse
 import csv
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +14,7 @@ import numpy as np
 import pytest
 
 from dado.adam import native_kernel
-from dado.cli import ITERATIONS_HEADER, RUN_KEYS, SWEEP_KEYS, main
+from dado.cli import ITERATIONS_HEADER, RUN_KEYS, SWEEP_KEYS, build_parser, main
 from dado.datapool import load_pool
 
 FAST_CFG = """
@@ -118,6 +120,15 @@ class TestGenPool:
         assert "finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value", [("--anchor-a", "0.1,,0.2"),
+                                             ("--anchor-b", "0.75,0.75,")])
+    def test_empty_anchor_item_is_a_config_error(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "x.csv"
+        code = run_cli("gen-pool", "--n", 10, "--d", 2, flag, value, "--out", out)
+        assert code == 2
+        assert f"{flag[2:]!r} has an empty item" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestRun:
     def test_config_file_run(self, tmp_path):
@@ -186,6 +197,21 @@ class TestRun:
                        "--draw", 40, "--aq", 1, "--budget", 40, "--out-dir", tmp_path / "o")
         assert code == 2
         assert "aq_size" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("flag, value, key", [
+        ("--aq", "abc", "aq_size"), ("--initial", 0, "initial_size"),
+        ("--max-epochs", 0, "max_epochs"), ("--seed", "x", "seed"),
+    ])
+    def test_bad_flag_value_is_a_config_error(self, tmp_path, capsys, flag, value, key):
+        pool = make_pool(tmp_path)
+        flags = {"--initial": 20, "--draw": 40, "--aq": 10, "--budget": 40, flag: value}
+        argv = [arg for item in flags.items() for arg in item]
+        code = run_cli("run", "--pool", pool, "--strategy", "l2-select", *argv,
+                       "--out-dir", tmp_path / "o")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
         assert not (tmp_path / "o").exists()
 
     def test_unknown_config_key_is_rejected(self, tmp_path):
@@ -633,10 +659,12 @@ ACCEPTED_SWEEP_KEYS = {
 } | TRAINING_KEYS
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def readme_config_blocks():
     """Config keys of each plain fenced block in the README that holds `key = value` lines."""
-    readme = Path(__file__).resolve().parents[1] / "README.md"
-    blocks = readme.read_text(encoding="utf-8").split("```")[1::2]
+    blocks = README.read_text(encoding="utf-8").split("```")[1::2]
     out = []
     for block in blocks:
         info, _, body = block.partition("\n")
@@ -645,6 +673,13 @@ def readme_config_blocks():
         if not info.strip() and keys:
             out.append(keys)
     return out
+
+
+def run_flags() -> dict[str, str]:
+    """Each `dado run` flag (other than --help) and its dest."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.option_strings[0]: a.dest for a in sub.choices["run"]._actions
+            if a.option_strings and not isinstance(a, argparse._HelpAction)}
 
 
 class TestConfigKeys:
@@ -672,6 +707,18 @@ class TestConfigKeys:
         for keys, accepted in ((run_blocks[0], RUN_KEYS), (sweep_blocks[0], SWEEP_KEYS)):
             assert len(keys) == len(set(keys))
             assert set(keys) == accepted
+
+    def test_every_run_flag_sets_a_config_key(self):
+        """So each flag's text goes through the config parser and checks."""
+        bypass = {flag for flag, dest in run_flags().items() if dest not in RUN_KEYS}
+        assert bypass == {"--pool", "--config", "--out-dir"}
+
+    def test_readme_lists_exactly_the_override_flags(self):
+        text = README.read_text(encoding="utf-8")
+        sentence = re.search(r"With `--config`, the flags (.*?) still apply", text, re.S)
+        listed = re.findall(r"`(--[a-z-]+)`", sentence.group(1))
+        overrides = [flag for flag, dest in run_flags().items() if dest in RUN_KEYS]
+        assert sorted(listed) == sorted(overrides)
 
 
 class TestBlasPin:
