@@ -4,9 +4,8 @@
  * Both give the same bits as their numpy references (dado.adam.adam_numpy and
  * dado.surrogate._loss_and_grads) when built without FMA contraction and
  * without fast-math: each element goes through the same IEEE double
- * operations in the same order, and every matrix product is handed to the
- * very OpenBLAS routine numpy's matmul would pick for it, with the same
- * arguments.
+ * operations in the same order, and every matrix product and single-column
+ * sum runs numpy's own float64 loop with the arguments numpy would give it.
  */
 
 #include <math.h>
@@ -37,123 +36,44 @@ void dado_adam_step(double *restrict theta, const double *restrict grad,
     }
 }
 
-/* numpy's OpenBLAS (64-bit integers, `scipy_` prefix), set by dado_set_blas. */
-enum { ROW_MAJOR = 101, COL_MAJOR = 102, NO_TRANS = 111, TRANS = 112 };
-typedef void (*dgemm_fn)(int, int, int, int64_t, int64_t, int64_t, double,
-                         const double *, int64_t, const double *, int64_t,
-                         double, double *, int64_t);
-typedef void (*dgemv_fn)(int, int, int64_t, int64_t, double, const double *,
-                         int64_t, const double *, int64_t, double, double *,
-                         int64_t);
-typedef double (*ddot_fn)(int64_t, const double *, int64_t, const double *,
-                          int64_t);
-static dgemm_fn dgemm;
-static dgemv_fn dgemv;
-static ddot_fn ddot;
+/* numpy's float64 inner loops of np.matmul and np.add, set by dado_set_loops.
+ * numpy calls both with NULL data, and so does this file. */
+typedef void (*loop_fn)(char **args, const int64_t *dimensions, const int64_t *steps,
+                        void *data);
+static loop_fn matmul_loop, add_loop;
 
-void dado_set_blas(void *gemm, void *gemv, void *dot)
+void dado_set_loops(loop_fn matmul, loop_fn add)
 {
-    dgemm = (dgemm_fn)gemm;
-    dgemv = (dgemv_fn)gemv;
-    ddot = (ddot_fn)dot;
+    matmul_loop = matmul;
+    add_loop = add;
 }
 
-/* numpy's is_blasable2d(s1, s2, d1, d2), with strides counted in elements;
- * it does not read d1. */
-static int blasable(int64_t s1, int64_t s2, int64_t d2)
-{
-    return s2 == 1 && s1 >= d2;
-}
-
-/* numpy's gemv: y = A x for an m x n A with strides (s_m, s_n). */
-static void gemv(const double *a, int64_t s_m, int64_t s_n, const double *x,
-                 int64_t incx, double *y, int64_t incy, int64_t m, int64_t n)
-{
-    if (blasable(s_m, s_n, n))
-        dgemv(COL_MAJOR, TRANS, n, m, 1.0, a, s_m, x, incx, 0.0, y, incy);
-    else
-        dgemv(ROW_MAJOR, TRANS, n, m, 1.0, a, s_n, x, incx, 0.0, y, incy);
-}
-
-/* c = a @ b for an m x n a and an n x p b, strides in elements, dispatched as
- * numpy's matmul dispatches a 2-D product of float64 arrays. */
+/* c = a @ b for an m x n a and an n x p b, strides in elements, as np.matmul
+ * runs a 2-D product: one call of its loop, with the strides in bytes. */
 static void matmul(int64_t m, int64_t n, int64_t p,
                    const double *a, int64_t a_m, int64_t a_n,
                    const double *b, int64_t b_n, int64_t b_p,
                    double *c, int64_t c_m, int64_t c_p)
 {
-    const int a_ok = blasable(a_m, a_n, n) || blasable(a_n, a_m, m);
-    const int b_ok = blasable(b_n, b_p, p) || blasable(b_p, b_n, n);
-    if (m == 1 && p == 1) {
-        double sum = 0.;
-        sum += ddot(n, a, a_n, b, b_n);
-        *c = sum;
-        return;
-    }
-    if (m == 1 || n == 1 || p == 1) {
-        /* An inner dimension of 1 falls through to numpy's own loop. */
-        if (n > 1 && m == 1 && b_ok && blasable(a_n, 1, 1)) {
-            gemv(b, b_p, b_n, a, a_n, c, c_p, p, n);
-            return;
-        }
-        if (n > 1 && p == 1 && a_ok && blasable(b_n, 1, 1)) {
-            gemv(a, a_m, a_n, b, b_n, c, c_m, m, n);
-            return;
-        }
-    } else if (a_ok && b_ok && blasable(c_m, c_p, p)) {
-        const int ta = blasable(a_m, a_n, n) ? NO_TRANS : TRANS;
-        const int tb = blasable(b_n, b_p, p) ? NO_TRANS : TRANS;
-        dgemm(ROW_MAJOR, ta, tb, m, p, n, 1.0, a, ta == NO_TRANS ? a_m : a_n,
-              b, tb == NO_TRANS ? b_n : b_p, 0.0, c, c_m);
-        return;
-    }
-    for (int64_t i = 0; i < m; ++i)
-        for (int64_t j = 0; j < p; ++j) {
-            double *out = c + i * c_m + j * c_p;
-            *out = 0;
-            for (int64_t k = 0; k < n; ++k)
-                *out += a[i * a_m + k * a_n] * b[k * b_n + j * b_p];
-        }
+    const int64_t s = sizeof(double);
+    char *args[] = {(char *)a, (char *)b, (char *)c};
+    const int64_t dimensions[] = {1, m, n, p};
+    const int64_t steps[] = {0, 0, 0, a_m * s, a_n * s, b_n * s, b_p * s, c_m * s, c_p * s};
+    matmul_loop(args, dimensions, steps, NULL);
 }
 
-/* numpy's pairwise summation of n contiguous doubles. */
-static double pairwise_sum(const double *a, int64_t n)
-{
-    if (n < 8) {
-        double res = -0.0;
-        for (int64_t i = 0; i < n; ++i)
-            res += a[i];
-        return res;
-    }
-    if (n <= 128) {
-        double r[8];
-        int64_t i;
-        for (int j = 0; j < 8; ++j)
-            r[j] = a[j];
-        for (i = 8; i < n - n % 8; i += 8)
-            for (int j = 0; j < 8; ++j)
-                r[j] += a[i + j];
-        double res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
-        for (; i < n; ++i)
-            res += a[i];
-        return res;
-    }
-    int64_t half = n / 2;
-    half -= half % 8;
-    return pairwise_sum(a, half) + pairwise_sum(a + half, n - half);
-}
-
-/* np.add.reduce(g, axis=0) of a C-contiguous rows x width g: a single column
- * is summed pairwise, wider ones row by row, both starting from 0. */
+/* np.add.reduce(g, axis=0) of a C-contiguous rows x width g, from 0: a single
+ * column through numpy's add loop in reduce form, wider ones row by row. */
 static void column_sums(const double *g, int64_t rows, int64_t width, double *out)
 {
-    if (width == 1) {
-        out[0] = 0.0;
-        out[0] += pairwise_sum(g, rows);
-        return;
-    }
     for (int64_t j = 0; j < width; ++j)
         out[j] = 0.0;
+    if (width == 1) {
+        char *args[] = {(char *)out, (char *)g, (char *)out};
+        const int64_t steps[] = {0, sizeof(double), 0};
+        add_loop(args, &rows, steps, NULL);
+        return;
+    }
     for (int64_t i = 0; i < rows; ++i)
         for (int64_t j = 0; j < width; ++j)
             out[j] += g[i * width + j];

@@ -2,17 +2,15 @@
 
 `_native.c` holds both kernels. The Adam loop does `adam_numpy`'s IEEE
 operations in the same order. The forward/backward pass does those of
-`dado.surrogate._loss_and_grads`, and hands each matrix product to the BLAS
-routine numpy's matmul would pick for it: `scipy_cblas_dgemm64_`,
-`scipy_cblas_dgemv64_` or `scipy_cblas_ddot64_` of numpy's own OpenBLAS, found
-through `numpy._core._multiarray_umath`. Built without FMA contraction and
+`dado.surrogate._loss_and_grads`, and runs each matrix product and each
+single-column sum through numpy's own float64 inner loop of `np.matmul` or
+`np.add`, found through the ufunc objects. Built without FMA contraction and
 without fast-math, both give numpy's bits. The C file is compiled on first use
 into `$XDG_CACHE_HOME/dado` (default `~/.cache/dado`), or into a private
 temporary directory when that one is not writable. The loaded kernels are used
 only after a self-check on fixed inputs matches the numpy paths bit for bit.
-With no compiler, a failed build or load, or a failed self-check, training runs
-numpy for both; without those BLAS symbols, it runs the C Adam loop and numpy's
-forward/backward pass. Either way the results are the same, only slower.
+With no compiler, a failed build or load, no float64 loop to call, or a failed
+self-check, training runs numpy for both, with the same results, only slower.
 """
 
 from __future__ import annotations
@@ -21,6 +19,7 @@ import ctypes
 import functools
 import hashlib
 import os
+import platform
 import shutil
 import subprocess
 import tempfile
@@ -31,14 +30,13 @@ import numpy as np
 
 _SOURCE = Path(__file__).with_name("_native.c")
 _CFLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-shared", "-fPIC")
-_BLAS_SYMBOLS = ("scipy_cblas_dgemm64_", "scipy_cblas_dgemv64_", "scipy_cblas_ddot64_")
 
 
 class Kernels(NamedTuple):
-    """The loaded C entry points; `fwd_bwd` is None when numpy's BLAS was not found."""
+    """The loaded C entry points."""
 
     adam: Callable
-    fwd_bwd: Callable | None
+    fwd_bwd: Callable
 
 
 def adam_numpy(theta, grad, m, v, scratch, beta1, beta2, eps, inv_bc2, step_size) -> None:
@@ -95,7 +93,7 @@ def adam_updater(kernel, theta, grad, m, v, *, learning_rate, beta1, beta2, eps)
 
 
 def fwd_bwd_binder(kernel, theta, grad, dims, slope, batch_size):
-    """Return `bind(xs, ts, masks)` for the C forward/backward pass; None without one.
+    """Return `bind(xs, ts, masks)` for the C forward/backward pass; None without a kernel.
 
     `dims` are the layer widths from input to output, and theta and grad are
     laid out as `dado.surrogate.SurrogateModel` lays them out. `bind` takes an
@@ -107,7 +105,7 @@ def fwd_bwd_binder(kernel, theta, grad, dims, slope, batch_size):
     `bind`, so the caller keeps theta, grad, xs, ts and masks alive while
     `run` may be called.
     """
-    if kernel is None or kernel.fwd_bwd is None:
+    if kernel is None:
         return None
     _check_vector(theta, theta.size)
     _check_vector(grad, theta.size)
@@ -168,14 +166,14 @@ def _compile(cc: str, source: bytes, directory: Path, target: Path) -> None:
 def load_kernel():
     """Load the C kernels, building them first if the cache lacks them; None if unusable.
 
-    Never raises for a missing compiler, a failed build or load, or a
-    self-check mismatch: each of those means the numpy path.
+    Never raises for a missing compiler, a failed build or load, no float64
+    loop to call, or a self-check mismatch: each of those means the numpy path.
     """
     private = None
     try:
         source = _SOURCE.read_bytes()
         key = hashlib.sha256(source + "\0".join(_CFLAGS).encode()).hexdigest()[:20]
-        name = f"native-{key}.so"
+        name = f"native-{platform.machine()}-{key}.so"
         directory = _cache_dir()
         target = directory / name
         if not target.is_file():
@@ -189,10 +187,10 @@ def load_kernel():
                 private = directory = Path(tempfile.mkdtemp(prefix="dado-"))
                 target = directory / name
                 _compile(cc, source, directory, target)
-        library = ctypes.CDLL(str(target))
-        adam, fwd_bwd = library.dado_adam_step, library.dado_fwd_bwd
-        set_blas = library.dado_set_blas
-    except (OSError, AttributeError, subprocess.SubprocessError):
+        lib = ctypes.CDLL(str(target))
+        adam, fwd_bwd, set_loops = lib.dado_adam_step, lib.dado_fwd_bwd, lib.dado_set_loops
+        loops = [_float64_loop(ufunc) for ufunc in (np.matmul, np.add)]
+    except (OSError, AttributeError, LookupError, subprocess.SubprocessError):
         return None
     finally:
         if private is not None:
@@ -202,21 +200,34 @@ def load_kernel():
     fwd_bwd.argtypes = ([ctypes.c_void_p, ctypes.c_int64, ctypes.c_double]
                         + [ctypes.c_void_p] * 6 + [ctypes.c_int64] * 2)
     fwd_bwd.restype = None
-    kernel = Kernels(adam, fwd_bwd if _bind_blas(set_blas) else None)
+    set_loops.argtypes, set_loops.restype = [ctypes.c_void_p] * 2, None
+    set_loops(*loops)
+    kernel = Kernels(adam, fwd_bwd)
     return kernel if _adam_check(kernel) and _fwd_bwd_check(kernel) else None
 
 
-def _bind_blas(set_blas) -> bool:
-    """Point the C pass at numpy's own BLAS routines; False when they are not found."""
-    try:
-        blas = ctypes.CDLL(np._core._multiarray_umath.__file__)
-        routines = [ctypes.cast(getattr(blas, name), ctypes.c_void_p) for name in _BLAS_SYMBOLS]
-    except (AttributeError, OSError):
-        return False
-    set_blas.argtypes = [ctypes.c_void_p] * 3
-    set_blas.restype = None
-    set_blas(*routines)
-    return True
+class _UFuncObject(ctypes.Structure):
+    """The head of numpy's public `PyUFuncObject` (numpy/ufuncobject.h)."""
+
+    _fields_ = [("ob_base", ctypes.c_byte * object.__basicsize__),
+                ("nin", ctypes.c_int), ("nout", ctypes.c_int), ("nargs", ctypes.c_int),
+                ("identity", ctypes.c_int), ("functions", ctypes.POINTER(ctypes.c_void_p)),
+                ("data", ctypes.c_void_p), ("ntypes", ctypes.c_int), ("reserved1", ctypes.c_int),
+                ("name", ctypes.c_char_p), ("types", ctypes.POINTER(ctypes.c_ubyte))]
+
+
+def _float64_loop(ufunc) -> int:
+    """The address of `ufunc`'s `dd->d` inner loop, read from the object; LookupError if none."""
+    if platform.python_implementation() != "CPython":
+        raise LookupError("reading a ufunc object needs CPython, where id() is its address")
+    u = _UFuncObject.from_address(id(ufunc))
+    if (u.nargs, u.ntypes) != (ufunc.nargs, ufunc.ntypes):
+        raise LookupError(f"unexpected layout of {ufunc.__name__}")
+    double = np.dtype(np.float64).num
+    for i in range(u.ntypes):
+        if u.types[i * u.nargs:(i + 1) * u.nargs] == [double] * 3 and u.functions[i]:
+            return u.functions[i]
+    raise LookupError(f"{ufunc.__name__} has no float64 loop")
 
 
 def _adam_check(kernel) -> bool:
@@ -244,18 +255,16 @@ def _adam_check(kernel) -> bool:
 
 
 def _fwd_bwd_check(kernel) -> bool:
-    """Run both forward/backward paths on a fixed net; True when the gradients
-    agree bitwise, or when there is no C pass to check.
+    """Run both forward/backward paths on a fixed net; True when the gradients agree bitwise.
 
     The 3 -> 8 -> 64 -> 1 net with dropout, on a 16-row and a 1-row batch,
-    reaches every branch of numpy's matmul dispatch: gemm, gemv with a one-row
-    left operand and with a one-column right operand, ddot for a 1 x 1
-    product, and numpy's own loop for an inner dimension of 1. The 16-row
-    output column is summed pairwise. The seeds are ones for which sending any
-    of these products, or that sum, down another branch changes the bits.
+    gives products of every shape class numpy's matmul loop tells apart:
+    general, one-row left operand, one-column right operand, 1 x 1 result,
+    and inner dimension 1. The 16-row output column is summed pairwise, and
+    the 1-row batch's dropped units give gradient columns of signed zeros. The
+    seeds are ones for which wrong strides, a row-by-row single-column sum or
+    a sum started from -0.0 change the bits.
     """
-    if kernel.fwd_bwd is None:
-        return True
     from .surrogate import MlpConfig, SurrogateModel, _dropout_masks, _loss_and_grads, init_model
 
     config = MlpConfig(input_dim=3, output_dim=1, hidden=(8, 64), dropout_rate=0.25)

@@ -237,15 +237,13 @@ def _write_run_outputs(out_dir: Path, pool_entry: dict, result) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(out_dir / "iterations.csv", ITERATIONS_HEADER, map(astuple, result.curve.records))
     _write_json(out_dir / "summary.json", result.summary)
-    kernel = native_kernel()
     manifest = {
         "tool": "dado",
         "version": __version__,
         "created_utc": _utc_now(),
         "pool": pool_entry,
         "config": scenario_to_dict(result.scenario),
-        "adam": "numpy" if kernel is None else "native",
-        "fwd_bwd": "numpy" if kernel is None or kernel.fwd_bwd is None else "native",
+        "train_step": "numpy" if native_kernel() is None else "native",
         "outputs": {"iterations": "iterations.csv", "summary": "summary.json"},
     }
     _write_json(out_dir / "manifest.json", manifest)
@@ -335,7 +333,8 @@ def cmd_sweep(args) -> int:
             "created_utc": _utc_now(),
             "pool": {"path": pool_entry["path"], "sha256": pool_entry["sha256"]},
             "grid": {
-                "scenarios": [scenario_to_dict(sc) for sc in scenarios],
+                "scenarios": [{k: v for k, v in scenario_to_dict(sc).items()
+                               if k not in ("strategy", "seed")} for sc in scenarios],
                 "strategies": [st.value for st in strategies],
                 "seeds": seeds,
             },

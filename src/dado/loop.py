@@ -262,7 +262,8 @@ def stderr_of(values) -> float:
 def _sweep_workers() -> int:
     raw = os.environ.get("DADO_THREADS", "")
     if not raw:
-        return os.cpu_count() or 1
+        affinity = getattr(os, "sched_getaffinity", None)
+        return len(affinity(0)) if affinity else os.cpu_count() or 1
     try:
         workers = int(raw)
     except ValueError:
@@ -275,10 +276,11 @@ def _sweep_workers() -> int:
 def run_sweep(pool: CandidatePool, scenarios, strategies, seeds) -> SweepSummary:
     """Run the scenario x strategy x seed grid, each on a fresh pool copy.
 
-    The runs spread over `DADO_THREADS` worker processes (default: all cores).
-    Failures are recorded per run and excluded from aggregation instead of
-    aborting the sweep. Aggregates are the mean and standard error across
-    seeds, per scenario, strategy, and metric, for both AUC and final value.
+    The runs spread over `DADO_THREADS` worker processes (default: the CPUs
+    this process may run on). Failures are recorded per run and excluded from
+    aggregation instead of aborting the sweep. Aggregates are the mean and
+    standard error across seeds, per scenario, strategy, and metric, for both
+    AUC and final value.
     """
     scenarios = list(scenarios)
     strategies = list(strategies)

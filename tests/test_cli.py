@@ -158,12 +158,8 @@ class TestRun:
         out_dir = tmp_path / "out"
         assert run_cli("run", "--pool", pool, "--config", cfg, "--out-dir", out_dir) == 0
         manifest = json.loads((out_dir / "manifest.json").read_text())
-        kernel = native_kernel()
-        assert manifest["adam"] in ("native", "numpy")
-        assert manifest["adam"] == ("numpy" if kernel is None else "native")
-        assert manifest["fwd_bwd"] in ("native", "numpy")
-        assert manifest["fwd_bwd"] == (
-            "numpy" if kernel is None or kernel.fwd_bwd is None else "native")
+        assert manifest["train_step"] == ("numpy" if native_kernel() is None else "native")
+        assert "adam" not in manifest and "fwd_bwd" not in manifest
 
     def test_low_budget_shape_gives_16_iterations(self, tmp_path):
         pool = make_pool(tmp_path, n=1000, d=3)
@@ -637,8 +633,8 @@ class TestManifestConfig:
         assert json.loads((out_dir / "manifest.json").read_text())["grid"] == {
             "scenarios": [{
                 "aq_size": 10, "budget": 60, "draw_size": 60, "initial_size": 30, "n_iter": 3,
-                "name": "golden-aq10", "seed": 0, "strategy": "random",
-                "target_space": "normalized", "mlp": GOLDEN_MLP, "train": GOLDEN_TRAIN,
+                "name": "golden-aq10", "target_space": "normalized", "mlp": GOLDEN_MLP,
+                "train": GOLDEN_TRAIN,
             }],
             "strategies": ["random", "l2-reject"],
             "seeds": [0, 1],

@@ -1,11 +1,14 @@
 """Experiment loop orchestration, determinism, and sweep aggregation."""
 
+import os
+
 import numpy as np
 import pytest
 
 from dado.errors import ConfigError, PoolExhausted
 from dado.loop import (
     ScenarioConfig,
+    _sweep_workers,
     derive_rng,
     derive_seed,
     run_experiment,
@@ -256,6 +259,21 @@ class TestRunSweep:
         before = pool.available
         run_sweep(pool, [fast_scenario()], [StrategyKind.RANDOM], [0, 1])
         assert pool.available == before
+
+
+class TestSweepWorkers:
+    """Without `DADO_THREADS`, a sweep starts one worker per CPU it may run on."""
+
+    def test_default_is_the_cpu_affinity(self, monkeypatch):
+        monkeypatch.delenv("DADO_THREADS", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert _sweep_workers() == 1
+
+    def test_cpu_count_without_affinity(self, monkeypatch):
+        monkeypatch.delenv("DADO_THREADS", raising=False)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert _sweep_workers() == 3
 
 
 class TestStderr:

@@ -1,7 +1,10 @@
 """MLP init, forward/backward correctness, training protocol, Adam, prediction."""
 
+import ctypes
 import math
+import platform
 import shutil
+import subprocess
 
 import numpy as np
 import pytest
@@ -351,6 +354,15 @@ class TestAdam:
         assert list((tmp_path / "dado").iterdir()) == built
         assert built[0].stat().st_mtime_ns == mtime
 
+    def test_build_is_cached_per_cpu_architecture(self, kernel, tmp_path, monkeypatch):
+        # A cache shared by hosts of two architectures must not hand one the other's library.
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        assert adam.load_kernel() is not None
+        monkeypatch.setattr(platform, "machine", lambda: "other-arch")
+        assert adam.load_kernel() is not None
+        built = sorted(f.name for f in (tmp_path / "dado").iterdir())
+        assert len(built) == 2 and all(name.startswith("native-") for name in built)
+
     def test_unwritable_cache_builds_in_a_private_directory(self, kernel, tmp_path, monkeypatch):
         blocker = tmp_path / "not-a-directory"
         blocker.write_text("")
@@ -650,29 +662,80 @@ class TestNativePass:
     def test_wrong_dispatch_fails_the_self_check(self, kernel, tmp_path, monkeypatch):
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
         source = adam._SOURCE.read_text()
-        # Sends matrix-vector products, such as a width-1 output layer's, to gemm.
-        wrong = tmp_path / "wrong.c"
-        wrong.write_text(source.replace("if (m == 1 || n == 1 || p == 1) {",
-                                        "if (m == 1 || n == 1) {"))
-        assert wrong.read_text() != source
-        monkeypatch.setattr(adam, "_SOURCE", wrong)
-        assert adam.load_kernel() is None
-        # The source builds and loads: the forward/backward check is what refuses it.
-        monkeypatch.setattr(adam, "_fwd_bwd_check", lambda kernel: True)
-        assert adam.load_kernel() is not None
+        check = adam._fwd_bwd_check
+        mutations = [
+            ("a_m * s, a_n * s", "a_n * s, a_m * s"),  # the left operand's strides swapped
+            ("if (width == 1) {", "if (width == 0) {"),  # a single column summed row by row
+            ("out[j] = 0.0;", "out[j] = -0.0;"),  # column sums started from -0.0
+        ]
+        for i, (old, new) in enumerate(mutations):
+            assert source.count(old) == 1, old
+            wrong = tmp_path / f"wrong-{i}.c"
+            wrong.write_text(source.replace(old, new))
+            monkeypatch.setattr(adam, "_SOURCE", wrong)
+            monkeypatch.setattr(adam, "_fwd_bwd_check", check)
+            assert adam.load_kernel() is None, new
+            # The source builds and loads: the forward/backward check is what refuses it.
+            monkeypatch.setattr(adam, "_fwd_bwd_check", lambda kernel: True)
+            assert adam.load_kernel() is not None, new
 
-    def test_missing_blas_keeps_the_native_adam(self, kernel, tmp_path, monkeypatch):
+    def test_no_float64_loop_falls_back_to_numpy(self, kernel, tmp_path, monkeypatch):
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-        monkeypatch.setattr(adam, "_BLAS_SYMBOLS", ("no_dgemm", "no_dgemv", "no_ddot"))
-        adam_only = adam.load_kernel()
-        assert adam_only is not None and adam_only.fwd_bwd is None
-        got, got_log, got_paths = train_recording_paths(
-            monkeypatch, adam_only, self.MLP, 30, self.TCFG)
-        want, want_log, want_paths = train_recording_paths(
-            monkeypatch, kernel, self.MLP, 30, self.TCFG)
-        assert (got_paths, want_paths) == ({"numpy"}, {"native"})
-        assert np.array_equal(got, want)
-        assert got_log == want_log
+
+        def missing(ufunc):
+            raise LookupError(f"{ufunc.__name__} has no float64 loop")
+
+        monkeypatch.setattr(adam, "_float64_loop", missing)
+        assert adam.load_kernel() is None
+
+    def test_float64_loop_lookup(self):
+        assert adam._float64_loop(np.matmul) and adam._float64_loop(np.add)
+        with pytest.raises(LookupError):
+            adam._float64_loop(np.bitwise_and)
+
+    def test_products_and_single_column_sums_run_numpys_loops(self, kernel, tmp_path,
+                                                              monkeypatch):
+        # Hand the library counting loops that forward to numpy's, then run one batch.
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        loop_type = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 4)
+        calls = {"matmul": 0, "add": 0}
+
+        def counting(ufunc):
+            real = loop_type(adam._float64_loop(ufunc))
+
+            def loop(*args):
+                calls[ufunc.__name__] += 1
+                real(*args)
+
+            return loop_type(loop)
+
+        loops = {ufunc.__name__: counting(ufunc) for ufunc in (np.matmul, np.add)}
+        monkeypatch.setattr(adam, "_float64_loop", lambda ufunc: ctypes.cast(
+            loops[ufunc.__name__], ctypes.c_void_p).value)
+        counted = adam.load_kernel()
+        assert counted is not None and calls["matmul"] > 0 and calls["add"] > 0
+        mlp = self.MLP
+        rng = np.random.default_rng(3)
+        model = init_model(mlp, seed=4)
+        xs, ts = rng.random((30, mlp.input_dim)), rng.normal(size=(30, 1))
+        grad = np.empty_like(model.theta)
+        want = SurrogateModel(mlp, np.empty_like(model.theta))
+        run = adam.fwd_bwd_binder(counted, model.theta, grad, (mlp.input_dim, *mlp.hidden, 1),
+                                  mlp.leaky_slope, 30)(xs, ts, None)
+        calls.update(matmul=0, add=0)
+        run(0, 30)
+        # Two layers: two forward products, two weight-gradient products, one input
+        # gradient; one single-column bias sum, for the output layer.
+        assert calls == {"matmul": 5, "add": 1}
+        surrogate._loss_and_grads(model, xs, ts, None, 0, 30, want.weights, want.biases)
+        assert grad.tobytes() == want.theta.tobytes()
+
+    def test_source_compiles_without_warnings(self, tmp_path):
+        cc = shutil.which("cc")
+        if cc is None:
+            pytest.skip("no C compiler")
+        subprocess.run([cc, *adam._CFLAGS, "-Wall", "-Wextra", "-Werror", str(adam._SOURCE),
+                        "-o", str(tmp_path / "native.so")], check=True, timeout=120)
 
     def test_no_kernel_runs_numpy_for_both(self, kernel, monkeypatch):
         calls = []
