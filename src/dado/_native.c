@@ -1,16 +1,18 @@
-/* Native kernels of the surrogate's train step: the Adam update and one
- * batch's forward and backward pass.
+/* Native kernels: the surrogate's train step (the Adam update and one batch's
+ * forward and backward pass) and the pool CSV writer's float formatter.
  *
- * Both give the same bits as their numpy references (dado.adam.adam_numpy and
- * dado.surrogate._loss_and_grads) when built without FMA contraction and
- * without fast-math: each element goes through the same IEEE double
- * operations in the same order, and every matrix product and single-column
- * sum runs numpy's own float64 loop with the arguments numpy would give it.
+ * The train step gives the same bits as its numpy references
+ * (dado.adam.adam_numpy and dado.surrogate._loss_and_grads) when built without
+ * FMA contraction and without fast-math: each element goes through the same
+ * IEEE double operations in the same order, and every matrix product and
+ * single-column sum runs numpy's own float64 loop with the arguments numpy
+ * would give it. The formatter writes each double as Python's repr does.
  */
 
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
+#include <string.h>
 
 /* One Adam step over a flat parameter vector, in place:
  *
@@ -157,4 +159,217 @@ void dado_fwd_bwd(const int64_t *dims, int64_t layers, double slope,
             g = g_in;
         }
     }
+}
+
+
+/* Ryu's 125-bit multipliers (Ulf Adams, "Ryu: fast float-to-string
+ * conversion", PLDI 2018), as (low, high) 64-bit words, set by
+ * dado_set_pow5: pow5_inv[q] = floor(2^(bitlen(5^q) - 1 + 125) / 5^q) + 1 and
+ * pow5[i] = the top 125 bits of 5^i. */
+#define POW5_INV_COUNT 342
+#define POW5_COUNT 326
+static uint64_t pow5_inv[POW5_INV_COUNT][2], pow5[POW5_COUNT][2];
+
+void dado_set_pow5(const uint64_t *inv, const uint64_t *pos)
+{
+    memcpy(pow5_inv, inv, sizeof pow5_inv);
+    memcpy(pow5, pos, sizeof pow5);
+}
+
+/* bitlen(5^e), which is 1 for e = 0; for 0 <= e <= 3528. */
+static int32_t pow5bits(int32_t e)
+{
+    return (int32_t)(((uint32_t)e * 1217359) >> 19) + 1;
+}
+
+/* floor(log10(2^e)) for 0 <= e <= 1650, floor(log10(5^e)) for 0 <= e <= 2620. */
+static uint32_t log10_pow2(int32_t e) { return ((uint32_t)e * 78913) >> 18; }
+static uint32_t log10_pow5(int32_t e) { return ((uint32_t)e * 732923) >> 20; }
+
+static int multiple_of_pow5(uint64_t value, uint32_t p)
+{
+    uint32_t count = 0;
+    for (; value % 5 == 0; value /= 5)
+        ++count;
+    return count >= p;
+}
+
+static int multiple_of_pow2(uint64_t value, uint32_t p)
+{
+    return (value & ((1ull << p) - 1)) == 0;
+}
+
+/* (m * mul) >> j for a 125-bit mul; j is at least 64. */
+static uint64_t mul_shift(uint64_t m, const uint64_t *mul, int32_t j)
+{
+    const unsigned __int128 low = (unsigned __int128)m * mul[0];
+    const unsigned __int128 high = (unsigned __int128)m * mul[1];
+    return (uint64_t)(((low >> 64) + high) >> (j - 64));
+}
+
+/* The shortest decimal digits * 10^*exponent that read back as the finite,
+ * non-zero double with these IEEE fields, the closest to it when several are
+ * shortest: Ryu's d2d. */
+static uint64_t shortest(uint64_t ieee_mantissa, uint32_t ieee_exponent, int32_t *exponent)
+{
+    /* The value is mv * 2^e2, and the numbers that read back as it run from
+     * (mv - 1 - mm_shift) * 2^e2 to (mv + 2) * 2^e2, the ends included when
+     * the mantissa is even (reading rounds half to even). mm_shift is 0 at a
+     * power of two, where the spacing below halves. */
+    const int32_t e2 = (ieee_exponent ? (int32_t)ieee_exponent : 1) - 1023 - 52 - 2;
+    const uint64_t m2 = ieee_exponent ? (1ull << 52) | ieee_mantissa : ieee_mantissa;
+    const int accept_bounds = (m2 & 1) == 0;
+    const uint64_t mv = 4 * m2;
+    const uint32_t mm_shift = ieee_mantissa != 0 || ieee_exponent <= 1;
+
+    uint64_t vr, vp, vm;
+    int32_t e10;
+    int vm_trailing_zeros = 0, vr_trailing_zeros = 0;
+    if (e2 >= 0) {
+        const uint32_t q = log10_pow2(e2) - (e2 > 3);
+        const int32_t j = -e2 + (int32_t)q + 125 + pow5bits((int32_t)q) - 1;
+        e10 = (int32_t)q;
+        vr = mul_shift(mv, pow5_inv[q], j);
+        vp = mul_shift(mv + 2, pow5_inv[q], j);
+        vm = mul_shift(mv - 1 - mm_shift, pow5_inv[q], j);
+        if (q <= 21) {
+            /* Only one of mv, mv + 2 and mv - 1 - mm_shift can be a multiple of 5. */
+            if (mv % 5 == 0)
+                vr_trailing_zeros = multiple_of_pow5(mv, q);
+            else if (accept_bounds)
+                vm_trailing_zeros = multiple_of_pow5(mv - 1 - mm_shift, q);
+            else
+                vp -= multiple_of_pow5(mv + 2, q);
+        }
+    } else {
+        const uint32_t q = log10_pow5(-e2) - (-e2 > 1);
+        const int32_t i = -e2 - (int32_t)q;
+        const int32_t j = (int32_t)q - (pow5bits(i) - 125);
+        e10 = (int32_t)q + e2;
+        vr = mul_shift(mv, pow5[i], j);
+        vp = mul_shift(mv + 2, pow5[i], j);
+        vm = mul_shift(mv - 1 - mm_shift, pow5[i], j);
+        if (q <= 1) {
+            /* mv has at least two trailing zero bits, mv + 2 one, and
+             * mv - 1 - mm_shift one when mm_shift is 1. */
+            vr_trailing_zeros = 1;
+            if (accept_bounds)
+                vm_trailing_zeros = mm_shift == 1;
+            else
+                --vp;
+        } else if (q < 63) {
+            vr_trailing_zeros = multiple_of_pow2(mv, q);
+        }
+    }
+
+    /* Drop digits while the interval still holds a shorter number. */
+    int32_t removed = 0;
+    uint32_t last_removed = 0;
+    while (vp / 10 > vm / 10) {
+        vm_trailing_zeros &= vm % 10 == 0;
+        vr_trailing_zeros &= last_removed == 0;
+        last_removed = (uint32_t)(vr % 10);
+        vr /= 10;
+        vp /= 10;
+        vm /= 10;
+        ++removed;
+    }
+    if (vm_trailing_zeros) {
+        while (vm % 10 == 0) {
+            vr_trailing_zeros &= last_removed == 0;
+            last_removed = (uint32_t)(vr % 10);
+            vr /= 10;
+            vp /= 10;
+            vm /= 10;
+            ++removed;
+        }
+    }
+    if (vr_trailing_zeros && last_removed == 5 && vr % 2 == 0)
+        last_removed = 4; /* exactly half-way: round to even */
+    *exponent = e10 + removed;
+    return vr + ((vr == vm && (!accept_bounds || !vm_trailing_zeros)) || last_removed >= 5);
+}
+
+static char *put(char *p, const char *text, size_t n)
+{
+    memcpy(p, text, n);
+    return p + n;
+}
+
+/* Write x as repr(x) writes it, and return the end. Positional notation when
+ * -4 < decpt <= 16, where the value is 0.DIGITS * 10^decpt, with ".0" after an
+ * integral value; otherwise D.DDDe+XX, with at least two exponent digits. At
+ * most 24 bytes. */
+static char *format_double(double x, char *p)
+{
+    uint64_t bits;
+    memcpy(&bits, &x, sizeof bits);
+    const uint64_t mantissa = bits & ((1ull << 52) - 1);
+    const uint32_t ieee_exponent = (uint32_t)(bits >> 52) & 0x7ff;
+    if (ieee_exponent == 0x7ff && mantissa)
+        return put(p, "nan", 3);
+    if (bits >> 63)
+        *p++ = '-';
+    if (ieee_exponent == 0x7ff)
+        return put(p, "inf", 3);
+    if (ieee_exponent == 0 && mantissa == 0)
+        return put(p, "0.0", 3);
+
+    int32_t exponent;
+    uint64_t digits = shortest(mantissa, ieee_exponent, &exponent);
+    char text[20];
+    int n = 0;
+    for (; digits; digits /= 10)
+        text[19 - n++] = (char)('0' + digits % 10);
+    const char *d = text + 20 - n;
+    const int32_t decpt = exponent + n;
+
+    if (decpt > -4 && decpt <= 16) {
+        if (decpt <= 0) {
+            p = put(p, "0.000", 2 - decpt);
+            return put(p, d, n);
+        }
+        if (decpt < n) {
+            p = put(p, d, decpt);
+            *p++ = '.';
+            return put(p, d + decpt, n - decpt);
+        }
+        p = put(p, d, n);
+        for (int i = n; i < decpt; ++i)
+            *p++ = '0';
+        return put(p, ".0", 2);
+    }
+    *p++ = d[0];
+    if (n > 1) {
+        *p++ = '.';
+        p = put(p, d + 1, n - 1);
+    }
+    int32_t e = decpt - 1;
+    *p++ = 'e';
+    *p++ = e < 0 ? '-' : '+';
+    e = e < 0 ? -e : e;
+    if (e >= 100) {
+        *p++ = (char)('0' + e / 100);
+        e %= 100;
+    }
+    *p++ = (char)('0' + e / 10);
+    *p++ = (char)('0' + e % 10);
+    return p;
+}
+
+/* Write rows x cols doubles of the row-major table as CSV text into out:
+ * each row as ",".join(map(repr, row)) + "\r\n". out holds at least
+ * rows * (cols * 25 + 1) bytes; returns the number written. */
+int64_t dado_format_rows(char *out, int64_t cols, const double *table, int64_t rows)
+{
+    char *p = out;
+    for (int64_t i = 0; i < rows; ++i) {
+        for (int64_t j = 0; j < cols; ++j) {
+            p = format_double(table[i * cols + j], p);
+            *p++ = ',';
+        }
+        p[-1] = '\r'; /* in place of the row's last comma */
+        *p++ = '\n';
+    }
+    return p - out;
 }

@@ -1,25 +1,34 @@
-"""The native train step: a fused C Adam loop and a C forward/backward pass.
+"""The native kernels: a fused C Adam loop, a C forward/backward pass and a C
+float formatter for pool CSVs.
 
-`_native.c` holds both kernels. The Adam loop does `adam_numpy`'s IEEE
+`_native.c` holds all three. The Adam loop does `adam_numpy`'s IEEE
 operations in the same order. The forward/backward pass does those of
 `dado.surrogate._loss_and_grads`, and runs each matrix product and each
 single-column sum through numpy's own float64 inner loop of `np.matmul` or
 `np.add`, found through the ufunc objects. Built without FMA contraction and
-without fast-math, both give numpy's bits. The C file is compiled on first use
-into `$XDG_CACHE_HOME/dado` (default `~/.cache/dado`), or into a private
-temporary directory when that one is not writable. The loaded kernels are used
-only after a self-check on fixed inputs matches the numpy paths bit for bit.
-With no compiler, a failed build or load, no float64 loop to call, or a failed
-self-check, training runs numpy for both, with the same results, only slower.
+without fast-math, both give numpy's bits. The formatter writes CSV rows byte
+for byte as `repr_rows` does: it finds each double's shortest round-trip
+digits with Ryu (Ulf Adams, PLDI 2018), whose multiplier tables are computed
+here from exact integers when the library loads, and lays them out as `repr`
+does. The C file is compiled on first use into `$XDG_CACHE_HOME/dado`
+(default `~/.cache/dado`), or into a private temporary directory when that
+one is not writable; a new build deletes this architecture's libraries of
+other sources or flags. The loaded kernels are used only after a self-check
+on fixed inputs matches the Python paths bit for bit and byte for byte. With
+no compiler, a failed build or load, no float64 loop to call, or a failed
+self-check, training runs numpy and pools are written through `repr`, with
+the same results, only slower.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import hashlib
 import os
 import platform
+import re
 import shutil
 import subprocess
 import tempfile
@@ -37,6 +46,7 @@ class Kernels(NamedTuple):
 
     adam: Callable
     fwd_bwd: Callable
+    format_rows: Callable
 
 
 def adam_numpy(theta, grad, m, v, scratch, beta1, beta2, eps, inv_bc2, step_size) -> None:
@@ -64,8 +74,7 @@ def adam_updater(kernel, theta, grad, m, v, *, learning_rate, beta1, beta2, eps)
     """Return `update(step)`, which applies Adam step number `step` (from 1) in place.
 
     `kernel` is `native_kernel()`'s result; None selects the numpy path. The
-    array pointers are read once here, so the caller keeps the arrays alive
-    while `update` may run.
+    array pointers are read once here, and `update` holds the arrays.
     """
     if kernel is None:
         scratch = np.empty_like(theta)
@@ -102,8 +111,7 @@ def fwd_bwd_binder(kernel, theta, grad, dims, slope, batch_size):
     MSE of rows start:stop into grad, as `dado.surrogate._loss_and_grads`
     does; it needs 0 <= start < stop <= len(xs) and at most `batch_size`
     rows, and does not check them. Addresses are read once here and once per
-    `bind`, so the caller keeps theta, grad, xs, ts and masks alive while
-    `run` may be called.
+    `bind`, and `run` holds the arrays behind them.
     """
     if kernel is None:
         return None
@@ -130,8 +138,38 @@ def fwd_bwd_binder(kernel, theta, grad, dims, slope, batch_size):
     return bind
 
 
+def repr_rows(block) -> bytes:
+    """The CSV text of a 2-D float block: each row as its cells' `repr`, comma-separated,
+    ended by CRLF. The reference for the C formatter."""
+    return "".join(",".join(map(repr, row)) + "\r\n" for row in block.tolist()).encode()
+
+
+def csv_formatter(kernel, cols: int, rows: int):
+    """Return `text(block)`, `repr_rows` through the C formatter; None without a kernel.
+
+    `block` is a C-contiguous float64 array of at most `rows` rows of `cols`
+    cells; its text is formatted into one buffer kept for every call and
+    returned as bytes.
+    """
+    if kernel is None:
+        return None
+    if cols < 1:
+        raise ValueError("a CSV row needs at least one cell")
+    buffer = np.empty(rows * (cols * 25 + 1), dtype=np.uint8)
+    fill = functools.partial(kernel.format_rows, _address(buffer), ctypes.c_int64(cols))
+
+    def text(block) -> bytes:
+        if (block.ndim != 2 or block.shape[1] != cols or len(block) > rows
+                or block.dtype != np.float64 or not block.flags.c_contiguous):
+            raise ValueError(f"expected a contiguous float64 array of at most {rows} x {cols}")
+        return buffer[:fill(_address(block), len(block))].tobytes()
+
+    return text
+
+
 def _address(a) -> ctypes.c_void_p:
-    return ctypes.c_void_p(a.ctypes.data)
+    """`a`'s data pointer, holding a reference to `a` so whatever keeps the pointer keeps `a`."""
+    return a.ctypes.data_as(ctypes.c_void_p)
 
 
 def _check_vector(a, size: int) -> None:
@@ -183,12 +221,14 @@ def load_kernel():
             try:
                 directory.mkdir(parents=True, exist_ok=True)
                 _compile(cc, source, directory, target)
+                _remove_stale_builds(directory, name)
             except OSError:
                 private = directory = Path(tempfile.mkdtemp(prefix="dado-"))
                 target = directory / name
                 _compile(cc, source, directory, target)
         lib = ctypes.CDLL(str(target))
         adam, fwd_bwd, set_loops = lib.dado_adam_step, lib.dado_fwd_bwd, lib.dado_set_loops
+        format_rows, set_pow5 = lib.dado_format_rows, lib.dado_set_pow5
         loops = [_float64_loop(ufunc) for ufunc in (np.matmul, np.add)]
     except (OSError, AttributeError, LookupError, subprocess.SubprocessError):
         return None
@@ -202,8 +242,40 @@ def load_kernel():
     fwd_bwd.restype = None
     set_loops.argtypes, set_loops.restype = [ctypes.c_void_p] * 2, None
     set_loops(*loops)
-    kernel = Kernels(adam, fwd_bwd)
-    return kernel if _adam_check(kernel) and _fwd_bwd_check(kernel) else None
+    format_rows.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64]
+    format_rows.restype = ctypes.c_int64
+    set_pow5.argtypes, set_pow5.restype = [ctypes.c_void_p] * 2, None
+    inverse, power = _pow5_tables()
+    set_pow5(_address(inverse), _address(power))  # copied into the library
+    kernel = Kernels(adam, fwd_bwd, format_rows)
+    checks = (_adam_check, _fwd_bwd_check, _format_check)
+    return kernel if all(check(kernel) for check in checks) else None
+
+
+def _remove_stale_builds(directory: Path, current: str) -> None:
+    """Delete this architecture's libraries of other sources or flags from the cache.
+
+    Libraries built for other architectures stay, for hosts sharing the cache.
+    A library another process has loaded stays mapped, so deleting it is safe.
+    """
+    stale = re.compile(rf"(adam|native)-({re.escape(platform.machine())}-)?[0-9a-f]{{20}}\.so")
+    for path in directory.iterdir():
+        if path.name != current and stale.fullmatch(path.name):
+            with contextlib.suppress(OSError):
+                path.unlink()
+
+
+def _pow5_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Ryu's multipliers from exact integers, each as its (low, high) 64-bit words.
+
+    For q < 342, floor(2^(bitlen(5^q) - 1 + 125) / 5^q) + 1; for i < 326, the
+    top 125 bits of 5^i.
+    """
+    powers = [5**q for q in range(342)]
+    inverse = [(1 << p.bit_length() + 124) // p + 1 for p in powers]
+    power = [(p << 125) >> p.bit_length() for p in powers[:326]]
+    return tuple(np.array([(x & (2**64 - 1), x >> 64) for x in xs], dtype=np.uint64)
+                 for xs in (inverse, power))
 
 
 class _UFuncObject(ctypes.Structure):
@@ -282,6 +354,33 @@ def _fwd_bwd_check(kernel) -> bool:
         if grad.tobytes() != expected.theta.tobytes():
             return False
     return True
+
+
+def _format_check(kernel) -> bool:
+    """Format fixed values through the C writer; True when its bytes equal `repr_rows`'.
+
+    The values take every layout branch of `repr`: zeros of both signs,
+    subnormals, the largest double, inf and nan, integral values, each side of
+    the 1e-4 and 1e16 switches to exponent notation, three-digit exponents,
+    powers of two and ten, and random values, scales and bit patterns; in
+    rows of eight cells, and the last eight again as rows of one cell.
+    """
+    rng = np.random.default_rng(2018)
+    values = np.concatenate([
+        [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.225073858507201e-308, 2.2250738585072014e-308,
+         1.7976931348623157e308, -1.7976931348623157e308, np.inf, -np.inf, np.nan, 1.0, -2.0,
+         100.0, 0.5, 0.1, 0.3, 1 / 3, 1e-4, 1e-5, 9.999999999999999e-5, 0.00012345, -0.001,
+         9999999999999998.0, 1e16, 1.2345678901234568e17, 123456789012345.67, 1e22, 1e23,
+         1.5e100, 1e-100, 9007199254740993.0, 4.35e-7, 123.456,
+         # Ryu's exact-quotient cases: a decimal, a 17-digit integer, an 18-digit tie.
+         7.502e21, 2.8068057562258348e16, 2.9802322387695312e-08],
+        2.0 ** np.arange(-1074, 1024, 41), 10.0 ** np.arange(-24, 25, 3),
+        rng.random(64), rng.random(32) * 10.0 ** rng.integers(-30, 31, 32),
+        rng.integers(0, 10**17, 16).astype(np.float64),
+        rng.integers(0, 2**64, 64, dtype=np.uint64).view(np.float64),
+    ])
+    tables = (values[:len(values) // 8 * 8].reshape(-1, 8), values[-8:].reshape(-1, 1))
+    return all(csv_formatter(kernel, t.shape[1], len(t))(t) == repr_rows(t) for t in tables)
 
 
 @functools.cache

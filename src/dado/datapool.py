@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .adam import csv_formatter, native_kernel, repr_rows
 from .errors import (
     AlreadyConsumed,
     DegenerateInput,
@@ -28,6 +29,7 @@ from .errors import (
 )
 
 TARGET_STD_FLOOR = 1e-12
+SAVE_CHUNK_ROWS = 4096
 
 
 @dataclass
@@ -172,14 +174,18 @@ def load_pool(path, d: int, num_obj: int) -> CandidatePool:
 def save_pool(pool: CandidatePool, path) -> None:
     """Write the standard pool CSV: header p0..p{d-1},j0..j{num_obj-1}, one row per id.
 
-    Floats are written with shortest round-trip formatting, so identical pools
-    serialize to identical bytes.
+    Each float is written as its `repr`, the shortest text that reads back to
+    it, so identical pools serialize to identical bytes. The rows go out in
+    chunks, through the C formatter when it loaded and `repr` otherwise, with
+    the same bytes.
     """
     header = [f"p{i}" for i in range(pool.d)] + [f"j{i}" for i in range(pool.num_obj)]
-    table = np.hstack([pool.params, pool.objectives]).tolist()
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\r\n")
-        fh.writelines(",".join(map(repr, row)) + "\r\n" for row in table)
+    table = np.hstack([pool.params, pool.objectives])
+    format_rows = csv_formatter(native_kernel(), table.shape[1], SAVE_CHUNK_ROWS) or repr_rows
+    with open(path, "wb") as fh:
+        fh.write(",".join(header).encode() + b"\r\n")
+        for start in range(0, len(table), SAVE_CHUNK_ROWS):
+            fh.write(format_rows(table[start:start + SAVE_CHUNK_ROWS]))
 
 
 def infer_pool_schema(path) -> tuple[int, int]:

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dado import datapool
 from dado.adam import native_kernel
 from dado.cli import ITERATIONS_HEADER, RUN_KEYS, SWEEP_KEYS, build_parser, main
 from dado.datapool import load_pool
@@ -572,6 +573,12 @@ class TestGoldenDigests:
                        "--seed", 3, "--out", pool) == 0
         assert self.digest(pool) == GOLDEN_SHA256["pool.csv"]
         return pool
+
+    def test_pool_on_both_writers(self, tmp_path, monkeypatch):
+        # The C formatter (when it loads) above, then the `repr` writer.
+        self.golden_pool(tmp_path)
+        monkeypatch.setattr(datapool, "native_kernel", lambda: None)
+        self.golden_pool(tmp_path)
 
     def test_run_outputs(self, tmp_path):
         pool = self.golden_pool(tmp_path)

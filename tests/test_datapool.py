@@ -1,9 +1,20 @@
-"""Pool loading, sampling, consumption, and normalizer behavior."""
+"""Pool loading, saving, sampling, consumption, and normalizer behavior."""
+
+import math
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dado
+from dado import adam, datapool
+from dado.adam import csv_formatter, native_kernel, repr_rows
 from dado.datapool import (
+    SAVE_CHUNK_ROWS,
     bootstrap_draw,
     consume,
     fit_normalizers,
@@ -342,3 +353,127 @@ class TestPoolInvariants:
             pool.objectives[0, 0] = 1.0
         params[0, 0] = 1.0  # the pool holds its own copy
         assert pool.params[0, 0] == 0.0
+
+
+@pytest.fixture(scope="module")
+def kernel():
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler, so pools are written through repr only")
+    k = native_kernel()
+    assert k is not None, "the native library failed to build, load or pass its self-check"
+    return k
+
+
+def hard_floats(rng):
+    """About 2e5 doubles over every path of the shortest-digit search and of repr's layout."""
+    bits = rng.integers(0, 2**64, 100_000, dtype=np.uint64).view(np.float64)
+    edges = np.array([
+        0.0, 5e-324, 2.225073858507201e-308, 2.2250738585072014e-308, 1.7976931348623157e308,
+        1e-5, 1e-4, 9.999999999999999e-5, 0.00010000000000000002, 9999999999999998.0, 1e16,
+        1.0000000000000002e16, 1.2345678901234568e17, 1e100, 1.5e-100, 2.5e-300, 1e308,
+    ])
+    edges = np.concatenate([edges, 2.0 ** np.arange(-1074, 1024)])
+    odd, shift = np.meshgrid(np.arange(1, 2**10, 2), np.arange(1, 81))
+    return np.concatenate([
+        bits[np.isfinite(bits)],
+        rng.random(50_000),
+        rng.random(20_000) * 10.0 ** rng.integers(-30, 31, 20_000),
+        rng.integers(0, 10**17, 10_000).astype(np.float64),
+        rng.integers(2**52, 2**55, 10_000).astype(np.float64),  # 17-digit integers
+        rng.integers(1, 10**4, 10_000) * 10.0 ** rng.integers(0, 23, 10_000),  # exact decimals
+        (odd * 2.0 ** -shift).ravel(),  # exact binary fractions, some 18-digit ties
+        rng.integers(1, 2**52, 10_000, dtype=np.uint64).view(np.float64),  # subnormals
+        edges, -edges,
+    ])
+
+
+def table_of(pool):
+    return np.hstack([pool.params, pool.objectives])
+
+
+class TestPoolWriter:
+    """The C formatter writes pool CSVs byte for byte as `repr` does."""
+
+    def test_native_rows_are_repr_rows(self, kernel):
+        values = hard_floats(np.random.default_rng(16))
+        whole = len(values) // 30 * 30
+        for table in (values[:whole].reshape(-1, 30), values[whole:].reshape(-1, 1)):
+            got = csv_formatter(kernel, table.shape[1], len(table))(table)
+            assert got.splitlines() == repr_rows(table).splitlines()
+
+    @pytest.mark.parametrize("rows", [1, 2 * SAVE_CHUNK_ROWS + 3])
+    def test_save_pool_writes_the_same_bytes_on_both_paths(self, kernel, tmp_path, monkeypatch,
+                                                           rows):
+        pool = gen_synthetic_pool(rows, 5, seed=rows)
+        chunks = []
+        formatter = datapool.csv_formatter
+
+        def counting(*args):
+            run = formatter(*args)
+            return lambda block: chunks.append(len(block)) or run(block)
+
+        monkeypatch.setattr(datapool, "csv_formatter", counting)
+        save_pool(pool, tmp_path / "native.csv")
+        assert sum(chunks) == rows and len(chunks) == math.ceil(rows / SAVE_CHUNK_ROWS)
+        monkeypatch.setattr(datapool, "csv_formatter", formatter)
+        monkeypatch.setattr(datapool, "native_kernel", lambda: None)
+        save_pool(pool, tmp_path / "repr.csv")
+        native = (tmp_path / "native.csv").read_bytes()
+        assert native == (tmp_path / "repr.csv").read_bytes()
+        assert native == b"p0,p1,p2,p3,p4,j0,j1\r\n" + repr_rows(table_of(pool))
+
+    def test_formatter_checks_its_block(self, kernel):
+        run = csv_formatter(kernel, 3, 4)
+        for block in (np.zeros((5, 3)), np.zeros((4, 2)), np.zeros((4, 6))[:, ::2],
+                      np.zeros((4, 3), dtype=np.float32)):
+            with pytest.raises(ValueError):
+                run(block)
+        assert csv_formatter(None, 3, 4) is None
+
+    def test_mutant_formatter_fails_the_self_check(self, kernel, tmp_path, monkeypatch):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        source = adam._SOURCE.read_text()
+        check = adam._format_check
+        mutations = [
+            ('return put(p, ".0", 2);', "return p;"),  # integral values lose their ".0"
+            ("decpt <= 16) {", "decpt <= 17) {"),  # 1e16 written positionally
+            ("decpt > -4 &&", "decpt > -5 &&"),  # 1e-05 written positionally
+        ]
+        for i, (old, new) in enumerate(mutations):
+            assert source.count(old) == 1, old
+            wrong = tmp_path / f"wrong-{i}.c"
+            wrong.write_text(source.replace(old, new))
+            monkeypatch.setattr(adam, "_SOURCE", wrong)
+            monkeypatch.setattr(adam, "_format_check", check)
+            assert adam.load_kernel() is None, new
+            # The source builds and loads: the formatter check is what refuses it.
+            monkeypatch.setattr(adam, "_format_check", lambda kernel: True)
+            assert adam.load_kernel() is not None, new
+
+    def test_no_undefined_behaviour(self, kernel, tmp_path):
+        # Ryu's shifts and 128-bit products, built with UBSan at -O3 and run on random bits.
+        sanitize = ("-fsanitize=undefined", "-fno-sanitize-recover=all")
+        probe = tmp_path / "probe.c"
+        probe.write_text("int probe(int x) { return x + 1; }\n")
+        built = subprocess.run([shutil.which("cc"), *adam._CFLAGS, *sanitize, str(probe),
+                                "-o", str(tmp_path / "probe.so")], capture_output=True)
+        if built.returncode != 0:
+            pytest.skip("no UBSan runtime")
+        script = f"""
+import sys
+import numpy as np
+from dado import adam
+adam._CFLAGS += {sanitize!r}
+kernel = adam.load_kernel()
+if kernel is None:
+    sys.exit("the sanitized library failed to build, load or pass its self-check")
+table = np.random.default_rng(0).integers(0, 2**64, 100_000, dtype=np.uint64)
+table = table.view(np.float64).reshape(-1, 25)
+sys.exit(adam.csv_formatter(kernel, 25, len(table))(table) != adam.repr_rows(table))
+"""
+        env = {**os.environ, "XDG_CACHE_HOME": str(tmp_path / "cache"),
+               "PYTHONPATH": str(Path(dado.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert "runtime error" not in done.stderr

@@ -1,6 +1,7 @@
 """MLP init, forward/backward correctness, training protocol, Adam, prediction."""
 
 import ctypes
+import gc
 import math
 import platform
 import shutil
@@ -363,6 +364,21 @@ class TestAdam:
         built = sorted(f.name for f in (tmp_path / "dado").iterdir())
         assert len(built) == 2 and all(name.startswith("native-") for name in built)
 
+    def test_a_new_build_deletes_stale_builds(self, kernel, tmp_path, monkeypatch):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        cache = tmp_path / "dado"
+        cache.mkdir()
+        stale = [f"adam-{'1' * 20}.so", f"native-{'2' * 20}.so",
+                 f"native-{platform.machine()}-{'3' * 20}.so"]
+        # Another file, another architecture's library, another process's build in progress.
+        kept = ["notes.txt", f"native-other-arch-{'4' * 20}.so", ".native-x1y2z3.so"]
+        for name in stale + kept:
+            (cache / name).write_bytes(b"")
+        assert adam.load_kernel() is not None
+        built = {f.name for f in cache.iterdir()}.difference(kept)
+        assert len(built) == 1 and built.pop().startswith(f"native-{platform.machine()}-")
+        assert all((cache / name).exists() for name in kept)
+
     def test_unwritable_cache_builds_in_a_private_directory(self, kernel, tmp_path, monkeypatch):
         blocker = tmp_path / "not-a-directory"
         blocker.write_text("")
@@ -658,6 +674,24 @@ class TestNativePass:
             surrogate._loss_and_grads(model, xs, ts, masks, start, stop,
                                       want.weights, want.biases)
             assert grad.tobytes() == want.theta.tobytes(), (start, stop)
+
+    def test_bound_pass_holds_its_arrays(self, kernel):
+        # `bind` gets temporaries only; freed arrays would leave `run` reading reused memory.
+        mlp = self.MLP
+        rng = np.random.default_rng(8)
+        model = init_model(mlp, seed=5)
+        xs, ts = rng.random((30, mlp.input_dim)), rng.normal(size=(30, 1))
+        masks = surrogate._dropout_masks(rng, 30, mlp)
+        grad = np.empty_like(model.theta)
+        run = adam.fwd_bwd_binder(kernel, model.theta, grad, (mlp.input_dim, *mlp.hidden, 1),
+                                  mlp.leaky_slope, 30)(xs.copy(), ts.copy(), masks.copy())
+        gc.collect()
+        clobber = [np.full_like(a, np.nan) for a in (xs, ts, masks) for _ in range(4)]
+        run(0, 30)
+        want = SurrogateModel(mlp, np.empty_like(model.theta))
+        surrogate._loss_and_grads(model, xs, ts, masks, 0, 30, want.weights, want.biases)
+        assert grad.tobytes() == want.theta.tobytes()
+        del clobber
 
     def test_wrong_dispatch_fails_the_self_check(self, kernel, tmp_path, monkeypatch):
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
