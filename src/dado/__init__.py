@@ -20,7 +20,6 @@ from .datapool import (
     bootstrap_draw,
     consume,
     fit_normalizers,
-    infer_pool_schema,
     initial_sample,
     load_pool,
     pool_from_arrays,

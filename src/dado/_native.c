@@ -1,12 +1,14 @@
 /* Native kernels: the surrogate's train step (the Adam update and one batch's
- * forward and backward pass) and the pool CSV writer's float formatter.
+ * forward and backward pass), the pool CSV writer's float formatter and the
+ * pool CSV reader.
  *
  * The train step gives the same bits as its numpy references
  * (dado.adam.adam_numpy and dado.surrogate._loss_and_grads) when built without
  * FMA contraction and without fast-math: each element goes through the same
  * IEEE double operations in the same order, and every matrix product and
  * single-column sum runs numpy's own float64 loop with the arguments numpy
- * would give it. The formatter writes each double as Python's repr does.
+ * would give it. The formatter writes each double as Python's repr does; the
+ * reader reads the decimals the formatter writes to the double float() gives.
  */
 
 #include <math.h>
@@ -163,7 +165,8 @@ void dado_fwd_bwd(const int64_t *dims, int64_t layers, double slope,
 
 
 /* Ryu's 125-bit multipliers (Ulf Adams, "Ryu: fast float-to-string
- * conversion", PLDI 2018), as (low, high) 64-bit words, set by
+ * conversion", PLDI 2018), shared by the formatter and the reader (Ryu's s2d),
+ * as (low, high) 64-bit words, set by
  * dado_set_pow5: pow5_inv[q] = floor(2^(bitlen(5^q) - 1 + 125) / 5^q) + 1 and
  * pow5[i] = the top 125 bits of 5^i. */
 #define POW5_INV_COUNT 342
@@ -372,4 +375,135 @@ int64_t dado_format_rows(char *out, int64_t cols, const double *table, int64_t r
         *p++ = '\n';
     }
     return p - out;
+}
+
+
+static int32_t floor_log2(uint64_t value) { return 63 - __builtin_clzll(value); }
+
+/* The double nearest to m10 * 10^e10, ties to even, for m10 < 10^17 with
+ * `digits` significant digits, negated when `negative`: Ryu's s2d. */
+static double to_double(uint64_t m10, int32_t digits, int32_t e10, int negative)
+{
+    uint64_t bits = (uint64_t)negative << 63;
+    if (m10 == 0 || digits + e10 <= -324) {
+        double zero;
+        memcpy(&zero, &bits, sizeof zero);
+        return zero;
+    }
+    if (digits + e10 >= 310)
+        return negative ? -INFINITY : INFINITY;
+
+    /* m2 * 2^e2 is m10 * 10^e10 to at least 54 bits, rounded down;
+     * trailing_zeros says whether it is exact. */
+    int32_t e2;
+    uint64_t m2;
+    int trailing_zeros;
+    if (e10 >= 0) {
+        e2 = floor_log2(m10) + e10 + pow5bits(e10) - 1 - 53;
+        m2 = mul_shift(m10, pow5[e10], e2 - e10 - pow5bits(e10) + 125);
+        trailing_zeros = e2 < e10 || (e2 - e10 < 64 && multiple_of_pow2(m10, (uint32_t)(e2 - e10)));
+    } else {
+        e2 = floor_log2(m10) + e10 - pow5bits(-e10) - 53;
+        m2 = mul_shift(m10, pow5_inv[-e10], e2 - e10 + pow5bits(-e10) - 1 + 125);
+        trailing_zeros = multiple_of_pow5(m10, (uint32_t)-e10);
+    }
+
+    /* The biased exponent, 0 for a subnormal, and the bits of m2 below the
+     * mantissa, which decide the rounding. */
+    const int32_t biased = e2 + 1023 + floor_log2(m2);
+    uint64_t exponent = biased > 0 ? (uint64_t)biased : 0;
+    if (exponent > 0x7fe)
+        return negative ? -INFINITY : INFINITY;
+    const int32_t shift = (exponent ? (int32_t)exponent : 1) - e2 - 1023 - 52;
+    trailing_zeros &= (m2 & ((1ull << (shift - 1)) - 1)) == 0;
+    const int round_up = ((m2 >> (shift - 1)) & 1) && (!trailing_zeros || ((m2 >> shift) & 1));
+    const uint64_t mantissa = ((m2 >> shift) + round_up) & ((1ull << 52) - 1);
+    if (mantissa == 0 && round_up)
+        ++exponent; /* the carry out of the mantissa, subnormals included; past 0x7fe, inf */
+    bits |= exponent << 52 | mantissa;
+    double x;
+    memcpy(&x, &bits, sizeof x);
+    return x;
+}
+
+/* Append the digits at p to *m10 and count the significant ones in *digits;
+ * returns the first byte that is not a digit, or end. */
+static const char *read_digits(const char *p, const char *end, uint64_t *m10, int32_t *digits)
+{
+    for (; p < end && *p >= '0' && *p <= '9'; ++p) {
+        *m10 = 10 * *m10 + (uint64_t)(*p - '0'); /* wraps only past 19 digits, refused below */
+        *digits += *m10 != 0;
+    }
+    return p;
+}
+
+/* Read one cell -?D[.D][e(+|-)E] from [p, end), where the Ds hold at most 17
+ * significant digits and E one to three digits, into *x. Returns the end of
+ * the cell, or NULL when the text does not start so. */
+static const char *parse_cell(const char *p, const char *end, double *x)
+{
+    const int negative = p < end && *p == '-';
+    p += negative;
+    uint64_t m10 = 0;
+    int32_t digits = 0, e10 = 0;
+    const char *start = p;
+    p = read_digits(p, end, &m10, &digits);
+    if (p == start)
+        return NULL;
+    if (p < end && *p == '.') {
+        start = ++p;
+        p = read_digits(p, end, &m10, &digits);
+        if (p == start)
+            return NULL;
+        e10 = -(int32_t)(p - start);
+    }
+    if (digits > 17)
+        return NULL;
+    if (p < end && *p == 'e') {
+        if (++p == end || (*p != '+' && *p != '-'))
+            return NULL;
+        const int minus = *p++ == '-';
+        int32_t e = 0;
+        for (start = p; p < end && p - start < 3 && *p >= '0' && *p <= '9'; ++p)
+            e = 10 * e + (*p - '0');
+        if (p == start)
+            return NULL;
+        e10 += minus ? -e : e;
+    }
+    *x = to_double(m10, digits, e10, negative);
+    return p;
+}
+
+/* Read the CSV text [text, text + length): rows of cols cells as parse_cell
+ * reads them, separated by ',' and each ended by "\n", "\r\n" or the end of
+ * the text. The first capacity rows are stored row-major, each row's first d
+ * cells in params and the rest in objectives; later rows are only counted.
+ * Returns the number of rows, or -1 when the text is not of that form:
+ * whitespace, '+', a blank line, nan, an 18th significant digit and so on.
+ * Reads nothing at or past text + length. */
+int64_t dado_parse_rows(const char *text, int64_t length, int64_t cols, int64_t d,
+                        double *params, double *objectives, int64_t capacity)
+{
+    const char *p = text, *const end = text + length;
+    int64_t rows = 0;
+    double discarded;
+    for (; p < end; ++rows) {
+        for (int64_t j = 0; j < cols; ++j) {
+            if (j > 0 && (p == end || *p++ != ','))
+                return -1;
+            double *x = rows >= capacity ? &discarded
+                        : j < d ? params + rows * d + j
+                        : objectives + rows * (cols - d) + (j - d);
+            p = parse_cell(p, end, x);
+            if (p == NULL)
+                return -1;
+        }
+        if (p < end && *p == '\r')
+            ++p;
+        if (p < end && *p == '\n')
+            ++p;
+        else if (p < end || p[-1] == '\r')
+            return -1;
+    }
+    return rows;
 }

@@ -1,7 +1,7 @@
-"""The native kernels: a fused C Adam loop, a C forward/backward pass and a C
-float formatter for pool CSVs.
+"""The native kernels: a fused C Adam loop, a C forward/backward pass, and a C
+float formatter and reader for pool CSVs.
 
-`_native.c` holds all three. The Adam loop does `adam_numpy`'s IEEE
+`_native.c` holds all four. The Adam loop does `adam_numpy`'s IEEE
 operations in the same order. The forward/backward pass does those of
 `dado.surrogate._loss_and_grads`, and runs each matrix product and each
 single-column sum through numpy's own float64 inner loop of `np.matmul` or
@@ -10,14 +10,16 @@ without fast-math, both give numpy's bits. The formatter writes CSV rows byte
 for byte as `repr_rows` does: it finds each double's shortest round-trip
 digits with Ryu (Ulf Adams, PLDI 2018), whose multiplier tables are computed
 here from exact integers when the library loads, and lays them out as `repr`
-does. The C file is compiled on first use into `$XDG_CACHE_HOME/dado`
+does. The reader parses rows of the decimals the formatter writes to the
+doubles `float` gives, with Ryu's s2d on the same tables, and refuses any
+other text. The C file is compiled on first use into `$XDG_CACHE_HOME/dado`
 (default `~/.cache/dado`), or into a private temporary directory when that
 one is not writable; a new build deletes this architecture's libraries of
 other sources or flags. The loaded kernels are used only after a self-check
 on fixed inputs matches the Python paths bit for bit and byte for byte. With
 no compiler, a failed build or load, no float64 loop to call, or a failed
-self-check, training runs numpy and pools are written through `repr`, with
-the same results, only slower.
+self-check, training runs numpy and pools are written through `repr` and
+read through `np.loadtxt`, with the same results, only slower.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ class Kernels(NamedTuple):
     adam: Callable
     fwd_bwd: Callable
     format_rows: Callable
+    parse_rows: Callable
 
 
 def adam_numpy(theta, grad, m, v, scratch, beta1, beta2, eps, inv_bc2, step_size) -> None:
@@ -167,6 +170,38 @@ def csv_formatter(kernel, cols: int, rows: int):
     return text
 
 
+def csv_reader(kernel):
+    """Return `read(text, params, objectives)`, the C reader of CSV rows; None without a kernel.
+
+    `read` reads all of the bytes-like `text` as rows of the writer's form:
+    cells `-?D[.D][e(+|-)E]` with at most 17 significant digits in the Ds and
+    at most three digits in E, separated by "," and each row ended by CRLF,
+    LF or the end of the text, with as many cells as the C-contiguous float64
+    tables `params` and `objectives` have columns together. It stores the
+    values `float` reads, each row's leading cells in `params` and the rest in
+    `objectives`, for as many rows as the tables hold, and returns the number
+    of rows in `text`: a number above the tables' length means read again
+    into longer ones. It returns None when any byte of `text` is outside that
+    form.
+    """
+    if kernel is None:
+        return None
+    parse = kernel.parse_rows
+
+    def read(text, params, objectives):
+        if not all(t.ndim == 2 and t.dtype == np.float64 and t.flags.c_contiguous
+                   and t.flags.writeable for t in (params, objectives)):
+            raise ValueError("expected writeable contiguous 2-D float64 tables")
+        if len(params) != len(objectives) or params.shape[1] + objectives.shape[1] < 1:
+            raise ValueError("the tables need one length and at least one cell a row")
+        data = np.frombuffer(text, np.uint8)
+        n = parse(_address(data), len(data), params.shape[1] + objectives.shape[1],
+                  params.shape[1], _address(params), _address(objectives), len(params))
+        return None if n < 0 else n
+
+    return read
+
+
 def _address(a) -> ctypes.c_void_p:
     """`a`'s data pointer, holding a reference to `a` so whatever keeps the pointer keeps `a`."""
     return a.ctypes.data_as(ctypes.c_void_p)
@@ -229,6 +264,7 @@ def load_kernel():
         lib = ctypes.CDLL(str(target))
         adam, fwd_bwd, set_loops = lib.dado_adam_step, lib.dado_fwd_bwd, lib.dado_set_loops
         format_rows, set_pow5 = lib.dado_format_rows, lib.dado_set_pow5
+        parse_rows = lib.dado_parse_rows
         loops = [_float64_loop(ufunc) for ufunc in (np.matmul, np.add)]
     except (OSError, AttributeError, LookupError, subprocess.SubprocessError):
         return None
@@ -244,11 +280,14 @@ def load_kernel():
     set_loops(*loops)
     format_rows.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64]
     format_rows.restype = ctypes.c_int64
+    parse_rows.argtypes = ([ctypes.c_void_p] + [ctypes.c_int64] * 3 + [ctypes.c_void_p] * 2
+                           + [ctypes.c_int64])
+    parse_rows.restype = ctypes.c_int64
     set_pow5.argtypes, set_pow5.restype = [ctypes.c_void_p] * 2, None
     inverse, power = _pow5_tables()
     set_pow5(_address(inverse), _address(power))  # copied into the library
-    kernel = Kernels(adam, fwd_bwd, format_rows)
-    checks = (_adam_check, _fwd_bwd_check, _format_check)
+    kernel = Kernels(adam, fwd_bwd, format_rows, parse_rows)
+    checks = (_adam_check, _fwd_bwd_check, _format_check, _parse_check)
     return kernel if all(check(kernel) for check in checks) else None
 
 
@@ -356,17 +395,16 @@ def _fwd_bwd_check(kernel) -> bool:
     return True
 
 
-def _format_check(kernel) -> bool:
-    """Format fixed values through the C writer; True when its bytes equal `repr_rows`'.
+def _check_values() -> np.ndarray:
+    """The self-checks' fixed doubles: every layout branch of `repr`.
 
-    The values take every layout branch of `repr`: zeros of both signs,
-    subnormals, the largest double, inf and nan, integral values, each side of
-    the 1e-4 and 1e16 switches to exponent notation, three-digit exponents,
-    powers of two and ten, and random values, scales and bit patterns; in
-    rows of eight cells, and the last eight again as rows of one cell.
+    Zeros of both signs, subnormals, the largest double, inf and nan,
+    integral values, each side of the 1e-4 and 1e16 switches to exponent
+    notation, three-digit exponents, powers of two and ten, and random
+    values, scales and bit patterns.
     """
     rng = np.random.default_rng(2018)
-    values = np.concatenate([
+    return np.concatenate([
         [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.225073858507201e-308, 2.2250738585072014e-308,
          1.7976931348623157e308, -1.7976931348623157e308, np.inf, -np.inf, np.nan, 1.0, -2.0,
          100.0, 0.5, 0.1, 0.3, 1 / 3, 1e-4, 1e-5, 9.999999999999999e-5, 0.00012345, -0.001,
@@ -379,8 +417,53 @@ def _format_check(kernel) -> bool:
         rng.integers(0, 10**17, 16).astype(np.float64),
         rng.integers(0, 2**64, 64, dtype=np.uint64).view(np.float64),
     ])
+
+
+def _format_check(kernel) -> bool:
+    """Format `_check_values` through the C writer; True when its bytes equal `repr_rows`'.
+
+    The values go in rows of eight cells, and the last eight again as rows of
+    one cell.
+    """
+    values = _check_values()
     tables = (values[:len(values) // 8 * 8].reshape(-1, 8), values[-8:].reshape(-1, 1))
     return all(csv_formatter(kernel, t.shape[1], len(t))(t) == repr_rows(t) for t in tables)
+
+
+# Decimals whose reading goes wrong in a reader that loses the carry out of the
+# largest subnormal, breaks a tie the wrong way, or misplaces the rounding at
+# either end of the range: each with the digits on either side.
+_PARSE_EDGES = (
+    "2.2250738585072012e-308", "2.2250738585072011e-308", "2.2250738585072013e-308",
+    "9007199254740993", "9007199254740992.9", "9007199254740993.1", "9007199254740995",
+    "4.9406564584124654e-324", "2.4703282292062328e-324", "2.4703282292062327e-324",
+    "7.4109846876186981e-324", "1.7976931348623158e+308", "1.7976931348623159e+308",
+    "-1.7976931348623157e+308", "1.2345678901234567e-300", "98765432109876543",
+    "0.000012345678901234567", "-0", "0.0e+000", "1e-999", "0.00000000000000000000001",
+)
+
+
+def _parse_check(kernel) -> bool:
+    """Read `_check_values` and `_PARSE_EDGES` back through the C reader.
+
+    True when every double read equals `float`'s reading bit for bit. The
+    finite values are read from their `repr_rows` text, rows of eight cells
+    ended by CRLF, split five and three; the edges, and the values left over,
+    as rows of one cell ended by LF with no newline after the last.
+    """
+    values = _check_values()
+    values = values[np.isfinite(values)]
+    table = values[:len(values) // 8 * 8].reshape(-1, 8)
+    cells = [*_PARSE_EDGES, *map(repr, values[table.size:].tolist())]
+    read = csv_reader(kernel)
+    for text, expected, d in ((repr_rows(table), table, 5),
+                              ("\n".join(cells).encode(), np.array([[float(c) for c in cells]]).T, 1)):
+        params = np.empty((len(expected), d))
+        objectives = np.empty((len(expected), expected.shape[1] - d))
+        if (read(text, params, objectives) != len(expected)
+                or np.hstack([params, objectives]).tobytes() != expected.tobytes()):
+            return False
+    return True
 
 
 @functools.cache

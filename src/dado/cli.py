@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .adam import native_kernel
-from .datapool import infer_pool_schema, load_pool, save_pool
+from .datapool import load_pool, save_pool
 from .errors import ConfigError, DadoError, MissingFile, SchemaMismatch, SizeMismatch
 from .loop import AggregateRow, ScenarioConfig, run_experiment, run_sweep, stderr_of
 from .metrics import METRIC_FIELDS
@@ -225,12 +225,14 @@ def _scenario(values: dict) -> ScenarioConfig:
 def _load_pool_auto(path):
     """Load a pool CSV whose schema comes from its header.
 
-    Returns the pool and its manifest entry; the file is hashed once, right
-    after it is read, so every manifest of the command names the bytes loaded.
+    Returns the pool and its manifest entry. The file is opened once and
+    hashed as it is read, so every manifest of the command names the bytes
+    loaded.
     """
-    d, num_obj = infer_pool_schema(path)
-    pool = load_pool(path, d, num_obj)
-    return pool, {"path": str(path), "sha256": _sha256(path), "d": d, "num_obj": num_obj}
+    digest = hashlib.sha256()
+    pool = load_pool(path, digest=digest)
+    return pool, {"path": str(path), "sha256": digest.hexdigest(), "d": pool.d,
+                  "num_obj": pool.num_obj}
 
 
 def _write_run_outputs(out_dir: Path, pool_entry: dict, result) -> None:

@@ -11,13 +11,17 @@ training set are marked *consumed* and never drawn again.
 from __future__ import annotations
 
 import csv
+import io
+import itertools
+import os
+import re
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .adam import csv_formatter, native_kernel, repr_rows
+from .adam import csv_formatter, csv_reader, native_kernel, repr_rows
 from .errors import (
     AlreadyConsumed,
     DegenerateInput,
@@ -30,6 +34,7 @@ from .errors import (
 
 TARGET_STD_FLOOR = 1e-12
 SAVE_CHUNK_ROWS = 4096
+LOAD_BLOCK_BYTES = 1 << 20
 
 
 @dataclass
@@ -114,61 +119,170 @@ def pool_from_arrays(params: np.ndarray, objectives: np.ndarray) -> CandidatePoo
         raise SchemaMismatch("pool needs at least one candidate")
     if not np.isfinite(params).all() or not np.isfinite(objectives).all():
         raise NonFiniteValue("non-finite value in pool arrays")
+    return _own_pool(params, objectives)
+
+
+def _own_pool(params: np.ndarray, objectives: np.ndarray) -> CandidatePool:
+    """The pool of these checked arrays, which it takes over and makes read-only."""
     bounds = np.column_stack([params.min(axis=0), params.max(axis=0)])
     for table in (params, objectives, bounds):
         table.setflags(write=False)
     return CandidatePool(params, objectives, bounds, np.zeros(params.shape[0], dtype=bool))
 
 
-def _read_header(p: Path) -> list[str]:
-    """The header row of a pool CSV; a missing, empty or non-UTF-8 file raises."""
-    if not p.is_file():
-        raise MissingFile(f"pool file not found: {p}")
+def _decode(p: Path, data) -> str:
     try:
-        with open(p, newline="", encoding="utf-8") as fh:
-            header = next(csv.reader(fh), None)
+        return str(data, "utf-8")
     except UnicodeDecodeError:
         raise SchemaMismatch(f"{p}: not UTF-8 text") from None
+
+
+def _line_blocks(fh, digest):
+    """The file's bytes as non-empty blocks of whole lines of at most
+    LOAD_BLOCK_BYTES (or one longer line), each byte read once and fed to
+    `digest` (unless None); the last block holds what follows the last LF.
+
+    The blocks are views of one buffer, each valid until the next is taken.
+    """
+    buffer = bytearray(LOAD_BLOCK_BYTES)
+    kept = 0  # the partial line carried to the front
+    while True:
+        if kept == len(buffer):  # a line longer than the buffer
+            buffer = buffer + bytes(len(buffer))
+        view = memoryview(buffer)
+        read = fh.readinto(view[kept:])
+        if not read:
+            break
+        if digest is not None:
+            digest.update(view[kept:kept + read])
+        end = kept + read
+        cut = buffer.rfind(b"\n", 0, end) + 1
+        if cut:
+            yield view[:cut]
+        buffer[:end - cut] = buffer[cut:end]
+        kept = end - cut
+    if kept:
+        yield view[:kept]
+
+
+def _read_header(p: Path, blocks) -> tuple[list[str], memoryview]:
+    """The header row of a pool CSV and the bytes after its line ending.
+
+    An empty or non-UTF-8 header raises. The header ends at the first
+    CR, LF or CRLF, as `csv` and universal newlines end it.
+    """
+    first = next(blocks, memoryview(b""))
+    end = re.search(rb"\r\n?|\n", first)
+    header = next(csv.reader([_decode(p, first[:end.start() if end else len(first)])]), None)
     if not header:
         raise SchemaMismatch(f"{p}: empty file, expected a header row")
-    return header
+    return header, first[end.end() if end else len(first):]
 
 
-def load_pool(path, d: int, num_obj: int) -> CandidatePool:
+def _schema(p: Path, header: list[str]) -> tuple[int, int]:
+    """(d, num_obj) from a header following the p*/j* convention."""
+    d = sum(1 for name in header if name.startswith("p"))
+    num_obj = sum(1 for name in header if name.startswith("j"))
+    names_ok = all(name.startswith("p") for name in header[:d]) and all(
+        name.startswith("j") for name in header[d:]
+    )
+    if d < 1 or num_obj < 1 or d + num_obj != len(header) or not names_ok:
+        raise SchemaMismatch(f"{p}: header does not follow the p*,...,j* convention")
+    return d, num_obj
+
+
+def load_pool(path, d: int | None = None, num_obj: int | None = None, *,
+              digest=None) -> CandidatePool:
     """Read a pool CSV with a header row, d parameter columns, then num_obj objectives.
 
-    Row order defines candidate ids 0..n-1. Raises MissingFile, SchemaMismatch
-    on a wrong column count or a non-numeric cell, or NonFiniteValue naming
-    the offending data row.
+    Without d, d and num_obj come from the header's p*/j* names. Row order
+    defines candidate ids 0..n-1. Raises MissingFile, SchemaMismatch on a
+    wrong column count or a non-numeric cell, or NonFiniteValue naming the
+    offending data row. The file is opened once and read once, in blocks of
+    whole lines that also go to `digest`, a hashlib object, when given. The
+    C reader parses a block when the library loaded and the block is all in
+    the writer's form, and `np.loadtxt` otherwise; either way the values and
+    errors are those of one `np.loadtxt` call over the whole file.
     """
     p = Path(path)
-    header = _read_header(p)
-    expected = d + num_obj
-    if len(header) != expected:
-        raise SchemaMismatch(
-            f"{p}: expected {expected} columns ({d} params + {num_obj} objectives), "
-            f"found {len(header)}"
-        )
-    try:
-        with warnings.catch_warnings():
-            # A header-only file is reported below as having no data rows.
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            data = np.loadtxt(
-                p, dtype=float, delimiter=",", skiprows=1, ndmin=2, comments=None,
-                encoding="utf-8",
+    if not p.is_file():
+        raise MissingFile(f"pool file not found: {p}")
+    parse = csv_reader(native_kernel())
+    rows, cols = 0, None  # data rows so far, and the first one's column count
+    with open(p, "rb") as fh:
+        blocks = _line_blocks(fh, digest)
+        header, text = _read_header(p, blocks)
+        if d is None:
+            d, num_obj = _schema(p, header)
+        expected = d + num_obj
+        if len(header) != expected:
+            raise SchemaMismatch(
+                f"{p}: expected {expected} columns ({d} params + {num_obj} objectives), "
+                f"found {len(header)}"
             )
-    except ValueError as exc:
-        # numpy names the row of a non-numeric cell or of a column-count change.
-        raise SchemaMismatch(f"{p}: {exc}") from None
-    if data.shape[0] == 0:
+        # Each block's rows go straight into the pool's arrays, which grow to the
+        # rows the bytes read so far foretell, and are cut to the rows at the end.
+        params, objectives = np.empty((0, d)), np.empty((0, num_obj))
+        size, read = os.fstat(fh.fileno()).st_size, 0
+
+        def reserve(end):
+            if end > len(params):
+                capacity = max(end, round(end * size / read * 1.05))
+                for table in (params, objectives):
+                    table.resize((capacity, table.shape[1]), refcheck=False)
+
+        for text in itertools.chain([text], blocks):
+            read += len(text)
+            n = None
+            if parse is not None and cols in (None, expected):
+                n = parse(text, params[rows:], objectives[rows:])
+                if n is not None and rows + n > len(params):
+                    reserve(rows + n)
+                    parse(text, params[rows:], objectives[rows:])
+                if n:
+                    cols = expected
+            if n is None:
+                block = _loadtxt_block(p, text, cols, rows)
+                n = len(block)
+                if n:
+                    cols = block.shape[1]
+                if n and cols == expected:  # else the file fails below, once all of it is read
+                    reserve(rows + n)
+                    params[rows:rows + n], objectives[rows:rows + n] = block[:, :d], block[:, d:]
+            rows += n
+    if rows == 0:
         raise SchemaMismatch(f"{p}: no data rows")
-    if data.shape[1] != expected:
-        raise SchemaMismatch(f"{p}: data rows have {data.shape[1]} columns, expected {expected}")
-    finite = np.isfinite(data).all(axis=1)
+    if cols != expected:
+        raise SchemaMismatch(f"{p}: data rows have {cols} columns, expected {expected}")
+    for table in (params, objectives):
+        table.resize((rows, table.shape[1]), refcheck=False)
+    finite = np.isfinite(params).all(axis=1) & np.isfinite(objectives).all(axis=1)
     if not finite.all():
         bad = int(np.flatnonzero(~finite)[0])
         raise NonFiniteValue(f"{p}: non-finite value in row {bad}")
-    return pool_from_arrays(data[:, :d], data[:, d:])
+    return _own_pool(params, objectives)
+
+
+def _loadtxt_block(p: Path, text, cols: int | None, rows: int) -> np.ndarray:
+    """`np.loadtxt`'s reading of a block of whole lines that follows `rows` data
+    rows of `cols` cells (None before the first), as it reads them in the whole
+    file: universal newlines, blank lines skipped, the column count held to
+    the first row's, and errors naming the file's data row.
+    """
+    # A row of zeros stands in for the rows before, so numpy sees their column count.
+    lead = "" if cols is None else ",".join(["0"] * cols) + "\n"
+    try:
+        with warnings.catch_warnings():
+            # A header-only file is reported by the caller as having no data rows.
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            data = np.loadtxt(io.StringIO(lead + _decode(p, text), newline=None), dtype=float,
+                              delimiter=",", ndmin=2, comments=None)
+    except ValueError as exc:
+        # numpy counts data rows; shift its count to the file's.
+        shift = rows - bool(lead)
+        message = re.sub(r"(?<=at row )\d+", lambda m: str(int(m[0]) + shift), str(exc))
+        raise SchemaMismatch(f"{p}: {message}") from None
+    return data[bool(lead):]
 
 
 def save_pool(pool: CandidatePool, path) -> None:
@@ -186,20 +300,6 @@ def save_pool(pool: CandidatePool, path) -> None:
         fh.write(",".join(header).encode() + b"\r\n")
         for start in range(0, len(table), SAVE_CHUNK_ROWS):
             fh.write(format_rows(table[start:start + SAVE_CHUNK_ROWS]))
-
-
-def infer_pool_schema(path) -> tuple[int, int]:
-    """Derive (d, num_obj) from a pool CSV header following the p*/j* convention."""
-    p = Path(path)
-    header = _read_header(p)
-    d = sum(1 for name in header if name.startswith("p"))
-    num_obj = sum(1 for name in header if name.startswith("j"))
-    names_ok = all(name.startswith("p") for name in header[:d]) and all(
-        name.startswith("j") for name in header[d:]
-    )
-    if d < 1 or num_obj < 1 or d + num_obj != len(header) or not names_ok:
-        raise SchemaMismatch(f"{p}: header does not follow the p*,...,j* convention")
-    return d, num_obj
 
 
 def _sample_available(pool: CandidatePool, size: int, rng, what: str) -> np.ndarray:

@@ -1,8 +1,10 @@
 """Command-line behavior: pool generation, runs, sweeps, reports, exit codes."""
 
 import argparse
+import builtins
 import csv
 import hashlib
+import io
 import json
 import os
 import re
@@ -13,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dado import datapool
+from dado import cli, datapool
 from dado.adam import native_kernel
 from dado.cli import ITERATIONS_HEADER, RUN_KEYS, SWEEP_KEYS, build_parser, main
 from dado.datapool import load_pool
@@ -161,6 +163,33 @@ class TestRun:
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert manifest["train_step"] == ("numpy" if native_kernel() is None else "native")
         assert "adam" not in manifest and "fwd_bwd" not in manifest
+
+    def test_manifest_digest_is_the_pool_files_sha256(self, tmp_path):
+        pool = make_pool(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(FAST_CFG)
+        out_dir = tmp_path / "out"
+        assert run_cli("run", "--pool", pool, "--config", cfg, "--out-dir", out_dir) == 0
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert manifest["pool"] == {"path": str(pool), "d": 3, "num_obj": 2,
+                                    "sha256": hashlib.sha256(pool.read_bytes()).hexdigest()}
+
+    def test_pool_is_opened_once_to_load_and_hash(self, tmp_path, monkeypatch):
+        pool = make_pool(tmp_path)
+        opened = []
+        for module, name in ((builtins, "open"), (io, "open"), (os, "open")):
+            original = getattr(module, name)
+
+            def counting(file, *args, _original=original, **kwargs):
+                if isinstance(file, (str, bytes, os.PathLike)) and Path(os.fsdecode(file)) == pool:
+                    opened.append(file)
+                return _original(file, *args, **kwargs)
+
+            monkeypatch.setattr(module, name, counting)
+        loaded, entry = cli._load_pool_auto(pool)
+        assert len(opened) == 1
+        assert entry["sha256"] == hashlib.sha256(pool.read_bytes()).hexdigest()
+        assert (len(loaded), entry["d"], entry["num_obj"]) == (300, 3, 2)
 
     def test_low_budget_shape_gives_16_iterations(self, tmp_path):
         pool = make_pool(tmp_path, n=1000, d=3)
@@ -580,14 +609,18 @@ class TestGoldenDigests:
         monkeypatch.setattr(datapool, "native_kernel", lambda: None)
         self.golden_pool(tmp_path)
 
-    def test_run_outputs(self, tmp_path):
+    def test_run_outputs(self, tmp_path, monkeypatch):
         pool = self.golden_pool(tmp_path)
         cfg = tmp_path / "run.cfg"
         cfg.write_text(GOLDEN_RUN_CFG)
-        out_dir = tmp_path / "run"
-        assert run_cli("run", "--pool", pool, "--config", cfg, "--out-dir", out_dir) == 0
-        for name in ("iterations.csv", "summary.json"):
-            assert self.digest(out_dir / name) == GOLDEN_SHA256[name], name
+        # The pool read by the C reader (when it loads), then by np.loadtxt.
+        for reader in ("native", "loadtxt"):
+            if reader == "loadtxt":
+                monkeypatch.setattr(datapool, "native_kernel", lambda: None)
+            out_dir = tmp_path / reader
+            assert run_cli("run", "--pool", pool, "--config", cfg, "--out-dir", out_dir) == 0
+            for name in ("iterations.csv", "summary.json"):
+                assert self.digest(out_dir / name) == GOLDEN_SHA256[name], (reader, name)
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_sweep_table(self, tmp_path, monkeypatch, threads):

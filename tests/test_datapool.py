@@ -1,10 +1,12 @@
 """Pool loading, saving, sampling, consumption, and normalizer behavior."""
 
+import csv
 import math
 import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,13 +14,12 @@ import pytest
 
 import dado
 from dado import adam, datapool
-from dado.adam import csv_formatter, native_kernel, repr_rows
+from dado.adam import csv_formatter, csv_reader, native_kernel, repr_rows
 from dado.datapool import (
     SAVE_CHUNK_ROWS,
     bootstrap_draw,
     consume,
     fit_normalizers,
-    infer_pool_schema,
     initial_sample,
     load_pool,
     pool_from_arrays,
@@ -119,12 +120,14 @@ class TestLoadPool:
 
     def test_infer_schema(self, tmp_path):
         path = write_csv(tmp_path / "pool.csv", ["p0,p1,p2,j0,j1", "1,2,3,4,5"])
-        assert infer_pool_schema(path) == (3, 2)
+        pool = load_pool(path)
+        assert (pool.d, pool.num_obj) == (3, 2)
+        np.testing.assert_array_equal(pool.params, [[1, 2, 3]])
 
     def test_infer_schema_rejects_odd_headers(self, tmp_path):
         path = write_csv(tmp_path / "pool.csv", ["a,b,c", "1,2,3"])
-        with pytest.raises(SchemaMismatch):
-            infer_pool_schema(path)
+        with pytest.raises(SchemaMismatch, match="convention"):
+            load_pool(path)
 
     def test_pool_from_arrays_checks_shapes_and_values(self):
         with pytest.raises(SchemaMismatch):
@@ -451,7 +454,9 @@ class TestPoolWriter:
             assert adam.load_kernel() is not None, new
 
     def test_no_undefined_behaviour(self, kernel, tmp_path):
-        # Ryu's shifts and 128-bit products, built with UBSan at -O3 and run on random bits.
+        # Ryu's shifts and 128-bit products, built with UBSan at -O3 and run on random bits,
+        # through the formatter and through the reader; the reader also on fuzzed decimals
+        # and on tokens cut short at the end of the readable memory.
         sanitize = ("-fsanitize=undefined", "-fno-sanitize-recover=all")
         probe = tmp_path / "probe.c"
         probe.write_text("int probe(int x) { return x + 1; }\n")
@@ -459,7 +464,14 @@ class TestPoolWriter:
                                 "-o", str(tmp_path / "probe.so")], capture_output=True)
         if built.returncode != 0:
             pytest.skip("no UBSan runtime")
+        tokens = [(b"0.12", 0.12), (b"1e", None), (b"-", None), (b"1.5e+", None), (b"1.", None),
+                  (b"1e+308", 1e308), (b"2.2250738585072012e-308", 2.2250738585072014e-308),
+                  (b"1\r", None), (b"1,", None), (b"12345678901234567", 12345678901234567.0)]
+        cells = tmp_path / "cells.txt"
+        cells.write_text("\n".join(fuzzed_decimals(np.random.default_rng(1), 20_000)))
         script = f"""
+import ctypes
+import mmap
 import sys
 import numpy as np
 from dado import adam
@@ -469,7 +481,34 @@ if kernel is None:
     sys.exit("the sanitized library failed to build, load or pass its self-check")
 table = np.random.default_rng(0).integers(0, 2**64, 100_000, dtype=np.uint64)
 table = table.view(np.float64).reshape(-1, 25)
-sys.exit(adam.csv_formatter(kernel, 25, len(table))(table) != adam.repr_rows(table))
+if adam.csv_formatter(kernel, 25, len(table))(table) != adam.repr_rows(table):
+    sys.exit("the sanitized formatter differs from repr")
+read = adam.csv_reader(kernel)
+finite = table.ravel()[np.isfinite(table.ravel())]
+finite = finite[:len(finite) // 25 * 25].reshape(-1, 25)
+params, objectives = np.empty((len(finite), 20)), np.empty((len(finite), 5))
+text = open({str(cells)!r}, "rb").read()
+column = np.empty((text.count(b"\\n") + 1, 1))
+if (read(adam.repr_rows(finite), params[:-1], objectives[:-1]) != len(finite)
+        or read(adam.repr_rows(finite), params, objectives) != len(finite)
+        or np.hstack([params, objectives]).tobytes() != finite.tobytes()
+        or read(text, column, np.empty((len(column), 0))) != len(column)
+        or column.ravel().tolist() != list(map(float, text.split()))):
+    sys.exit("the sanitized reader differs from float")
+# Each token ends the last readable page, so a read past its end faults.
+page = mmap.PAGESIZE
+memory = mmap.mmap(-1, 2 * page)
+base = ctypes.addressof(ctypes.c_char.from_buffer(memory))
+libc = ctypes.CDLL(None, use_errno=True)
+libc.mprotect.argtypes = [ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int]
+if libc.mprotect(base + page, page, 0) != 0:  # PROT_NONE
+    sys.exit("mprotect failed")
+out = (ctypes.c_double * 4)()
+for token, expected in {tokens!r}:
+    memory[page - len(token):page] = token
+    n = kernel.parse_rows(base + page - len(token), len(token), 1, 1, out, None, len(out))
+    if (out[0] if n == 1 else None) != expected:
+        sys.exit(f"{{token}}: read {{n}} rows")
 """
         env = {**os.environ, "XDG_CACHE_HOME": str(tmp_path / "cache"),
                "PYTHONPATH": str(Path(dado.__file__).parents[1])}
@@ -477,3 +516,219 @@ sys.exit(adam.csv_formatter(kernel, 25, len(table))(table) != adam.repr_rows(tab
                               text=True, timeout=300)
         assert done.returncode == 0, done.stderr
         assert "runtime error" not in done.stderr
+
+
+def fuzzed_decimals(rng, n):
+    """n decimals of the writer's form: 1 to 17 digits, some with a point and some with an
+    exponent from -345 to 312, half of them negative."""
+    lengths = rng.integers(1, 18, n)
+    mantissas = rng.integers(0, 10**lengths)
+    points = rng.integers(0, 18, n) % lengths  # 0: no point
+    exponents = rng.integers(-345, 313, n)
+    exponents[rng.random(n) < 0.3] = 0x7FFF  # no exponent
+    signs = np.where(rng.random(n) < 0.5, "-", "")
+    cells = []
+    for sign, length, mantissa, point, exponent in zip(
+            signs.tolist(), lengths.tolist(), mantissas.tolist(), points.tolist(),
+            exponents.tolist()):
+        digits = "%0*d" % (length, mantissa)
+        if point:
+            digits = f"{digits[:point]}.{digits[point:]}"
+        cells.append(sign + digits + ("" if exponent == 0x7FFF else "e%+d" % exponent))
+    return cells
+
+
+def whole_file_outcome(path, d, num_obj):
+    """What a pool file loads to through one np.loadtxt call over the whole file, the
+    reader that the block reader replaced: the pool's arrays, or the error's class and
+    message."""
+    p = Path(path)
+    try:
+        with open(p, newline="", encoding="utf-8") as fh:
+            header = next(csv.reader(fh), None)
+    except UnicodeDecodeError:
+        return SchemaMismatch, f"{p}: not UTF-8 text"
+    if not header:
+        return SchemaMismatch, f"{p}: empty file, expected a header row"
+    if len(header) != d + num_obj:
+        return SchemaMismatch, (f"{p}: expected {d + num_obj} columns ({d} params + {num_obj} "
+                                f"objectives), found {len(header)}")
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            data = np.loadtxt(p, dtype=float, delimiter=",", skiprows=1, ndmin=2,
+                              comments=None, encoding="utf-8")
+    except ValueError as exc:
+        return SchemaMismatch, f"{p}: {exc}"
+    if data.shape[0] == 0:
+        return SchemaMismatch, f"{p}: no data rows"
+    if data.shape[1] != d + num_obj:
+        return SchemaMismatch, f"{p}: data rows have {data.shape[1]} columns, expected {d + num_obj}"
+    finite = np.isfinite(data).all(axis=1)
+    if not finite.all():
+        return NonFiniteValue, f"{p}: non-finite value in row {np.flatnonzero(~finite)[0]}"
+    params, objectives = data[:, :d], data[:, d:]
+    bounds = np.column_stack([params.min(axis=0), params.max(axis=0)])
+    return tuple(a.tobytes() for a in (params, objectives, bounds)) + (data.shape,)
+
+
+def outcome(path, d, num_obj):
+    """`load_pool`'s result in `whole_file_outcome`'s terms."""
+    try:
+        pool = load_pool(path, d, num_obj)
+    except (SchemaMismatch, NonFiniteValue) as exc:
+        return type(exc), str(exc)
+    arrays = (pool.params, pool.objectives, pool.feature_bounds)
+    return tuple(a.tobytes() for a in arrays) + ((len(pool), pool.d + pool.num_obj),)
+
+
+def both_readers(monkeypatch, path, d, num_obj):
+    """`load_pool`'s outcomes through the C reader and through np.loadtxt alone."""
+    native = outcome(path, d, num_obj)
+    with monkeypatch.context() as patch:
+        patch.setattr(datapool, "native_kernel", lambda: None)
+        return native, outcome(path, d, num_obj)
+
+
+ODD_FILES = {
+    # Every TestLoadPool file.
+    "minimal": ("p0,p1,j0,j1\n0.1,0.2,1.0,2.0\n0.3,0.4,3.0,4.0\n0.5,0.6,5.0,6.0\n", 2, 2),
+    "wrong-column-count": ("p0,p1,j0\n0.1,0.2,1.0\n", 2, 2),
+    "nan-cell": ("p0,p1,j0,j1\n0.1,0.2,1.0,2.0\n0.3,NaN,3.0,4.0\n", 2, 2),
+    "non-numeric": ("p0,j0\n0.1,oops\n", 1, 1),
+    "bad-row-cell": ("p0,j0\n0.1,0.2\n0.3,oops\n", 1, 1),
+    "short-row": ("p0,j0\n0.1,0.2\n0.3\n", 1, 1),
+    "long-row": ("p0,j0\n0.1,0.2\n0.3,0.4,0.5\n", 1, 1),
+    "wider-than-header": ("p0,j0\n0.1,0.2,0.3\n0.4,0.5,0.6\n", 1, 1),
+    "no-data-rows": ("p0,j0\n", 1, 1),
+    "missing-header": ("", 1, 1),
+    # Line endings and blank lines.
+    "crlf": ("p0,j0\r\n0.1,0.2\r\n0.3,0.4\r\n", 1, 1),
+    "cr": ("p0,j0\r0.1,0.2\r0.3,0.4\r", 1, 1),
+    "no-final-newline": ("p0,j0\r\n0.1,0.2\r\n0.3,0.4", 1, 1),
+    "header-only-no-newline": ("p0,j0", 1, 1),
+    "trailing-blank-line": ("p0,j0\n0.1,0.2\n\n", 1, 1),
+    "inner-blank-lines": ("p0,j0\r\n0.1,0.2\r\n\r\n\n0.3,0.4\r\n", 1, 1),
+    "blank-line-then-short-row": ("p0,j0\n0.1,0.2\n\n0.3\n", 1, 1),
+    "whitespace-line": ("p0,j0\n0.1,0.2\n  \n", 1, 1),
+    # Cells outside the writer's form.
+    "whitespace": ("p0,j0\n 0.1 ,0.2\t\n", 1, 1),
+    "plus": ("p0,j0\n+1,2\n", 1, 1),
+    "leading-point": ("p0,j0\n.5,2\n", 1, 1),
+    "trailing-point": ("p0,j0\n1.,2\n", 1, 1),
+    "nan": ("p0,j0\n1,2\nNaN,3\n", 1, 1),
+    "overflow": ("p0,j0\n1,2\n1e400,3\n", 1, 1),
+    "twenty-digits": ("p0,j0\n12345678901234567890,0.12345678901234567890\n", 1, 1),
+    "exponent-forms": ("p0,j0\n1e5,1E+5\n1e-0005,-0\n", 1, 1),
+    "empty-cell": ("p0,j0\n1,\n", 1, 1),
+    "non-utf8-cell": (b"p0,j0\n1,2\n3,\xff\n", 1, 1),
+}
+
+
+class TestPoolReader:
+    """The C reader and np.loadtxt read every pool file alike, as the whole-file load did."""
+
+    @pytest.fixture(scope="class")
+    def desk_file(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("desk") / "pool.csv"
+        save_pool(gen_synthetic_pool(10_000, 28, seed=2024), path)
+        return path
+
+    def test_desk_pool_reads_alike(self, kernel, desk_file, monkeypatch):
+        native, loadtxt = both_readers(monkeypatch, desk_file, 28, 2)
+        assert native == loadtxt == whole_file_outcome(desk_file, 28, 2)
+        assert native[-1] == (10_000, 30)
+
+    def test_fuzzed_decimals_read_as_float(self, kernel):
+        cells = fuzzed_decimals(np.random.default_rng(17), 1_000_000)
+        got = np.empty((len(cells), 1))
+        assert csv_reader(kernel)("\n".join(cells).encode(), got, got[:, :0]) == len(cells)
+        expected = np.array([float(c) for c in cells])
+        wrong = np.flatnonzero(got.ravel().view(np.uint64) != expected.view(np.uint64))
+        assert [cells[i] for i in wrong[:5]] == []
+
+    @pytest.mark.parametrize("name", sorted(ODD_FILES))
+    def test_files_read_alike(self, kernel, tmp_path, monkeypatch, name):
+        text, d, num_obj = ODD_FILES[name]
+        path = tmp_path / "pool.csv"
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
+        native, loadtxt = both_readers(monkeypatch, path, d, num_obj)
+        assert native == loadtxt == whole_file_outcome(path, d, num_obj)
+
+    @pytest.mark.parametrize("row, cell, error", [
+        (100, "oops", "at row 100,"), (100, "0.5,0.5", "at row 101;"), (100, "NaN", "in row 100"),
+        (100, "1e400", "in row 100"), (100, "0.5\n", "at row 101;"), (0, "0.5,0.5", "at row 2;"),
+        (100, " 0.5", None), (199, "+1", None),
+    ])
+    def test_late_block_names_its_file_row(self, kernel, tmp_path, monkeypatch, row, cell, error):
+        # 64-byte blocks of 8-byte rows: row 100 sits in the 13th block, past blank lines.
+        monkeypatch.setattr(datapool, "LOAD_BLOCK_BYTES", 64)
+        lines = ["p0,j0"] + [f"0.{i % 10},0.{i % 7}" for i in range(200)]
+        lines[1 + row] = f"{cell},0.25"
+        lines[40:40] = ["", "\r"]
+        path = tmp_path / "pool.csv"
+        path.write_text("\n".join(lines) + "\n")
+        native, loadtxt = both_readers(monkeypatch, path, 1, 1)
+        assert native == loadtxt == whole_file_outcome(path, 1, 1)
+        if error is None:
+            assert native[-1] == (200, 2)
+        else:
+            assert error in native[1]
+
+    def test_refused_cell_in_a_late_full_block(self, kernel, desk_file, tmp_path, monkeypatch):
+        lines = desk_file.read_bytes().split(b"\r\n")
+        lines[1 + 9_000] = b"oops," + lines[1 + 9_000].split(b",", 1)[1]
+        path = tmp_path / "pool.csv"
+        path.write_bytes(b"\r\n".join(lines))
+        native, loadtxt = both_readers(monkeypatch, path, 28, 2)
+        assert native == loadtxt == whole_file_outcome(path, 28, 2)
+        assert "at row 9000," in native[1]
+
+    def test_file_is_read_in_blocks(self, kernel, desk_file, monkeypatch):
+        texts = []
+        reader = datapool.csv_reader
+
+        def recording(k):
+            read = reader(k)
+            return lambda text, *tables: texts.append(len(text)) or read(text, *tables)
+
+        monkeypatch.setattr(datapool, "csv_reader", recording)
+        load_pool(desk_file, 28, 2)
+        data = desk_file.read_bytes()
+        # One block of whole lines per read; the first is read twice, to size the tables.
+        assert len(texts) == math.ceil(len(data) / datapool.LOAD_BLOCK_BYTES) + 1
+        assert texts[0] == texts[1] and max(texts) <= datapool.LOAD_BLOCK_BYTES
+        assert sum(texts[1:]) == len(data) - data.index(b"\r\n") - 2  # all but the header
+
+    def test_reader_checks_its_tables(self, kernel):
+        assert csv_reader(None) is None
+        read = csv_reader(kernel)
+        assert read(b"1,2\r\n3,4\n", np.empty((1, 1)), np.empty((1, 1))) == 2
+        assert read(b"1,2\n3", np.empty((2, 1)), np.empty((2, 1))) is None
+        for params, objectives in ((np.empty((2, 0)), np.empty((2, 0))),
+                                   (np.empty((2, 1)), np.empty((3, 1))),
+                                   (np.empty((2, 2))[:, :1], np.empty((2, 1))),
+                                   (np.empty((2, 1), dtype=np.float32), np.empty((2, 1)))):
+            with pytest.raises(ValueError):
+                read(b"1,2\n", params, objectives)
+
+    def test_mutant_reader_fails_the_self_check(self, kernel, tmp_path, monkeypatch):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        source = adam._SOURCE.read_text()
+        check = adam._parse_check
+        mutations = [
+            # The rounding carry out of the largest subnormal is lost.
+            ("        ++exponent;", "        ;"),
+            # Ties round up instead of to even.
+            ("(!trailing_zeros || ((m2 >> shift) & 1))", "1"),
+        ]
+        for i, (old, new) in enumerate(mutations):
+            assert source.count(old) == 1, old
+            wrong = tmp_path / f"wrong-{i}.c"
+            wrong.write_text(source.replace(old, new))
+            monkeypatch.setattr(adam, "_SOURCE", wrong)
+            monkeypatch.setattr(adam, "_parse_check", check)
+            assert adam.load_kernel() is None, new
+            # The source builds and loads: the reader check is what refuses it.
+            monkeypatch.setattr(adam, "_parse_check", lambda kernel: True)
+            assert adam.load_kernel() is not None, new
