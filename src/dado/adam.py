@@ -419,15 +419,28 @@ def _check_values() -> np.ndarray:
     ])
 
 
+@functools.cache
+def _check_table() -> tuple[np.ndarray, bytes]:
+    """The finite `_check_values` in rows of eight cells, and their `repr_rows` text.
+
+    Both text checks use it, so the `repr` of the values is built once.
+    """
+    values = _check_values()
+    values = values[np.isfinite(values)]
+    table = values[:len(values) // 8 * 8].reshape(-1, 8)
+    return table, repr_rows(table)
+
+
 def _format_check(kernel) -> bool:
     """Format `_check_values` through the C writer; True when its bytes equal `repr_rows`'.
 
-    The values go in rows of eight cells, and the last eight again as rows of
-    one cell.
+    The finite values go in rows of eight cells; the others, and the last
+    eight, as rows of one cell.
     """
     values = _check_values()
-    tables = (values[:len(values) // 8 * 8].reshape(-1, 8), values[-8:].reshape(-1, 1))
-    return all(csv_formatter(kernel, t.shape[1], len(t))(t) == repr_rows(t) for t in tables)
+    column = np.concatenate([values[~np.isfinite(values)], values[-8:]])[:, None]
+    return all(csv_formatter(kernel, t.shape[1], len(t))(t) == text
+               for t, text in (_check_table(), (column, repr_rows(column))))
 
 
 # Decimals whose reading goes wrong in a reader that loses the carry out of the
@@ -453,10 +466,10 @@ def _parse_check(kernel) -> bool:
     """
     values = _check_values()
     values = values[np.isfinite(values)]
-    table = values[:len(values) // 8 * 8].reshape(-1, 8)
+    table, text = _check_table()
     cells = [*_PARSE_EDGES, *map(repr, values[table.size:].tolist())]
     read = csv_reader(kernel)
-    for text, expected, d in ((repr_rows(table), table, 5),
+    for text, expected, d in ((text, table, 5),
                               ("\n".join(cells).encode(), np.array([[float(c) for c in cells]]).T, 1)):
         params = np.empty((len(expected), d))
         objectives = np.empty((len(expected), expected.shape[1] - d))

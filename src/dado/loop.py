@@ -243,10 +243,20 @@ class SweepSummary:
     table: list[AggregateRow] = field(default_factory=list)
 
 
-def _execute_run(payload):
-    pool, cfg = payload
+# The pool a sweep's jobs run on: set once per worker process by the executor's
+# initializer, so each job ships only its ScenarioConfig, and around the serial
+# loop in the sweep's own process.
+_sweep_pool: CandidatePool | None = None
+
+
+def _set_sweep_pool(pool: CandidatePool | None) -> None:
+    global _sweep_pool
+    _sweep_pool = pool
+
+
+def _execute_run(cfg: ScenarioConfig):
     try:
-        return run_experiment(pool.copy(), cfg), None
+        return run_experiment(_sweep_pool.copy(), cfg), None
     except Exception as exc:  # noqa: BLE001 - a sweep isolates per-run failures
         return None, f"{type(exc).__name__}: {exc}"
 
@@ -277,7 +287,8 @@ def run_sweep(pool: CandidatePool, scenarios, strategies, seeds) -> SweepSummary
     """Run the scenario x strategy x seed grid, each on a fresh pool copy.
 
     The runs spread over `DADO_THREADS` worker processes (default: the CPUs
-    this process may run on). Failures are recorded per run and excluded from
+    this process may run on), each of which receives the pool once and each
+    job only its ScenarioConfig. Failures are recorded per run and excluded from
     aggregation instead of aborting the sweep. Aggregates are the mean and
     standard error across seeds, per scenario, strategy, and metric, for both
     AUC and final value.
@@ -300,13 +311,19 @@ def run_sweep(pool: CandidatePool, scenarios, strategies, seeds) -> SweepSummary
         for st in strategies
         for sd in seeds
     ]
-    payloads = [(pool, cfg) for cfg in jobs]
     workers = _sweep_workers()
     if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(min(workers, len(jobs))) as executor:
-            outcomes = list(executor.map(_execute_run, payloads))
+        # Under fork the workers inherit the pool; under spawn and forkserver
+        # it is pickled once per worker, never once per job.
+        with ProcessPoolExecutor(min(workers, len(jobs)), initializer=_set_sweep_pool,
+                                 initargs=(pool,)) as executor:
+            outcomes = list(executor.map(_execute_run, jobs))
     else:
-        outcomes = [_execute_run(p) for p in payloads]
+        _set_sweep_pool(pool)
+        try:
+            outcomes = [_execute_run(cfg) for cfg in jobs]
+        finally:
+            _set_sweep_pool(None)
 
     runs = [
         RunRecord(cfg.name, cfg.aq_size, cfg.strategy.value, cfg.seed, result, error)

@@ -154,9 +154,23 @@ def _dropout_masks(rng, rows: int, config: MlpConfig):
 
 
 def _forward(model: SurrogateModel, x: np.ndarray, train_mode: bool, rng):
-    """Batch forward pass; returns (output, cache) with per-layer backprop state."""
-    masks = _dropout_masks(rng, len(x), model.config) if train_mode else None
-    return _propagate(model, x, masks)
+    """Batch forward pass; returns (output, cache).
+
+    In train mode the cache holds per-layer backprop state. In eval mode it is
+    None: each layer's activation overwrites its pre-activation and the layer
+    before it is freed, with the same IEEE operations in the same order.
+    """
+    if train_mode:
+        return _propagate(model, x, _dropout_masks(rng, len(x), model.config))
+    slope = model.config.leaky_slope
+    h = x
+    for w, b in zip(model.weights[:-1], model.biases[:-1]):
+        h = h @ w.T
+        h += b
+        np.maximum(h, slope * h, out=h)
+    y = h @ model.weights[-1].T
+    y += model.biases[-1]
+    return y, None
 
 
 def _propagate(model: SurrogateModel, x: np.ndarray, masks):
@@ -269,6 +283,9 @@ def train(model: SurrogateModel, inputs, targets, cfg: TrainConfig, rng):
             _loss_and_grads(work, xs, ts, masks, start, stop, gw, gb, native)
             step += 1
             update(step)
+        # The epoch's masks, and the C pass bound to them, go before the epoch
+        # loss and the next draw, so neither holds them.
+        masks = native = None
         pred, _ = _forward(work, x, False, None)
         pred -= t
         epoch_loss = float(np.mean(pred * pred))

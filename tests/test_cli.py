@@ -7,6 +7,7 @@ import hashlib
 import io
 import json
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -776,6 +777,42 @@ class TestBlasPin:
 
     def test_caller_setting_wins(self):
         assert self.blas_threads_after_import(OPENBLAS_NUM_THREADS="2") == "2"
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the pin is glibc's mallopt")
+class TestAllocatorPin:
+    """Importing dado serves numpy temporaries from glibc's heap, not fresh mappings."""
+
+    # 40 allocate-and-free cycles of float64 arrays growing from 1.0 to 3.9 MB,
+    # below numpy's 4 MB cut-off for huge-page advice.
+    CYCLES = """
+import resource
+import numpy as np
+import dado
+sizes = [int((1.0 + 2.9 * i / 39) * 2**20) // 8 for i in range(40)]
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for n in sizes:
+    a = np.ones(n)
+    del a
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+    def minor_faults(self, **env) -> int:
+        src = Path(__file__).resolve().parents[1] / "src"
+        child_env = {k: v for k, v in os.environ.items()
+                     if not k.startswith("MALLOC_") and k != "GLIBC_TUNABLES"}
+        child_env.update(env, PYTHONPATH=str(src))
+        out = subprocess.run([sys.executable, "-c", self.CYCLES], env=child_env,
+                             capture_output=True, text=True, check=True, timeout=60)
+        return int(out.stdout)
+
+    def test_growing_temporaries_reuse_the_heap(self):
+        # Each 4 KiB page of the largest array faults once: about 1,000 faults.
+        assert self.minor_faults() < 2000
+
+    def test_caller_setting_wins(self):
+        # glibc's 128 KiB threshold maps every array afresh: about 24,000 faults.
+        assert self.minor_faults(MALLOC_MMAP_THRESHOLD_="131072") > 10000
 
 
 class TestBenchmarkTracer:

@@ -1,6 +1,10 @@
 """Experiment loop orchestration, determinism, and sweep aggregation."""
 
+import multiprocessing
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -259,6 +263,73 @@ class TestRunSweep:
         before = pool.available
         run_sweep(pool, [fast_scenario()], [StrategyKind.RANDOM], [0, 1])
         assert pool.available == before
+
+
+# Runs one grid serially and on two workers under the start method in argv[1],
+# on a pool of argv[2] rows, and prints whether the tables are equal, the bytes
+# the main process wrote to worker pipes during the parallel sweep (counted on
+# `Connection.send_bytes`, as perfbench/tracer.py counts them), and the size
+# of one pickled copy of the pool.
+START_METHOD_SWEEP = """
+import multiprocessing, os, pickle, sys
+from multiprocessing.connection import Connection
+
+from dado.loop import ScenarioConfig, run_sweep
+from dado.oracle import gen_synthetic_pool
+from dado.strategies import StrategyKind
+from dado.surrogate import MlpConfig, TrainConfig
+
+main_pid = os.getpid()
+shipped = 0
+send_bytes = Connection.send_bytes
+
+def counting_send_bytes(self, buf, offset=0, size=None):
+    global shipped
+    if os.getpid() == main_pid:
+        shipped += memoryview(buf).nbytes - offset if size is None else size
+    return send_bytes(self, buf, offset, size)
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method(sys.argv[1])
+    Connection.send_bytes = counting_send_bytes
+    pool = gen_synthetic_pool(int(sys.argv[2]), 3, seed=17)
+    cfg = ScenarioConfig(name="start", initial_size=20, draw_size=40, aq_size=10, budget=40,
+                         strategy=StrategyKind.RANDOM, seed=0, mlp=MlpConfig(hidden=(8, 4)),
+                         train=TrainConfig(max_epochs=2))
+    grid = ([cfg], [StrategyKind.L2_SELECT, StrategyKind.RANDOM], [0, 1])
+    os.environ["DADO_THREADS"] = "1"
+    serial = run_sweep(pool, *grid)
+    os.environ["DADO_THREADS"] = "2"
+    shipped = 0
+    parallel = run_sweep(pool, *grid)
+    print(parallel.table == serial.table, shipped, len(pickle.dumps(pool)))
+"""
+
+
+def sweep_under(method: str, rows: int) -> tuple[bool, int, int]:
+    """(tables equal, bytes shipped, pickled pool bytes) of START_METHOD_SWEEP."""
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"no {method} start method here")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    out = subprocess.run([sys.executable, "-c", START_METHOD_SWEEP, method, str(rows)],
+                         env=env, capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    equal, shipped, pickled = out.stdout.split()
+    return equal == "True", int(shipped), int(pickled)
+
+
+class TestSweepStartMethods:
+    """Each worker gets the pool once, whatever the start method; jobs carry configs only."""
+
+    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
+    def test_parallel_matches_serial(self, method):
+        equal, _, _ = sweep_under(method, 300)
+        assert equal
+
+    def test_fork_ships_less_than_one_pool(self):
+        equal, shipped, pickled = sweep_under("fork", 20_000)
+        assert equal
+        assert 0 < shipped < pickled
 
 
 class TestSweepWorkers:

@@ -6,6 +6,7 @@ import math
 import platform
 import shutil
 import subprocess
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -474,6 +475,40 @@ class TestPredictBatch:
         model = init_model(SMALL, seed=0)
         with pytest.raises(DimensionMismatch):
             predict_batch(model, np.zeros((1, 3)))
+
+
+class TestEvalMemory:
+    """At desk shape (28 inputs, hidden 200 and 100), an eval-mode forward holds no
+    backprop state, and `train` frees an epoch's dropout masks once its steps are done."""
+
+    DESK = MlpConfig(input_dim=28, output_dim=2)
+
+    @staticmethod
+    def traced_peak(fn) -> int:
+        fn()  # a first call loads the native kernel and fills numpy's caches
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_predict_holds_two_first_layer_activations(self):
+        model = init_model(self.DESK, seed=0)
+        x = np.random.default_rng(0).random((2000, 28))
+        # The first hidden layer's pre-activation and its `slope * z` temporary.
+        assert self.traced_peak(lambda: predict_batch(model, x)) <= 1.1 * (2 * 2000 * 200 * 8)
+
+    def test_train_frees_masks_before_the_epoch_loss(self):
+        model = init_model(self.DESK, seed=0)
+        rng = np.random.default_rng(0)
+        x, t = rng.random((475, 28)), rng.normal(size=(475, 2))
+        peak = self.traced_peak(
+            lambda: train(model, x, t, TrainConfig(max_epochs=3), np.random.default_rng(1)))
+        # Five parameter vectors (1.04 MB) and the epoch loss's two 475 x 200
+        # activations (1.52 MB); the epoch's 1.14 MB of masks, held through the
+        # epoch loss, would pass the bound.
+        assert peak < 3.3e6
 
 
 # Frozen reference step: the train step as it was before dropout masks were
