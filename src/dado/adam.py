@@ -15,11 +15,12 @@ doubles `float` gives, with Ryu's s2d on the same tables, and refuses any
 other text. The C file is compiled on first use into `$XDG_CACHE_HOME/dado`
 (default `~/.cache/dado`), or into a private temporary directory when that
 one is not writable; a new build deletes this architecture's libraries of
-other sources or flags. The loaded kernels are used only after a self-check
-on fixed inputs matches the Python paths bit for bit and byte for byte. With
-no compiler, a failed build or load, no float64 loop to call, or a failed
-self-check, training runs numpy and pools are written through `repr` and
-read through `np.loadtxt`, with the same results, only slower.
+other sources or flags that are more than a week old. The loaded kernels are
+used only after a self-check on fixed inputs matches the Python paths bit for
+bit and byte for byte. With no compiler, a failed build or load, no float64
+loop to call, or a failed self-check, training runs numpy and pools are
+written through `repr` and read through `np.loadtxt`, with the same results,
+only slower.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ import re
 import shutil
 import subprocess
 import tempfile
+import time
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -41,6 +43,7 @@ import numpy as np
 
 _SOURCE = Path(__file__).with_name("_native.c")
 _CFLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-shared", "-fPIC")
+_STALE_BUILD_AGE_S = 7 * 24 * 60 * 60  # a week
 
 
 class Kernels(NamedTuple):
@@ -292,16 +295,21 @@ def load_kernel():
 
 
 def _remove_stale_builds(directory: Path, current: str) -> None:
-    """Delete this architecture's libraries of other sources or flags from the cache.
+    """Delete this architecture's libraries of other sources or flags from the cache,
+    once they are more than `_STALE_BUILD_AGE_S` old.
 
-    Libraries built for other architectures stay, for hosts sharing the cache.
-    A library another process has loaded stays mapped, so deleting it is safe.
+    A newer library stays, so checkouts of two sources sharing the cache do not
+    delete each other's. Libraries built for other architectures stay, for
+    hosts sharing the cache. A library another process has loaded stays
+    mapped, so deleting it is safe.
     """
     stale = re.compile(rf"(adam|native)-({re.escape(platform.machine())}-)?[0-9a-f]{{20}}\.so")
+    cutoff = time.time() - _STALE_BUILD_AGE_S
     for path in directory.iterdir():
         if path.name != current and stale.fullmatch(path.name):
             with contextlib.suppress(OSError):
-                path.unlink()
+                if path.stat().st_mtime < cutoff:
+                    path.unlink()
 
 
 def _pow5_tables() -> tuple[np.ndarray, np.ndarray]:

@@ -10,6 +10,7 @@ training set are marked *consumed* and never drawn again.
 
 from __future__ import annotations
 
+import collections
 import csv
 import io
 import itertools
@@ -130,13 +131,6 @@ def _own_pool(params: np.ndarray, objectives: np.ndarray) -> CandidatePool:
     return CandidatePool(params, objectives, bounds, np.zeros(params.shape[0], dtype=bool))
 
 
-def _decode(p: Path, data) -> str:
-    try:
-        return str(data, "utf-8")
-    except UnicodeDecodeError:
-        raise SchemaMismatch(f"{p}: not UTF-8 text") from None
-
-
 def _line_blocks(fh, digest):
     """The file's bytes as non-empty blocks of whole lines of at most
     LOAD_BLOCK_BYTES (or one longer line), each byte read once and fed to
@@ -173,7 +167,11 @@ def _read_header(p: Path, blocks) -> tuple[list[str], memoryview]:
     """
     first = next(blocks, memoryview(b""))
     end = re.search(rb"\r\n?|\n", first)
-    header = next(csv.reader([_decode(p, first[:end.start() if end else len(first)])]), None)
+    try:
+        line = str(first[:end.start() if end else len(first)], "utf-8")
+    except UnicodeDecodeError:
+        raise SchemaMismatch(f"{p}: not UTF-8 text") from None
+    header = next(csv.reader([line]), None)
     if not header:
         raise SchemaMismatch(f"{p}: empty file, expected a header row")
     return header, first[end.end() if end else len(first):]
@@ -198,17 +196,16 @@ def load_pool(path, d: int | None = None, num_obj: int | None = None, *,
     Without d, d and num_obj come from the header's p*/j* names. Row order
     defines candidate ids 0..n-1. Raises MissingFile, SchemaMismatch on a
     wrong column count or a non-numeric cell, or NonFiniteValue naming the
-    offending data row. The file is opened once and read once, in blocks of
-    whole lines that also go to `digest`, a hashlib object, when given. The
-    C reader parses a block when the library loaded and the block is all in
-    the writer's form, and `np.loadtxt` otherwise; either way the values and
-    errors are those of one `np.loadtxt` call over the whole file.
+    offending data row. The file is opened once and read in blocks of whole
+    lines that also go to `digest`, a hashlib object, when given. The C
+    reader parses the blocks when the library loaded and every byte is in the
+    writer's form; otherwise one `np.loadtxt` call reads the whole file again
+    from its start. Either way the values and errors are that call's.
     """
     p = Path(path)
     if not p.is_file():
         raise MissingFile(f"pool file not found: {p}")
     parse = csv_reader(native_kernel())
-    rows, cols = 0, None  # data rows so far, and the first one's column count
     with open(p, "rb") as fh:
         blocks = _line_blocks(fh, digest)
         header, text = _read_header(p, blocks)
@@ -223,37 +220,23 @@ def load_pool(path, d: int | None = None, num_obj: int | None = None, *,
         # Each block's rows go straight into the pool's arrays, which grow to the
         # rows the bytes read so far foretell, and are cut to the rows at the end.
         params, objectives = np.empty((0, d)), np.empty((0, num_obj))
-        size, read = os.fstat(fh.fileno()).st_size, 0
-
-        def reserve(end):
-            if end > len(params):
-                capacity = max(end, round(end * size / read * 1.05))
-                for table in (params, objectives):
-                    table.resize((capacity, table.shape[1]), refcheck=False)
-
+        size, read, rows = os.fstat(fh.fileno()).st_size, 0, 0
         for text in itertools.chain([text], blocks):
             read += len(text)
-            n = None
-            if parse is not None and cols in (None, expected):
-                n = parse(text, params[rows:], objectives[rows:])
-                if n is not None and rows + n > len(params):
-                    reserve(rows + n)
-                    parse(text, params[rows:], objectives[rows:])
-                if n:
-                    cols = expected
+            n = None if parse is None else parse(text, params[rows:], objectives[rows:])
             if n is None:
-                block = _loadtxt_block(p, text, cols, rows)
-                n = len(block)
-                if n:
-                    cols = block.shape[1]
-                if n and cols == expected:  # else the file fails below, once all of it is read
-                    reserve(rows + n)
-                    params[rows:rows + n], objectives[rows:rows + n] = block[:, :d], block[:, d:]
+                collections.deque(blocks, maxlen=0)  # the digest still sees every byte
+                params, objectives = _loadtxt_pool(p, fh, d, expected)
+                rows = len(params)
+                break
+            if rows + n > len(params):
+                capacity = max(rows + n, round((rows + n) * size / read * 1.05))
+                for table in (params, objectives):
+                    table.resize((capacity, table.shape[1]), refcheck=False)
+                parse(text, params[rows:], objectives[rows:])
             rows += n
     if rows == 0:
         raise SchemaMismatch(f"{p}: no data rows")
-    if cols != expected:
-        raise SchemaMismatch(f"{p}: data rows have {cols} columns, expected {expected}")
     for table in (params, objectives):
         table.resize((rows, table.shape[1]), refcheck=False)
     finite = np.isfinite(params).all(axis=1) & np.isfinite(objectives).all(axis=1)
@@ -263,26 +246,25 @@ def load_pool(path, d: int | None = None, num_obj: int | None = None, *,
     return _own_pool(params, objectives)
 
 
-def _loadtxt_block(p: Path, text, cols: int | None, rows: int) -> np.ndarray:
-    """`np.loadtxt`'s reading of a block of whole lines that follows `rows` data
-    rows of `cols` cells (None before the first), as it reads them in the whole
-    file: universal newlines, blank lines skipped, the column count held to
-    the first row's, and errors naming the file's data row.
+def _loadtxt_pool(p: Path, fh, d: int, expected: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (params, objectives) of the pool file open in `fh`, read from its
+    start by one `np.loadtxt` call: universal newlines, blank lines skipped,
+    errors naming the data row.
     """
-    # A row of zeros stands in for the rows before, so numpy sees their column count.
-    lead = "" if cols is None else ",".join(["0"] * cols) + "\n"
+    fh.seek(0)
     try:
         with warnings.catch_warnings():
             # A header-only file is reported by the caller as having no data rows.
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            data = np.loadtxt(io.StringIO(lead + _decode(p, text), newline=None), dtype=float,
-                              delimiter=",", ndmin=2, comments=None)
+            data = np.loadtxt(io.TextIOWrapper(fh, encoding="utf-8", newline=None),
+                              delimiter=",", skiprows=1, ndmin=2, comments=None)
+    except UnicodeDecodeError:
+        raise SchemaMismatch(f"{p}: not UTF-8 text") from None
     except ValueError as exc:
-        # numpy counts data rows; shift its count to the file's.
-        shift = rows - bool(lead)
-        message = re.sub(r"(?<=at row )\d+", lambda m: str(int(m[0]) + shift), str(exc))
-        raise SchemaMismatch(f"{p}: {message}") from None
-    return data[bool(lead):]
+        raise SchemaMismatch(f"{p}: {exc}") from None
+    if len(data) and data.shape[1] != expected:
+        raise SchemaMismatch(f"{p}: data rows have {data.shape[1]} columns, expected {expected}")
+    return data[:, :d].copy(), data[:, d:].copy()
 
 
 def save_pool(pool: CandidatePool, path) -> None:

@@ -9,6 +9,7 @@ import json
 import os
 import platform
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -16,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dado import cli, datapool
+from dado import cli, datapool, surrogate
 from dado.adam import native_kernel
 from dado.cli import ITERATIONS_HEADER, RUN_KEYS, SWEEP_KEYS, build_parser, main
 from dado.datapool import load_pool
@@ -175,8 +176,16 @@ class TestRun:
         assert manifest["pool"] == {"path": str(pool), "d": 3, "num_obj": 2,
                                     "sha256": hashlib.sha256(pool.read_bytes()).hexdigest()}
 
-    def test_pool_is_opened_once_to_load_and_hash(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("refused", [False, True], ids=["writer-form", "late-refused-cell"])
+    def test_pool_is_opened_once_to_load_and_hash(self, tmp_path, monkeypatch, refused):
         pool = make_pool(tmp_path)
+        if refused:
+            # A cell outside the writer's form past the first block sends the whole
+            # file through np.loadtxt, which reads it again on the same handle.
+            monkeypatch.setattr(datapool, "LOAD_BLOCK_BYTES", 1024)
+            lines = pool.read_bytes().split(b"\r\n")
+            lines[250] = b"+1," + lines[250].split(b",", 1)[1]
+            pool.write_bytes(b"\r\n".join(lines))
         opened = []
         for module, name in ((builtins, "open"), (io, "open"), (os, "open")):
             original = getattr(module, name)
@@ -191,6 +200,7 @@ class TestRun:
         assert len(opened) == 1
         assert entry["sha256"] == hashlib.sha256(pool.read_bytes()).hexdigest()
         assert (len(loaded), entry["d"], entry["num_obj"]) == (300, 3, 2)
+        assert (loaded.params[249, 0] == 1.0) == refused
 
     def test_low_budget_shape_gives_16_iterations(self, tmp_path):
         pool = make_pool(tmp_path, n=1000, d=3)
@@ -446,8 +456,9 @@ class TestNonUtf8Input:
     """A text input holding a byte that is not UTF-8 ends in a documented exit code."""
 
     @pytest.mark.parametrize("what, code", [("run-config", 2), ("sweep-config", 2),
-                                            ("pool", 1), ("iterations", 1)])
-    def test_exits_with_code_and_names_the_file(self, tmp_path, capsys, what, code):
+                                            ("pool", 1), ("pool-late-block", 1),
+                                            ("iterations", 1)])
+    def test_exits_with_code_and_names_the_file(self, tmp_path, capsys, monkeypatch, what, code):
         pool = make_pool(tmp_path)
         cfg = tmp_path / "in.cfg"
         if what == "iterations":
@@ -457,8 +468,15 @@ class TestNonUtf8Input:
             corrupt(bad, b"\r\n0,", b"\r\n\xff0,")
             argv = ("report", "--runs", tmp_path / "r", "--metric", "srocc",
                     "--out", tmp_path / "c.csv")
-        elif what == "pool":
-            corrupt(pool, b"p0", b"p\xff0")
+        elif what.startswith("pool"):
+            if what == "pool":
+                corrupt(pool, b"p0", b"p\xff0")
+            else:
+                # The byte sits in the last of many blocks, after the C reader took the first.
+                monkeypatch.setattr(datapool, "LOAD_BLOCK_BYTES", 1024)
+                data = pool.read_bytes()
+                cut = data.index(b"\r\n", len(data) - 512) + 2
+                pool.write_bytes(data[:cut] + b"\xff" + data[cut:])
             cfg.write_text(FAST_CFG)
             bad, argv = pool, ("run", "--pool", pool, "--config", cfg, "--out-dir", tmp_path / "o")
         else:
@@ -644,6 +662,71 @@ class TestGoldenDigests:
         assert run_cli("report", "--runs", *sorted((out_dir / "runs").iterdir()),
                        "--metric", "srocc", "--out", report) == 0
         assert self.digest(report) == GOLDEN_SHA256["report.csv"]
+
+
+WORKING_CELL = ("initial_size = 200\ndraw_size = 1000\nbudget = 400\nseed = 3\n"
+                "hidden = 200,100\nmax_epochs = 3\n")
+
+
+class TestDeterminismAtWorkingShape:
+    """One run at the desk net's shape writes the same result bytes however it is run.
+
+    The cell: a 2,000 x 28 analytic pool, l2-select, seed 3, 200 initial
+    candidates, draws of 1,000, 50 acquired per iteration up to 400, and the
+    28 -> 200 -> 100 -> 2 net trained for 3 epochs, so the predictions and
+    epoch losses are products large enough for OpenBLAS to split across
+    threads. Its `iterations.csv` and `summary.json` must be equal, byte for
+    byte, through the C and the numpy train step, under OpenBLAS at 1 and at
+    2 threads, and run standalone or as a job of a 2-worker sweep.
+    """
+
+    RESULTS = ("iterations.csv", "summary.json")
+
+    @pytest.fixture(scope="class")
+    def cell(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("working")
+        pool, cfg = root / "pool.csv", root / "run.cfg"
+        assert run_cli("gen-pool", "--n", 2000, "--d", 28, "--seed", 11, "--out", pool) == 0
+        cfg.write_text("strategy = l2-select\naq_size = 50\n" + WORKING_CELL)
+        assert run_cli("run", "--pool", pool, "--config", cfg, "--out-dir", root / "run") == 0
+        return pool, cfg, self.results(root / "run")
+
+    @classmethod
+    def results(cls, out_dir):
+        return {name: (out_dir / name).read_bytes() for name in cls.RESULTS}
+
+    def test_numpy_train_step(self, cell, tmp_path, monkeypatch):
+        if shutil.which("cc") is None:
+            pytest.skip("no C compiler, so every run takes the numpy step")
+        assert native_kernel() is not None
+        pool, cfg, expected = cell
+        for module in (surrogate, cli):  # the step, and the manifest's record of it
+            monkeypatch.setattr(module, "native_kernel", lambda: None)
+        assert run_cli("run", "--pool", pool, "--config", cfg, "--out-dir", tmp_path) == 0
+        assert json.loads((tmp_path / "manifest.json").read_text())["train_step"] == "numpy"
+        assert self.results(tmp_path) == expected
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_blas_threads(self, cell, tmp_path, threads):
+        # OpenBLAS reads the variable when numpy loads, so each count needs its own process.
+        pool, cfg, expected = cell
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        subprocess.run([sys.executable, "-m", "dado.cli", "run", "--pool", str(pool),
+                        "--config", str(cfg), "--out-dir", str(tmp_path)],
+                       env=env, capture_output=True, check=True, timeout=120)
+        assert self.results(tmp_path) == expected
+
+    def test_sweep_job(self, cell, tmp_path, monkeypatch):
+        monkeypatch.setenv("DADO_THREADS", "2")
+        pool, _, expected = cell
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("aq_sizes = 50\nstrategies = random, l2-select\nseeds = 3\n"
+                       + WORKING_CELL.replace("seed = 3\n", ""))
+        assert run_cli("sweep", "--config", cfg, "--pool", pool, "--out-dir", tmp_path) == 0
+        (job,) = (tmp_path / "runs").glob("*-l2-select-seed3")
+        assert self.results(job) == expected
+
 
 GOLDEN_MLP = {"dropout_rate": 0.1, "hidden": [8, 4], "input_dim": None, "leaky_slope": 0.01,
               "output_dim": None}

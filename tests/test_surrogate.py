@@ -3,9 +3,11 @@
 import ctypes
 import gc
 import math
+import os
 import platform
 import shutil
 import subprocess
+import time
 import tracemalloc
 
 import numpy as np
@@ -375,10 +377,27 @@ class TestAdam:
         kept = ["notes.txt", f"native-other-arch-{'4' * 20}.so", ".native-x1y2z3.so"]
         for name in stale + kept:
             (cache / name).write_bytes(b"")
+        # Only libraries older than a week are stale; the kept files are old too.
+        week_ago = time.time() - adam._STALE_BUILD_AGE_S - 60
+        for name in stale + kept:
+            os.utime(cache / name, (week_ago, week_ago))
         assert adam.load_kernel() is not None
         built = {f.name for f in cache.iterdir()}.difference(kept)
         assert len(built) == 1 and built.pop().startswith(f"native-{platform.machine()}-")
         assert all((cache / name).exists() for name in kept)
+
+    def test_two_sources_sharing_a_cache_build_once_each(self, kernel, tmp_path, monkeypatch):
+        # Two checkouts of different sources alternating on one cache keep both libraries.
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        other = tmp_path / "other.c"
+        other.write_text(adam._SOURCE.read_text() + "/* another version */\n")
+        sources, compiled, compile_ = [adam._SOURCE, other], [], adam._compile
+        monkeypatch.setattr(adam, "_compile", lambda *a: compiled.append(a[3].name) or compile_(*a))
+        for i in range(4):
+            monkeypatch.setattr(adam, "_SOURCE", sources[i % 2])
+            assert adam.load_kernel() is not None
+        assert len(compiled) == 2
+        assert len(list((tmp_path / "dado").iterdir())) == 2
 
     def test_unwritable_cache_builds_in_a_private_directory(self, kernel, tmp_path, monkeypatch):
         blocker = tmp_path / "not-a-directory"
