@@ -81,7 +81,6 @@ from .strategies import (
     selection_order,
 )
 from .surrogate import (
-    EarlyStopping,
     MlpConfig,
     SurrogateModel,
     TrainConfig,

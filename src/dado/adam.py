@@ -384,16 +384,16 @@ def _fwd_bwd_check(kernel) -> bool:
     seeds are ones for which wrong strides, a row-by-row single-column sum or
     a sum started from -0.0 change the bits.
     """
-    from .surrogate import MlpConfig, SurrogateModel, _dropout_masks, _loss_and_grads, init_model
+    from .surrogate import MlpConfig, _dropout_masks, _loss_and_grads, init_model
 
-    config = MlpConfig(input_dim=3, output_dim=1, hidden=(8, 64), dropout_rate=0.25)
-    model = init_model(config, seed=6)
+    config = MlpConfig(hidden=(8, 64), dropout_rate=0.25)
+    model = init_model(config, 3, 1, seed=6)
     rng = np.random.default_rng(7)
     xs, ts = rng.random((17, 3)), rng.normal(size=(17, 1))
     masks = _dropout_masks(rng, 17, config)
     grad = np.empty_like(model.theta)
-    expected = SurrogateModel(config, np.empty_like(model.theta))
-    run = fwd_bwd_binder(kernel, model.theta, grad, (3, 8, 64, 1), config.leaky_slope, 16)(
+    expected = model.like(np.empty_like(model.theta))
+    run = fwd_bwd_binder(kernel, model.theta, grad, model.widths, config.leaky_slope, 16)(
         xs, ts, masks)
     for start, stop in ((0, 16), (16, 17)):
         run(start, stop)

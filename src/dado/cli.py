@@ -35,8 +35,6 @@ ITERATIONS_HEADER = ("iter", "train_size") + METRIC_FIELDS
 _SWEEP_AXES = {"aq_sizes": "aq_size", "strategies": "strategy", "seeds": "seed"}
 # Values for the scenario fields that have no default in ScenarioConfig.
 _RUN_DEFAULTS = {"name": "run", "seed": 0}
-# MlpConfig dims that `resolved()` fills in from the pool; they are not config keys.
-_POOL_DIMS = ("input_dim", "output_dim")
 
 
 def _field_types(cls) -> dict:
@@ -53,8 +51,7 @@ def _config_keys() -> dict:
     keys = {}
     for name, tp in _field_types(ScenarioConfig).items():
         if name in _SUBCONFIGS:
-            keys.update((key, (name, key_tp)) for key, key_tp in _field_types(tp).items()
-                        if key not in _POOL_DIMS)
+            keys.update((key, (name, key_tp)) for key, key_tp in _field_types(tp).items())
         else:
             keys[name] = (None, tp)
     return keys

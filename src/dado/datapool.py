@@ -118,6 +118,8 @@ def pool_from_arrays(params: np.ndarray, objectives: np.ndarray) -> CandidatePoo
         raise SchemaMismatch("params and objectives must be 2-D with matching row counts")
     if params.shape[0] == 0:
         raise SchemaMismatch("pool needs at least one candidate")
+    if params.shape[1] == 0 or objectives.shape[1] == 0:
+        raise SchemaMismatch("pool needs at least one parameter and one objective column")
     if not np.isfinite(params).all() or not np.isfinite(objectives).all():
         raise NonFiniteValue("non-finite value in pool arrays")
     return _own_pool(params, objectives)

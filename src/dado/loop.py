@@ -144,7 +144,6 @@ def run_experiment(
             f"scenario {cfg.name!r} needs {needed} available candidates at its last "
             f"draw, pool has {pool.available}"
         )
-    mlp_cfg = cfg.mlp.resolved(pool.d, pool.num_obj)
 
     train_rows = initial_sample(pool, cfg.initial_size, derive_rng(cfg.seed, "initial-sample"))
     train_targets = annotate(pool, train_rows)
@@ -156,7 +155,7 @@ def run_experiment(
     for i in range(n_iter):
         fnorm, tnorm = fit_normalizers(pool, train_targets)
         if predict_override is None:
-            model = init_model(mlp_cfg, derive_seed(cfg.seed, "model-init", i))
+            model = init_model(cfg.mlp, pool.d, pool.num_obj, derive_seed(cfg.seed, "model-init", i))
             model, _ = train(
                 model,
                 fnorm.transform(pool.params[train_rows]),

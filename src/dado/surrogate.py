@@ -24,34 +24,20 @@ ADAM_EPS = 1e-8
 
 @dataclass(frozen=True)
 class MlpConfig:
-    """Network shape. Dims left as None are resolved from the pool at run time."""
+    """The hidden layers and their activation and dropout; the input and output
+    widths come from the data."""
 
-    input_dim: int | None = None
-    output_dim: int | None = None
     hidden: tuple[int, ...] = (200, 100)
     leaky_slope: float = 0.01
     dropout_rate: float = 0.1
 
     def __post_init__(self):
-        for name, dim in (("input_dim", self.input_dim), ("output_dim", self.output_dim)):
-            if dim is not None and dim < 1:
-                raise ValueError(f"{name} must be positive")
         if not self.hidden or any(h < 1 for h in self.hidden):
             raise ValueError("hidden layer sizes must be positive")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout_rate must lie in [0, 1)")
         if not 0.0 <= self.leaky_slope <= 1.0:
             raise ValueError("leaky_slope must lie in [0, 1]")
-
-    def resolved(self, input_dim: int, output_dim: int) -> "MlpConfig":
-        """Fill in unset dims; set dims must already match the given ones."""
-        got_in = self.input_dim if self.input_dim is not None else input_dim
-        got_out = self.output_dim if self.output_dim is not None else output_dim
-        if got_in != input_dim or got_out != output_dim:
-            raise DimensionMismatch(
-                f"model is {got_in}->{got_out} but data needs {input_dim}->{output_dim}"
-            )
-        return MlpConfig(got_in, got_out, self.hidden, self.leaky_slope, self.dropout_rate)
 
 
 @dataclass(frozen=True)
@@ -76,29 +62,9 @@ class TrainLog:
     best_epoch: int
 
 
-class EarlyStopping:
-    """Stops after `patience` epochs without a strict decrease of the epoch loss."""
-
-    def __init__(self, patience: int):
-        self.patience = patience
-        self.best_loss = float("inf")
-        self.best_epoch = -1
-
-    def update(self, epoch: int, loss: float) -> bool:
-        """Record one epoch loss; returns True when training should stop now."""
-        if loss < self.best_loss:
-            self.best_loss = loss
-            self.best_epoch = epoch
-            return False
-        return epoch - self.best_epoch >= self.patience
-
-
-def _layer_shapes(config: MlpConfig) -> list[tuple[int, int]]:
+def _layer_shapes(widths: tuple[int, ...]) -> list[tuple[int, int]]:
     """(fan_out, fan_in) per layer, input to output."""
-    if config.input_dim is None or config.output_dim is None:
-        raise ValueError("the model needs a config with resolved input/output dims")
-    dims = (config.input_dim, *config.hidden, config.output_dim)
-    return list(zip(dims[1:], dims[:-1]))
+    return list(zip(widths[1:], widths[:-1]))
 
 
 class SurrogateModel:
@@ -107,12 +73,14 @@ class SurrogateModel:
     Layout: W0, b0, W1, b1, ... with each weight of shape (fan_out, fan_in).
     `weights[k]` and `biases[k]` are views into `theta`, so a write through
     either shows in the other, and the Adam step updates every layer at once.
+    `widths` are the layer widths from input to output.
     """
 
-    def __init__(self, config: MlpConfig, theta):
+    def __init__(self, config: MlpConfig, input_dim: int, output_dim: int, theta):
         self.config = config
+        self.widths = (input_dim, *config.hidden, output_dim)
         self.theta = np.ascontiguousarray(theta, dtype=np.float64)
-        shapes = _layer_shapes(config)
+        shapes = _layer_shapes(self.widths)
         size = sum(fan_out * (fan_in + 1) for fan_out, fan_in in shapes)
         if self.theta.shape != (size,):
             raise DimensionMismatch(
@@ -127,18 +95,22 @@ class SurrogateModel:
             self.biases.append(self.theta[end : end + fan_out])
             offset = end + fan_out
 
+    def like(self, theta) -> "SurrogateModel":
+        """A model of this shape over `theta`."""
+        return SurrogateModel(self.config, self.widths[0], self.widths[-1], theta)
+
     def copy(self) -> "SurrogateModel":
-        return SurrogateModel(self.config, self.theta.copy())
+        return self.like(self.theta.copy())
 
 
-def init_model(config: MlpConfig, seed: int) -> SurrogateModel:
+def init_model(config: MlpConfig, input_dim: int, output_dim: int, seed: int) -> SurrogateModel:
     """Fan-in-scaled uniform weight init, zero biases, deterministic under seed."""
     rng = np.random.default_rng(seed)
     parts = []
-    for fan_out, fan_in in _layer_shapes(config):
+    for fan_out, fan_in in _layer_shapes((input_dim, *config.hidden, output_dim)):
         bound = 1.0 / np.sqrt(fan_in)
         parts += [rng.uniform(-bound, bound, size=fan_out * fan_in), np.zeros(fan_out)]
-    return SurrogateModel(config, np.concatenate(parts))
+    return SurrogateModel(config, input_dim, output_dim, np.concatenate(parts))
 
 
 def _dropout_masks(rng, rows: int, config: MlpConfig):
@@ -246,16 +218,16 @@ def train(model: SurrogateModel, inputs, targets, cfg: TrainConfig, rng):
         raise DimensionMismatch("inputs and targets must be 2-D with matching row counts")
     if x.shape[0] == 0:
         raise DimensionMismatch("training set is empty")
-    if x.shape[1] != model.config.input_dim or t.shape[1] != model.config.output_dim:
+    widths = model.widths
+    if x.shape[1] != widths[0] or t.shape[1] != widths[-1]:
         raise DimensionMismatch(
-            f"data is {x.shape[1]}->{t.shape[1]} but model is "
-            f"{model.config.input_dim}->{model.config.output_dim}"
+            f"data is {x.shape[1]}->{t.shape[1]} but model is {widths[0]}->{widths[-1]}"
         )
 
     work = model.copy()
     theta = work.theta
     grad = np.zeros_like(theta)
-    grads = SurrogateModel(work.config, grad)
+    grads = work.like(grad)
     gw, gb = grads.weights, grads.biases
 
     m = np.zeros_like(theta)
@@ -268,10 +240,9 @@ def train(model: SurrogateModel, inputs, targets, cfg: TrainConfig, rng):
     n = x.shape[0]
     batches = [(start, min(start + cfg.batch_size, n)) for start in range(0, n, cfg.batch_size)]
     config = work.config
-    dims = (config.input_dim, *config.hidden, config.output_dim)
-    bind = fwd_bwd_binder(kernel, theta, grad, dims, config.leaky_slope, min(cfg.batch_size, n))
+    bind = fwd_bwd_binder(kernel, theta, grad, widths, config.leaky_slope, min(cfg.batch_size, n))
     step = 0
-    stopper = EarlyStopping(cfg.patience)
+    best_loss, best_epoch = float("inf"), -1
     losses: list[float] = []
     best_theta = theta.copy()
     for epoch in range(cfg.max_epochs):
@@ -292,23 +263,24 @@ def train(model: SurrogateModel, inputs, targets, cfg: TrainConfig, rng):
         if not np.isfinite(epoch_loss):
             raise NumericalDivergence(f"non-finite training loss at epoch {epoch}")
         losses.append(epoch_loss)
-        if epoch_loss < stopper.best_loss:
+        if epoch_loss < best_loss:
+            best_loss, best_epoch = epoch_loss, epoch
             best_theta[:] = theta
-        if stopper.update(epoch, epoch_loss):
+        elif epoch - best_epoch >= cfg.patience:
             break
 
     theta[:] = best_theta
     if not np.isfinite(theta).all():
         raise NumericalDivergence("non-finite weights after training")
-    return work, TrainLog(losses, stopper.best_epoch)
+    return work, TrainLog(losses, best_epoch)
 
 
 def predict_batch(model: SurrogateModel, inputs) -> np.ndarray:
     """Predict normalized objectives for (n, d) normalized inputs, order preserving."""
     x = np.asarray(inputs, dtype=float)
-    if x.ndim != 2 or x.shape[1] != model.config.input_dim:
+    if x.ndim != 2 or x.shape[1] != model.widths[0]:
         raise DimensionMismatch(
-            f"inputs of shape {x.shape} do not match input_dim {model.config.input_dim}"
+            f"inputs of shape {x.shape} do not match input width {model.widths[0]}"
         )
     y, _ = _forward(model, x, False, None)
     return y
@@ -327,7 +299,7 @@ def loss_gradients(model: SurrogateModel, x, y):
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    grads = SurrogateModel(model.config, np.empty_like(model.theta))
+    grads = model.like(np.empty_like(model.theta))
     _loss_and_grads(model, x[None, :], y[None, :], None, 0, 1, grads.weights, grads.biases)
     return _sample_loss(model, x, y), grads.theta
 

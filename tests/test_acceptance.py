@@ -90,13 +90,10 @@ class TestCriterion2:
         rng = np.random.default_rng(7)
         worst = 0.0
         for trial in range(10):
-            cfg = MlpConfig(
-                input_dim=int(rng.integers(2, 7)),
-                output_dim=int(rng.integers(1, 4)),
-                hidden=(int(rng.integers(3, 10)), int(rng.integers(2, 7))),
-            )
-            model = init_model(cfg, seed=1000 + trial)
-            sample = (rng.random(cfg.input_dim), rng.normal(size=cfg.output_dim))
+            input_dim, output_dim = int(rng.integers(2, 7)), int(rng.integers(1, 4))
+            cfg = MlpConfig(hidden=(int(rng.integers(3, 10)), int(rng.integers(2, 7))))
+            model = init_model(cfg, input_dim, output_dim, seed=1000 + trial)
+            sample = (rng.random(input_dim), rng.normal(size=output_dim))
             worst = max(worst, grad_check(model, sample, eps=1e-5))
         report(2, worst < 1e-4, f"max relative gradient error {worst:.3e} < 1e-4")
 

@@ -6,6 +6,7 @@ import csv
 import hashlib
 import io
 import json
+import multiprocessing
 import os
 import platform
 import re
@@ -666,6 +667,19 @@ class TestGoldenDigests:
 
 WORKING_CELL = ("initial_size = 200\ndraw_size = 1000\nbudget = 400\nseed = 3\n"
                 "hidden = 200,100\nmax_epochs = 3\n")
+# The working cell and a random-strategy cell, as two jobs of one sweep.
+WORKING_SWEEP = ("aq_sizes = 50\nstrategies = random, l2-select\nseeds = 3\n"
+                 + WORKING_CELL.replace("seed = 3\n", ""))
+# Runs `dado` with the arguments after argv[1] under the start method in argv[1].
+START_METHOD_CLI = """
+import multiprocessing, sys
+from dado.cli import main
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method(sys.argv[1])
+    sys.exit(main(sys.argv[2:]))
+"""
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 class TestDeterminismAtWorkingShape:
@@ -677,7 +691,9 @@ class TestDeterminismAtWorkingShape:
     epoch losses are products large enough for OpenBLAS to split across
     threads. Its `iterations.csv` and `summary.json` must be equal, byte for
     byte, through the C and the numpy train step, under OpenBLAS at 1 and at
-    2 threads, and run standalone or as a job of a 2-worker sweep.
+    2 threads, and run standalone or as a job of a sweep: on one worker or
+    two (`DADO_THREADS`), and with workers started by fork, spawn or
+    forkserver.
     """
 
     RESULTS = ("iterations.csv", "summary.json")
@@ -710,26 +726,42 @@ class TestDeterminismAtWorkingShape:
     def test_blas_threads(self, cell, tmp_path, threads):
         # OpenBLAS reads the variable when numpy loads, so each count needs its own process.
         pool, cfg, expected = cell
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
-               "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": SRC}
         subprocess.run([sys.executable, "-m", "dado.cli", "run", "--pool", str(pool),
                         "--config", str(cfg), "--out-dir", str(tmp_path)],
                        env=env, capture_output=True, check=True, timeout=120)
         assert self.results(tmp_path) == expected
 
-    def test_sweep_job(self, cell, tmp_path, monkeypatch):
-        monkeypatch.setenv("DADO_THREADS", "2")
+    @classmethod
+    def job_results(cls, out_dir):
+        (job,) = (out_dir / "runs").glob("*-l2-select-seed3")
+        return cls.results(job)
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_sweep_job(self, cell, tmp_path, monkeypatch, threads):
+        monkeypatch.setenv("DADO_THREADS", threads)
         pool, _, expected = cell
         cfg = tmp_path / "sweep.cfg"
-        cfg.write_text("aq_sizes = 50\nstrategies = random, l2-select\nseeds = 3\n"
-                       + WORKING_CELL.replace("seed = 3\n", ""))
+        cfg.write_text(WORKING_SWEEP)
         assert run_cli("sweep", "--config", cfg, "--pool", pool, "--out-dir", tmp_path) == 0
-        (job,) = (tmp_path / "runs").glob("*-l2-select-seed3")
-        assert self.results(job) == expected
+        assert self.job_results(tmp_path) == expected
+
+    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
+    def test_sweep_job_under_start_method(self, cell, tmp_path, method):
+        # The start method is set once per process, so each needs its own.
+        if method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"no {method} start method here")
+        pool, _, expected = cell
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(WORKING_SWEEP)
+        env = {**os.environ, "DADO_THREADS": "2", "PYTHONPATH": SRC}
+        subprocess.run([sys.executable, "-c", START_METHOD_CLI, method, "sweep", "--config",
+                        str(cfg), "--pool", str(pool), "--out-dir", str(tmp_path)],
+                       env=env, capture_output=True, check=True, timeout=120)
+        assert self.job_results(tmp_path) == expected
 
 
-GOLDEN_MLP = {"dropout_rate": 0.1, "hidden": [8, 4], "input_dim": None, "leaky_slope": 0.01,
-              "output_dim": None}
+GOLDEN_MLP = {"dropout_rate": 0.1, "hidden": [8, 4], "leaky_slope": 0.01}
 GOLDEN_TRAIN = {"batch_size": 4, "learning_rate": 0.0005, "max_epochs": 3, "patience": 10}
 
 

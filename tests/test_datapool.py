@@ -136,6 +136,11 @@ class TestLoadPool:
             pool_from_arrays(np.zeros(3), np.zeros((3, 2)))
         with pytest.raises(SchemaMismatch):
             pool_from_arrays(np.zeros((0, 2)), np.zeros((0, 2)))
+        # The surrogate's input and output widths are the pool's column counts.
+        for params, objectives in ((np.zeros((3, 0)), np.zeros((3, 2))),
+                                   (np.zeros((3, 2)), np.zeros((3, 0)))):
+            with pytest.raises(SchemaMismatch):
+                pool_from_arrays(params, objectives)
         with pytest.raises(NonFiniteValue):
             pool_from_arrays(np.zeros((3, 2)), np.array([[0.0, 1.0], [np.inf, 0.0], [1.0, 1.0]]))
 

@@ -162,24 +162,6 @@ class TestRunExperiment:
         result = run_experiment(pool, cfg)
         assert len(result.curve.records) == 20
 
-    def test_model_dims_must_match_pool(self, pool):
-        from dado.errors import DimensionMismatch
-
-        cfg = fast_scenario(name="wrong-dims")
-        cfg = ScenarioConfig(
-            name=cfg.name,
-            initial_size=cfg.initial_size,
-            draw_size=cfg.draw_size,
-            aq_size=cfg.aq_size,
-            budget=cfg.budget,
-            strategy=cfg.strategy,
-            seed=cfg.seed,
-            mlp=MlpConfig(input_dim=99, hidden=(8, 4)),
-            train=FAST_TRAIN,
-        )
-        with pytest.raises(DimensionMismatch):
-            run_experiment(pool, cfg)
-
 
 class TestSeedDerivation:
     def test_stable_values(self):

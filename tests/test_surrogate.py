@@ -18,7 +18,6 @@ import dado.surrogate as surrogate
 from dado.datapool import TargetNormalizer
 from dado.errors import DimensionMismatch, NumericalDivergence
 from dado.surrogate import (
-    EarlyStopping,
     MlpConfig,
     SurrogateModel,
     TrainConfig,
@@ -33,7 +32,8 @@ from dado.surrogate import (
     train,
 )
 
-SMALL = MlpConfig(input_dim=5, output_dim=2, hidden=(7, 3))
+# A 5 -> 7 -> 3 -> 2 net.
+SMALL = MlpConfig(hidden=(7, 3))
 
 
 def naive_forward(model, x):
@@ -56,20 +56,20 @@ def naive_forward(model, x):
 
 class TestInit:
     def test_same_seed_identical(self):
-        m1 = init_model(SMALL, seed=4)
-        m2 = init_model(SMALL, seed=4)
+        m1 = init_model(SMALL, 5, 2, seed=4)
+        m2 = init_model(SMALL, 5, 2, seed=4)
         for a, b in zip(m1.weights + m1.biases, m2.weights + m2.biases):
             np.testing.assert_array_equal(a, b)
 
     def test_different_seeds_differ(self):
-        m1 = init_model(SMALL, seed=4)
-        m2 = init_model(SMALL, seed=5)
+        m1 = init_model(SMALL, 5, 2, seed=4)
+        m2 = init_model(SMALL, 5, 2, seed=5)
         assert any(
             not np.array_equal(a, b) for a, b in zip(m1.weights, m2.weights)
         )
 
     def test_parameter_count_for_the_default_architecture(self):
-        model = init_model(MlpConfig(input_dim=28, output_dim=2), seed=0)
+        model = init_model(MlpConfig(), 28, 2, seed=0)
         # Count independently from the layer shapes:
         # 28*200+200 + 200*100+100 + 100*2+2.
         dims = (28, 200, 100, 2)
@@ -78,19 +78,15 @@ class TestInit:
         assert model.theta.size == expected
 
     def test_biases_start_at_zero(self):
-        model = init_model(SMALL, seed=0)
+        model = init_model(SMALL, 5, 2, seed=0)
         for b in model.biases:
             np.testing.assert_array_equal(b, np.zeros_like(b))
 
     def test_init_fan_in_bounds(self):
-        model = init_model(SMALL, seed=0)
+        model = init_model(SMALL, 5, 2, seed=0)
         dims = (5, 7, 3, 2)
         for fan_in, w in zip(dims[:-1], model.weights):
             assert np.abs(w).max() <= 1.0 / np.sqrt(fan_in)
-
-    def test_unresolved_dims_rejected(self):
-        with pytest.raises(ValueError):
-            init_model(MlpConfig(), seed=0)
 
 
 class TestLayout:
@@ -103,10 +99,10 @@ class TestLayout:
         for fan_in, fan_out in zip(dims[:-1], dims[1:]):
             bound = 1.0 / np.sqrt(fan_in)
             parts += [rng.uniform(-bound, bound, (fan_out, fan_in)).ravel(), np.zeros(fan_out)]
-        np.testing.assert_array_equal(init_model(SMALL, seed=4).theta, np.concatenate(parts))
+        np.testing.assert_array_equal(init_model(SMALL, 5, 2, seed=4).theta, np.concatenate(parts))
 
     def test_weights_and_biases_are_views_into_theta(self):
-        model = init_model(SMALL, seed=0)
+        model = init_model(SMALL, 5, 2, seed=0)
         # W0 (7x5) at 0, b0 at 35, W1 (3x7) at 42, b1 at 63, W2 (2x3) at 66, b2 at 72.
         assert model.theta.size == 74
         model.theta[:] = np.arange(74)
@@ -123,12 +119,12 @@ class TestLayout:
     @pytest.mark.parametrize("size", [0, 73, 75])
     def test_wrong_theta_length_rejected(self, size):
         with pytest.raises(DimensionMismatch):
-            SurrogateModel(SMALL, np.zeros(size))
+            SurrogateModel(SMALL, 5, 2, np.zeros(size))
 
 
 class TestForward:
     def test_zero_weights_give_zero_output(self):
-        model = init_model(SMALL, seed=0)
+        model = init_model(SMALL, 5, 2, seed=0)
         for w in model.weights:
             w[:] = 0.0
         np.testing.assert_array_equal(predict_batch(model, np.ones(5)[None])[0], [0.0, 0.0])
@@ -136,13 +132,13 @@ class TestForward:
     def test_leaky_slope_on_negative_preactivation(self):
         # One unit per layer wired as identity: input -1 comes out scaled by
         # the negative slope once per hidden layer.
-        cfg = MlpConfig(input_dim=1, output_dim=1, hidden=(1,), leaky_slope=0.01)
-        model = SurrogateModel(cfg, np.array([1.0, 0.0, 1.0, 0.0]))
+        cfg = MlpConfig(hidden=(1,), leaky_slope=0.01)
+        model = SurrogateModel(cfg, 1, 1, np.array([1.0, 0.0, 1.0, 0.0]))
         out = predict_batch(model, np.array([-1.0])[None])[0]
         assert out[0] == pytest.approx(-0.01, abs=1e-15)
 
     def test_matches_naive_triple_loop(self):
-        model = init_model(SMALL, seed=8)
+        model = init_model(SMALL, 5, 2, seed=8)
         rng = np.random.default_rng(0)
         for _ in range(5):
             x = rng.random(5)
@@ -151,21 +147,21 @@ class TestForward:
             np.testing.assert_allclose(fast, slow, rtol=1e-12, atol=1e-14)
 
     def test_eval_forward_is_pure(self):
-        model = init_model(SMALL, seed=1)
+        model = init_model(SMALL, 5, 2, seed=1)
         x = np.random.default_rng(2).random(5)
         np.testing.assert_array_equal(predict_batch(model, x[None])[0],
                                       predict_batch(model, x[None])[0])
 
     def test_train_mode_with_zero_dropout_equals_eval(self):
-        cfg = MlpConfig(input_dim=5, output_dim=2, hidden=(7, 3), dropout_rate=0.0)
-        model = init_model(cfg, seed=3)
+        cfg = MlpConfig(hidden=(7, 3), dropout_rate=0.0)
+        model = init_model(cfg, 5, 2, seed=3)
         x = np.random.default_rng(4).random(5)
         eval_out = predict_batch(model, x[None])[0]
         train_out = _forward(model, x[None], True, np.random.default_rng(0))[0][0]
         np.testing.assert_array_equal(eval_out, train_out)
 
     def test_inverted_dropout_is_unbiased(self):
-        model = init_model(SMALL, seed=6)
+        model = init_model(SMALL, 5, 2, seed=6)
         x = np.random.default_rng(7).random(5)
         reference = predict_batch(model, x[None])[0]
         rng = np.random.default_rng(8)
@@ -173,42 +169,54 @@ class TestForward:
         np.testing.assert_allclose(mean, reference, atol=0.05)
 
     def test_dimension_mismatch(self):
-        model = init_model(SMALL, seed=0)
+        model = init_model(SMALL, 5, 2, seed=0)
         with pytest.raises(DimensionMismatch):
             predict_batch(model, np.zeros(4)[None])
 
 
 class TestEarlyStopping:
-    def test_flat_sequence_stops_patience_after_minimum(self):
-        stopper = EarlyStopping(patience=10)
-        losses = [1.0] + [0.9] * 30
-        stopped_at = None
-        for epoch, loss in enumerate(losses):
-            if stopper.update(epoch, loss):
-                stopped_at = epoch
-                break
-        assert stopper.best_epoch == 1
-        assert stopped_at == 11
+    """`train` stops after `patience` epochs without a strict decrease of the epoch loss.
 
-    def test_improvement_resets_the_clock(self):
-        stopper = EarlyStopping(patience=3)
-        for epoch, loss in enumerate([1.0, 0.9, 0.9, 0.8, 0.8, 0.8]):
-            assert not stopper.update(epoch, loss)
-        assert stopper.update(6, 0.8)
-        assert stopper.best_epoch == 3
+    The eval-mode `_forward` is scripted so that epoch k's loss against zero
+    targets is `losses[k]`.
+    """
 
-    def test_equal_loss_is_not_an_improvement(self):
-        stopper = EarlyStopping(patience=2)
-        assert not stopper.update(0, 0.5)
-        assert not stopper.update(1, 0.5)
-        assert stopper.update(2, 0.5)
-        assert stopper.best_epoch == 0
+    @staticmethod
+    def train_on(monkeypatch, losses, patience):
+        forward, scripted = surrogate._forward, iter(losses)
+
+        def scripted_forward(model, x, train_mode, rng):
+            if train_mode:
+                return forward(model, x, train_mode, rng)
+            return np.full((len(x), 2), math.sqrt(next(scripted))), None
+
+        monkeypatch.setattr(surrogate, "_forward", scripted_forward)
+        x = np.random.default_rng(0).random((8, 5))
+        _, log = train(init_model(SMALL, 5, 2, seed=0), x, np.zeros((8, 2)),
+                       TrainConfig(patience=patience, max_epochs=len(losses)),
+                       np.random.default_rng(1))
+        return log
+
+    def test_flat_sequence_stops_patience_after_minimum(self, monkeypatch):
+        log = self.train_on(monkeypatch, [1.0] + [0.9] * 30, patience=10)
+        assert log.best_epoch == 1
+        assert len(log.losses) == 12
+
+    def test_improvement_resets_the_clock(self, monkeypatch):
+        log = self.train_on(monkeypatch, [1.0, 0.9, 0.9, 0.8, 0.8, 0.8, 0.8, 0.8], patience=3)
+        assert log.best_epoch == 3
+        assert len(log.losses) == 7
+
+    def test_equal_loss_is_not_an_improvement(self, monkeypatch):
+        log = self.train_on(monkeypatch, [0.5] * 10, patience=2)
+        assert log.best_epoch == 0
+        assert len(log.losses) == 3
 
 
 class TestTrain:
     def test_memorizes_identical_points(self):
-        cfg = MlpConfig(input_dim=3, output_dim=2, hidden=(16, 8), dropout_rate=0.0)
-        model = init_model(cfg, seed=0)
+        cfg = MlpConfig(hidden=(16, 8), dropout_rate=0.0)
+        model = init_model(cfg, 3, 2, seed=0)
         x = np.tile(np.array([0.2, 0.7, 0.5]), (4, 1))
         t = np.tile(np.array([0.6, -0.4]), (4, 1))
         tcfg = TrainConfig(learning_rate=5e-3, max_epochs=500, patience=100)
@@ -222,8 +230,8 @@ class TestTrain:
         assert cfg.patience == 10
 
     def test_log_invariants(self):
-        cfg = MlpConfig(input_dim=4, output_dim=2, hidden=(8, 4))
-        model = init_model(cfg, seed=1)
+        cfg = MlpConfig(hidden=(8, 4))
+        model = init_model(cfg, 4, 2, seed=1)
         rng = np.random.default_rng(2)
         x = rng.random((24, 4))
         t = rng.normal(size=(24, 2))
@@ -233,8 +241,8 @@ class TestTrain:
         assert len(log.losses) - 1 - log.best_epoch <= tcfg.patience
 
     def test_best_epoch_weights_are_reloaded(self):
-        cfg = MlpConfig(input_dim=4, output_dim=2, hidden=(8, 4))
-        model = init_model(cfg, seed=5)
+        cfg = MlpConfig(hidden=(8, 4))
+        model = init_model(cfg, 4, 2, seed=5)
         rng = np.random.default_rng(6)
         x = rng.random((16, 4))
         t = rng.normal(size=(16, 2))
@@ -245,13 +253,13 @@ class TestTrain:
         assert final_loss == pytest.approx(min(log.losses), abs=1e-15)
 
     def test_retrain_from_scratch_is_deterministic(self):
-        cfg = MlpConfig(input_dim=4, output_dim=2, hidden=(8, 4))
+        cfg = MlpConfig(hidden=(8, 4))
         rng = np.random.default_rng(8)
         x = rng.random((20, 4))
         t = rng.normal(size=(20, 2))
         results = []
         for _ in range(2):
-            model = init_model(cfg, seed=11)
+            model = init_model(cfg, 4, 2, seed=11)
             trained, _ = train(model, x, t, TrainConfig(max_epochs=25),
                                np.random.default_rng(12))
             results.append(trained)
@@ -260,8 +268,8 @@ class TestTrain:
             np.testing.assert_array_equal(a, b)
 
     def test_training_does_not_mutate_input_model(self):
-        cfg = MlpConfig(input_dim=3, output_dim=1, hidden=(4, 2))
-        model = init_model(cfg, seed=0)
+        cfg = MlpConfig(hidden=(4, 2))
+        model = init_model(cfg, 3, 1, seed=0)
         before = [w.copy() for w in model.weights]
         rng = np.random.default_rng(1)
         train(model, rng.random((8, 3)), rng.normal(size=(8, 1)),
@@ -270,8 +278,8 @@ class TestTrain:
             np.testing.assert_array_equal(w, orig)
 
     def test_divergence_raises(self):
-        cfg = MlpConfig(input_dim=3, output_dim=1, hidden=(8, 4), dropout_rate=0.0)
-        model = init_model(cfg, seed=0)
+        cfg = MlpConfig(hidden=(8, 4), dropout_rate=0.0)
+        model = init_model(cfg, 3, 1, seed=0)
         rng = np.random.default_rng(1)
         x = rng.random((8, 3))
         t = rng.normal(size=(8, 1))
@@ -280,7 +288,7 @@ class TestTrain:
             train(model, x, t, bad, np.random.default_rng(2))
 
     def test_empty_training_set_rejected(self):
-        model = init_model(SMALL, seed=0)
+        model = init_model(SMALL, 5, 2, seed=0)
         with pytest.raises(DimensionMismatch):
             train(model, np.empty((0, 5)), np.empty((0, 2)), TrainConfig(),
                   np.random.default_rng(0))
@@ -324,14 +332,15 @@ class TestAdam:
             assert np.array_equal(a, b), name
 
     def test_train_native_equals_numpy(self, kernel, monkeypatch):
-        cfg = MlpConfig(input_dim=4, output_dim=2, hidden=(9, 5))
+        cfg = MlpConfig(hidden=(9, 5))
         rng = np.random.default_rng(21)
         x = rng.random((30, 4))
         t = rng.normal(size=(30, 2))
         tcfg = TrainConfig(learning_rate=3e-3, max_epochs=40, patience=5)
-        native, native_log = train(init_model(cfg, seed=4), x, t, tcfg, np.random.default_rng(5))
+        native, native_log = train(init_model(cfg, 4, 2, seed=4), x, t, tcfg,
+                                   np.random.default_rng(5))
         monkeypatch.setattr(surrogate, "native_kernel", lambda: None)
-        ref, ref_log = train(init_model(cfg, seed=4), x, t, tcfg, np.random.default_rng(5))
+        ref, ref_log = train(init_model(cfg, 4, 2, seed=4), x, t, tcfg, np.random.default_rng(5))
         assert native_log == ref_log
         for a, b in zip(native.weights + native.biases, ref.weights + ref.biases):
             np.testing.assert_array_equal(a, b)
@@ -342,7 +351,7 @@ class TestAdam:
         assert adam.load_kernel() is None
         monkeypatch.setattr(surrogate, "native_kernel", adam.load_kernel)
         rng = np.random.default_rng(0)
-        trained, log = train(init_model(SMALL, seed=0), rng.random((8, 5)),
+        trained, log = train(init_model(SMALL, 5, 2, seed=0), rng.random((8, 5)),
                              rng.normal(size=(8, 2)), TrainConfig(max_epochs=3),
                              np.random.default_rng(1))
         assert len(log.losses) == 3
@@ -425,26 +434,23 @@ class TestGradients:
         rng = np.random.default_rng(0)
         worst = 0.0
         for trial in range(4):
-            cfg = MlpConfig(
-                input_dim=int(rng.integers(2, 6)),
-                output_dim=int(rng.integers(1, 4)),
-                hidden=(int(rng.integers(3, 9)), int(rng.integers(2, 6))),
-            )
-            model = init_model(cfg, seed=trial)
-            x = rng.random(cfg.input_dim)
-            y = rng.normal(size=cfg.output_dim)
+            input_dim, output_dim = int(rng.integers(2, 6)), int(rng.integers(1, 4))
+            cfg = MlpConfig(hidden=(int(rng.integers(3, 9)), int(rng.integers(2, 6))))
+            model = init_model(cfg, input_dim, output_dim, seed=trial)
+            x = rng.random(input_dim)
+            y = rng.normal(size=output_dim)
             worst = max(worst, grad_check(model, (x, y), eps=1e-5))
         assert worst < 1e-4
 
     def test_zero_loss_sample_has_zero_gradient(self):
-        model = init_model(SMALL, seed=3)
+        model = init_model(SMALL, 5, 2, seed=3)
         x = np.random.default_rng(4).random(5)
         y = predict_batch(model, x[None])[0]
         _, grad = loss_gradients(model, x, y)
         assert np.abs(grad).max() < 1e-12
 
     def test_perturbed_gradient_is_detected(self):
-        model = init_model(SMALL, seed=9)
+        model = init_model(SMALL, 5, 2, seed=9)
         rng = np.random.default_rng(10)
         x = rng.random(5)
         y = rng.normal(size=2)
@@ -460,8 +466,8 @@ class TestGradients:
     def test_gradient_property_over_random_pairs(self):
         rng = np.random.default_rng(42)
         for trial in range(10):
-            cfg = MlpConfig(input_dim=3, output_dim=2, hidden=(5, 4))
-            model = init_model(cfg, seed=100 + trial)
+            cfg = MlpConfig(hidden=(5, 4))
+            model = init_model(cfg, 3, 2, seed=100 + trial)
             x = rng.random(3)
             y = rng.normal(size=2)
             assert grad_check(model, (x, y), eps=1e-5) < 1e-4
@@ -469,13 +475,13 @@ class TestGradients:
 
 class TestPredictBatch:
     def test_empty_list(self):
-        model = init_model(SMALL, seed=0)
+        model = init_model(SMALL, 5, 2, seed=0)
         assert predict_batch(model, np.empty((0, 5))).shape == (0, 2)
 
     def test_raw_space_applies_inverse_normalization(self):
         # Predictions are normalized; the target normalizer's inverse maps
         # them to raw space, as a raw-space scenario scores them.
-        model = init_model(SMALL, seed=0)
+        model = init_model(SMALL, 5, 2, seed=0)
         for w in model.weights:
             w[:] = 0.0
         tnorm = TargetNormalizer(np.array([1.0, 1.0]), np.array([2.0, 2.0]))
@@ -484,14 +490,14 @@ class TestPredictBatch:
         np.testing.assert_array_equal(tnorm.inverse(preds), [[1.0, 1.0]])
 
     def test_batch_matches_single_forward(self):
-        model = init_model(SMALL, seed=2)
+        model = init_model(SMALL, 5, 2, seed=2)
         x = np.random.default_rng(3).random((8, 5))
         batch = predict_batch(model, x)
         single = np.array([predict_batch(model, row[None])[0] for row in x])
         np.testing.assert_allclose(batch, single, atol=1e-14)
 
     def test_wrong_candidate_width_rejected(self):
-        model = init_model(SMALL, seed=0)
+        model = init_model(SMALL, 5, 2, seed=0)
         with pytest.raises(DimensionMismatch):
             predict_batch(model, np.zeros((1, 3)))
 
@@ -500,7 +506,7 @@ class TestEvalMemory:
     """At desk shape (28 inputs, hidden 200 and 100), an eval-mode forward holds no
     backprop state, and `train` frees an epoch's dropout masks once its steps are done."""
 
-    DESK = MlpConfig(input_dim=28, output_dim=2)
+    DESK = (MlpConfig(), 28, 2)
 
     @staticmethod
     def traced_peak(fn) -> int:
@@ -513,13 +519,13 @@ class TestEvalMemory:
             tracemalloc.stop()
 
     def test_predict_holds_two_first_layer_activations(self):
-        model = init_model(self.DESK, seed=0)
+        model = init_model(*self.DESK, seed=0)
         x = np.random.default_rng(0).random((2000, 28))
         # The first hidden layer's pre-activation and its `slope * z` temporary.
         assert self.traced_peak(lambda: predict_batch(model, x)) <= 1.1 * (2 * 2000 * 200 * 8)
 
     def test_train_frees_masks_before_the_epoch_loss(self):
-        model = init_model(self.DESK, seed=0)
+        model = init_model(*self.DESK, seed=0)
         rng = np.random.default_rng(0)
         x, t = rng.random((475, 28)), rng.normal(size=(475, 2))
         peak = self.traced_peak(
@@ -576,14 +582,14 @@ def reference_train(model, x, t, cfg, rng):
     work = model.copy()
     theta = work.theta
     grad = np.zeros_like(theta)
-    grads = SurrogateModel(work.config, grad)
+    grads = work.like(grad)
     m, v = np.zeros_like(theta), np.zeros_like(theta)
     update = adam.adam_updater(adam.native_kernel(), theta, grad, m, v,
                                learning_rate=cfg.learning_rate, beta1=surrogate.ADAM_BETA1,
                                beta2=surrogate.ADAM_BETA2, eps=surrogate.ADAM_EPS)
     step = 0
     n = x.shape[0]
-    stopper = EarlyStopping(cfg.patience)
+    best_loss, best_epoch = float("inf"), -1
     losses = []
     best_theta = theta.copy()
     for epoch in range(cfg.max_epochs):
@@ -596,21 +602,24 @@ def reference_train(model, x, t, cfg, rng):
         pred, _ = reference_forward(work, x, False, None)
         epoch_loss = float(np.mean((pred - t) ** 2))
         losses.append(epoch_loss)
-        if epoch_loss < stopper.best_loss:
+        if epoch_loss < best_loss:
+            best_loss, best_epoch = epoch_loss, epoch
             best_theta[:] = theta
-        if stopper.update(epoch, epoch_loss):
+        elif epoch - best_epoch >= cfg.patience:
             break
-    return best_theta, TrainLog(losses, stopper.best_epoch)
+    return best_theta, TrainLog(losses, best_epoch)
 
 
-DESK = MlpConfig(input_dim=28, output_dim=2)
+# Nets as (config, input width, output width).
+DESK = (MlpConfig(), 28, 2)
 
 
-def fit_both(mlp, n, tcfg, seed=0):
+def fit_both(net, n, tcfg, seed=0):
+    _, input_dim, output_dim = net
     rng = np.random.default_rng(seed)
-    x = rng.random((n, mlp.input_dim))
-    t = rng.normal(size=(n, mlp.output_dim))
-    model = init_model(mlp, seed=seed + 1)
+    x = rng.random((n, input_dim))
+    t = rng.normal(size=(n, output_dim))
+    model = init_model(*net, seed=seed + 1)
     got, got_log = train(model, x, t, tcfg, np.random.default_rng(seed + 2))
     ref_theta, ref_log = reference_train(model, x, t, tcfg, np.random.default_rng(seed + 2))
     return got.theta, got_log, ref_theta, ref_log
@@ -618,21 +627,21 @@ def fit_both(mlp, n, tcfg, seed=0):
 
 # Shapes that reach every branch of numpy's matmul dispatch and both ways of
 # summing bias gradients (pairwise for one column of 8 or more rows).
-WIDE_OUT_1 = MlpConfig(input_dim=6, output_dim=1, hidden=(50,))
+WIDE_OUT_1 = (MlpConfig(hidden=(50,)), 6, 1)
 SHAPES = [
     (WIDE_OUT_1, 45, TrainConfig(max_epochs=3)),
     (WIDE_OUT_1, 45, TrainConfig(batch_size=1, max_epochs=2)),
     (WIDE_OUT_1, 45, TrainConfig(batch_size=16, max_epochs=3)),
-    (MlpConfig(input_dim=1, output_dim=2, hidden=(16, 8)), 45, TrainConfig(max_epochs=3)),
-    (MlpConfig(input_dim=5, output_dim=2, hidden=(8, 1)), 45,
+    ((MlpConfig(hidden=(16, 8)), 1, 2), 45, TrainConfig(max_epochs=3)),
+    ((MlpConfig(hidden=(8, 1)), 5, 2), 45,
      TrainConfig(batch_size=16, max_epochs=3)),
-    (MlpConfig(input_dim=1, output_dim=1, hidden=(1,)), 45, TrainConfig(max_epochs=3)),
+    ((MlpConfig(hidden=(1,)), 1, 1), 45, TrainConfig(max_epochs=3)),
     (DESK, 100, TrainConfig(batch_size=16, max_epochs=3)),
     (DESK, 150, TrainConfig(batch_size=64, max_epochs=3)),
-    (MlpConfig(input_dim=28, output_dim=2, leaky_slope=0.0), 45, TrainConfig(max_epochs=3)),
-    (MlpConfig(input_dim=28, output_dim=2, leaky_slope=1.0), 45, TrainConfig(max_epochs=3)),
+    ((MlpConfig(leaky_slope=0.0), 28, 2), 45, TrainConfig(max_epochs=3)),
+    ((MlpConfig(leaky_slope=1.0), 28, 2), 45, TrainConfig(max_epochs=3)),
     (DESK, 125, TrainConfig(max_epochs=3)),
-    (MlpConfig(input_dim=10, output_dim=2, hidden=(200, 100, 50, 25)), 45,
+    ((MlpConfig(hidden=(200, 100, 50, 25)), 10, 2), 45,
      TrainConfig(max_epochs=2)),
     (DESK, 30, TrainConfig(batch_size=1000, max_epochs=3)),
 ]
@@ -651,41 +660,41 @@ class TestStepEquivalence:
         assert got_log == ref_log
 
     @pytest.mark.parametrize(
-        "mlp, tcfg",
+        "net, tcfg",
         [
-            (MlpConfig(input_dim=28, output_dim=2, dropout_rate=0.0), TrainConfig(max_epochs=3)),
+            ((MlpConfig(dropout_rate=0.0), 28, 2), TrainConfig(max_epochs=3)),
             (DESK, TrainConfig(batch_size=1, max_epochs=2)),
-            (MlpConfig(input_dim=6, output_dim=3, hidden=(64, 32, 16), dropout_rate=0.3),
+            ((MlpConfig(hidden=(64, 32, 16), dropout_rate=0.3), 6, 3),
              TrainConfig(batch_size=7, max_epochs=5)),
         ],
         ids=["no-dropout", "batch-1", "three-hidden-layers"],
     )
-    def test_other_shapes(self, mlp, tcfg):
-        got, got_log, ref, ref_log = fit_both(mlp, 45, tcfg)
+    def test_other_shapes(self, net, tcfg):
+        got, got_log, ref, ref_log = fit_both(net, 45, tcfg)
         assert np.array_equal(got, ref)
         assert got_log == ref_log
 
-    @pytest.mark.parametrize("mlp, n, tcfg", SHAPES, ids=SHAPE_IDS)
-    def test_every_matmul_dispatch(self, mlp, n, tcfg):
-        got, got_log, ref, ref_log = fit_both(mlp, n, tcfg)
+    @pytest.mark.parametrize("net, n, tcfg", SHAPES, ids=SHAPE_IDS)
+    def test_every_matmul_dispatch(self, net, n, tcfg):
+        got, got_log, ref, ref_log = fit_both(net, n, tcfg)
         assert np.array_equal(got, ref)
         assert got_log == ref_log
 
     def test_patience_stop(self):
-        mlp = MlpConfig(input_dim=5, output_dim=2, hidden=(16, 8))
+        net = (MlpConfig(hidden=(16, 8)), 5, 2)
         tcfg = TrainConfig(learning_rate=0.05, patience=2, max_epochs=200)
-        got, got_log, ref, ref_log = fit_both(mlp, 30, tcfg)
+        got, got_log, ref, ref_log = fit_both(net, 30, tcfg)
         assert len(got_log.losses) < tcfg.max_epochs
         assert np.array_equal(got, ref)
         assert got_log == ref_log
 
     def test_predict_batch(self):
-        model = init_model(DESK, seed=3)
+        model = init_model(*DESK, seed=3)
         x = np.random.default_rng(4).random((2000, 28))
         assert np.array_equal(predict_batch(model, x), reference_forward(model, x, False, None)[0])
 
 
-def train_recording_paths(monkeypatch, kernel, mlp, n, tcfg):
+def train_recording_paths(monkeypatch, kernel, net, n, tcfg):
     """Train with `surrogate.native_kernel` returning `kernel`; return the theta, the
     log, and which forward/backward paths the steps took ("native", "numpy")."""
     monkeypatch.setattr(surrogate, "native_kernel", lambda: kernel)
@@ -698,8 +707,9 @@ def train_recording_paths(monkeypatch, kernel, mlp, n, tcfg):
 
     monkeypatch.setattr(surrogate, "_loss_and_grads", recording)
     rng = np.random.default_rng(31)
-    x, t = rng.random((n, mlp.input_dim)), rng.normal(size=(n, mlp.output_dim))
-    trained, log = train(init_model(mlp, seed=32), x, t, tcfg, np.random.default_rng(33))
+    _, input_dim, output_dim = net
+    x, t = rng.random((n, input_dim)), rng.normal(size=(n, output_dim))
+    trained, log = train(init_model(*net, seed=32), x, t, tcfg, np.random.default_rng(33))
     monkeypatch.setattr(surrogate, "_loss_and_grads", loss_and_grads)
     return trained.theta, log, paths
 
@@ -707,21 +717,21 @@ def train_recording_paths(monkeypatch, kernel, mlp, n, tcfg):
 class TestNativePass:
     """The C forward/backward pass: its self-check and its fallbacks."""
 
-    MLP = MlpConfig(input_dim=6, output_dim=1, hidden=(50,))
+    NET = (MlpConfig(hidden=(50,)), 6, 1)
     TCFG = TrainConfig(max_epochs=4)
 
-    @pytest.mark.parametrize("mlp, n, tcfg", SHAPES, ids=SHAPE_IDS)
-    def test_batch_gradients_are_numpys_bits(self, kernel, mlp, n, tcfg):
+    @pytest.mark.parametrize("net, n, tcfg", SHAPES, ids=SHAPE_IDS)
+    def test_batch_gradients_are_numpys_bits(self, kernel, net, n, tcfg):
         # Adam's update hides a last-bit change in a gradient, so compare gradients.
+        mlp, input_dim, output_dim = net
         rng = np.random.default_rng(n)
-        model = init_model(mlp, seed=1)
-        xs, ts = rng.random((n, mlp.input_dim)), rng.normal(size=(n, mlp.output_dim))
+        model = init_model(*net, seed=1)
+        xs, ts = rng.random((n, input_dim)), rng.normal(size=(n, output_dim))
         masks = surrogate._dropout_masks(rng, n, mlp)
         grad = np.empty_like(model.theta)
-        want = SurrogateModel(mlp, np.empty_like(model.theta))
-        run = adam.fwd_bwd_binder(kernel, model.theta, grad,
-                                  (mlp.input_dim, *mlp.hidden, mlp.output_dim),
-                                  mlp.leaky_slope, tcfg.batch_size)(xs, ts, masks)
+        want = model.like(np.empty_like(model.theta))
+        run = adam.fwd_bwd_binder(kernel, model.theta, grad, model.widths, mlp.leaky_slope,
+                                  tcfg.batch_size)(xs, ts, masks)
         for start in range(0, n, tcfg.batch_size):
             stop = min(start + tcfg.batch_size, n)
             run(start, stop)
@@ -731,18 +741,18 @@ class TestNativePass:
 
     def test_bound_pass_holds_its_arrays(self, kernel):
         # `bind` gets temporaries only; freed arrays would leave `run` reading reused memory.
-        mlp = self.MLP
+        mlp = self.NET[0]
         rng = np.random.default_rng(8)
-        model = init_model(mlp, seed=5)
-        xs, ts = rng.random((30, mlp.input_dim)), rng.normal(size=(30, 1))
+        model = init_model(*self.NET, seed=5)
+        xs, ts = rng.random((30, 6)), rng.normal(size=(30, 1))
         masks = surrogate._dropout_masks(rng, 30, mlp)
         grad = np.empty_like(model.theta)
-        run = adam.fwd_bwd_binder(kernel, model.theta, grad, (mlp.input_dim, *mlp.hidden, 1),
-                                  mlp.leaky_slope, 30)(xs.copy(), ts.copy(), masks.copy())
+        run = adam.fwd_bwd_binder(kernel, model.theta, grad, model.widths, mlp.leaky_slope,
+                                  30)(xs.copy(), ts.copy(), masks.copy())
         gc.collect()
         clobber = [np.full_like(a, np.nan) for a in (xs, ts, masks) for _ in range(4)]
         run(0, 30)
-        want = SurrogateModel(mlp, np.empty_like(model.theta))
+        want = model.like(np.empty_like(model.theta))
         surrogate._loss_and_grads(model, xs, ts, masks, 0, 30, want.weights, want.biases)
         assert grad.tobytes() == want.theta.tobytes()
         del clobber
@@ -802,14 +812,13 @@ class TestNativePass:
             loops[ufunc.__name__], ctypes.c_void_p).value)
         counted = adam.load_kernel()
         assert counted is not None and calls["matmul"] > 0 and calls["add"] > 0
-        mlp = self.MLP
         rng = np.random.default_rng(3)
-        model = init_model(mlp, seed=4)
-        xs, ts = rng.random((30, mlp.input_dim)), rng.normal(size=(30, 1))
+        model = init_model(*self.NET, seed=4)
+        xs, ts = rng.random((30, 6)), rng.normal(size=(30, 1))
         grad = np.empty_like(model.theta)
-        want = SurrogateModel(mlp, np.empty_like(model.theta))
-        run = adam.fwd_bwd_binder(counted, model.theta, grad, (mlp.input_dim, *mlp.hidden, 1),
-                                  mlp.leaky_slope, 30)(xs, ts, None)
+        want = model.like(np.empty_like(model.theta))
+        run = adam.fwd_bwd_binder(counted, model.theta, grad, model.widths,
+                                  self.NET[0].leaky_slope, 30)(xs, ts, None)
         calls.update(matmul=0, add=0)
         run(0, 30)
         # Two layers: two forward products, two weight-gradient products, one input
@@ -829,12 +838,12 @@ class TestNativePass:
         calls = []
         adam_numpy = adam.adam_numpy
         monkeypatch.setattr(adam, "adam_numpy", lambda *args: calls.append(adam_numpy(*args)))
-        got, got_log, got_paths = train_recording_paths(monkeypatch, None, self.MLP, 30, self.TCFG)
+        got, got_log, got_paths = train_recording_paths(monkeypatch, None, self.NET, 30, self.TCFG)
         assert got_paths == {"numpy"}
         assert len(calls) == 4 * math.ceil(30 / self.TCFG.batch_size)
         calls.clear()
         want, want_log, want_paths = train_recording_paths(
-            monkeypatch, kernel, self.MLP, 30, self.TCFG)
+            monkeypatch, kernel, self.NET, 30, self.TCFG)
         assert want_paths == {"native"} and not calls
         assert np.array_equal(got, want)
         assert got_log == want_log
@@ -860,7 +869,7 @@ class TestTracerHooks:
         monkeypatch.setattr(surrogate, "_forward", counting_forward)
         rng = np.random.default_rng(0)
         n, tcfg = 23, TrainConfig(batch_size=4, max_epochs=6)
-        _, log = train(init_model(SMALL, seed=0), rng.random((n, 5)), rng.normal(size=(n, 2)),
+        _, log = train(init_model(SMALL, 5, 2, seed=0), rng.random((n, 5)), rng.normal(size=(n, 2)),
                        tcfg, np.random.default_rng(1))
         epochs = len(log.losses)
         assert epochs == tcfg.max_epochs
