@@ -85,7 +85,6 @@ from .surrogate import (
     SurrogateModel,
     TrainConfig,
     TrainLog,
-    grad_check,
     init_model,
     predict_batch,
     train,

@@ -3,7 +3,7 @@
  * pool CSV reader.
  *
  * The train step gives the same bits as its numpy references
- * (dado.adam.adam_numpy and dado.surrogate._loss_and_grads) when built without
+ * (dado.native.adam_numpy and dado.surrogate._loss_and_grads) when built without
  * FMA contraction and without fast-math: each element goes through the same
  * IEEE double operations in the same order, and every matrix product and
  * single-column sum runs numpy's own float64 loop with the arguments numpy

@@ -21,11 +21,11 @@ from typing import get_type_hints
 import numpy as np
 
 from . import __version__
-from .adam import native_kernel
 from .datapool import load_pool, save_pool
 from .errors import ConfigError, DadoError, MissingFile, SchemaMismatch, SizeMismatch
 from .loop import AggregateRow, ScenarioConfig, run_experiment, run_sweep, stderr_of
 from .metrics import METRIC_FIELDS
+from .native import native_kernel
 from .oracle import gen_synthetic_pool
 from .strategies import StrategyKind
 
@@ -107,7 +107,7 @@ def read_iterations(path) -> dict[str, list[float]]:
     reader = csv.reader(_read_lines(p, SchemaMismatch))
     header = next(reader, None)
     if header is None or tuple(header) != ITERATIONS_HEADER:
-        raise SizeMismatch(f"{p}: unexpected iterations.csv header")
+        raise SchemaMismatch(f"{p}: unexpected iterations.csv header")
     columns: dict[str, list[float]] = {name: [] for name in ITERATIONS_HEADER}
     for row in reader:
         if not row:

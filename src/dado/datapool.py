@@ -22,7 +22,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .adam import csv_formatter, csv_reader, native_kernel, repr_rows
 from .errors import (
     AlreadyConsumed,
     DegenerateInput,
@@ -32,6 +31,7 @@ from .errors import (
     SchemaMismatch,
     UnknownId,
 )
+from .native import csv_formatter, csv_reader, native_kernel, repr_rows
 
 TARGET_STD_FLOOR = 1e-12
 SAVE_CHUNK_ROWS = 4096
@@ -191,18 +191,18 @@ def _schema(p: Path, header: list[str]) -> tuple[int, int]:
     return d, num_obj
 
 
-def load_pool(path, d: int | None = None, num_obj: int | None = None, *,
-              digest=None) -> CandidatePool:
+def load_pool(path, *, digest=None) -> CandidatePool:
     """Read a pool CSV with a header row, d parameter columns, then num_obj objectives.
 
-    Without d, d and num_obj come from the header's p*/j* names. Row order
-    defines candidate ids 0..n-1. Raises MissingFile, SchemaMismatch on a
-    wrong column count or a non-numeric cell, or NonFiniteValue naming the
-    offending data row. The file is opened once and read in blocks of whole
-    lines that also go to `digest`, a hashlib object, when given. The C
-    reader parses the blocks when the library loaded and every byte is in the
-    writer's form; otherwise one `np.loadtxt` call reads the whole file again
-    from its start. Either way the values and errors are that call's.
+    d and num_obj come from the header's p*/j* names. Row order defines
+    candidate ids 0..n-1. Raises MissingFile, SchemaMismatch on a header off
+    that convention, a wrong column count or a non-numeric cell, or
+    NonFiniteValue naming the offending data row. The file is opened once
+    and read in blocks of whole lines that also go to `digest`, a hashlib
+    object, when given. The C reader parses the blocks when the library
+    loaded and every byte is in the writer's form; otherwise one
+    `np.loadtxt` call reads the whole file again from its start. Either way
+    the values and errors are that call's.
     """
     p = Path(path)
     if not p.is_file():
@@ -211,14 +211,7 @@ def load_pool(path, d: int | None = None, num_obj: int | None = None, *,
     with open(p, "rb") as fh:
         blocks = _line_blocks(fh, digest)
         header, text = _read_header(p, blocks)
-        if d is None:
-            d, num_obj = _schema(p, header)
-        expected = d + num_obj
-        if len(header) != expected:
-            raise SchemaMismatch(
-                f"{p}: expected {expected} columns ({d} params + {num_obj} objectives), "
-                f"found {len(header)}"
-            )
+        d, num_obj = _schema(p, header)
         # Each block's rows go straight into the pool's arrays, which grow to the
         # rows the bytes read so far foretell, and are cut to the rows at the end.
         params, objectives = np.empty((0, d)), np.empty((0, num_obj))
@@ -228,7 +221,7 @@ def load_pool(path, d: int | None = None, num_obj: int | None = None, *,
             n = None if parse is None else parse(text, params[rows:], objectives[rows:])
             if n is None:
                 collections.deque(blocks, maxlen=0)  # the digest still sees every byte
-                params, objectives = _loadtxt_pool(p, fh, d, expected)
+                params, objectives = _loadtxt_pool(p, fh, d, d + num_obj)
                 rows = len(params)
                 break
             if rows + n > len(params):

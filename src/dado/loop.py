@@ -99,13 +99,11 @@ class ScenarioConfig:
 
 @dataclass
 class ExperimentResult:
-    """One run's learning curve plus its AUC/final summary and audit trail."""
+    """One run's learning curve plus its AUC/final summary."""
 
     scenario: ScenarioConfig
     curve: LearningCurve
     summary: dict[str, dict[str, float]]
-    initial_ids: list[int]
-    acquired_ids: list[list[int]]
 
 
 def _summarize(curve: LearningCurve) -> dict[str, dict[str, float]]:
@@ -147,8 +145,6 @@ def run_experiment(
 
     train_rows = initial_sample(pool, cfg.initial_size, derive_rng(cfg.seed, "initial-sample"))
     train_targets = annotate(pool, train_rows)
-    initial_ids = train_rows.tolist()
-    acquired_ids: list[list[int]] = []
     records: list[IterationRecord] = []
     mr_first = 0.0
 
@@ -206,10 +202,9 @@ def run_experiment(
         consume(pool, acquired)
         train_rows = np.concatenate([train_rows, acquired])
         train_targets = np.vstack([train_targets, truths_raw[sel_idx]])
-        acquired_ids.append(acquired.tolist())
 
     curve = LearningCurve(records)
-    return ExperimentResult(cfg, curve, _summarize(curve), initial_ids, acquired_ids)
+    return ExperimentResult(cfg, curve, _summarize(curve))
 
 
 @dataclass

@@ -27,7 +27,8 @@ from dado.metrics import (
 )
 from dado.oracle import annotate, gen_synthetic_pool
 from dado.strategies import StrategyKind, select
-from dado.surrogate import MlpConfig, TrainConfig, grad_check, init_model
+from dado.surrogate import MlpConfig, TrainConfig, init_model
+from gradcheck import grad_check
 
 # Desk-study configuration. The anchor layout gives the pool ten dimensions of
 # shared descent, six genuine trade-off dimensions, and twelve inert ones, so
@@ -292,10 +293,13 @@ UBEND_POOL = os.environ.get("DADO_UBEND_POOL", "")
 
 
 @pytest.mark.slow
-@pytest.mark.skipif(not UBEND_POOL, reason="set DADO_UBEND_POOL to a U-Bend pool CSV to enable")
+@pytest.mark.skipif(
+    not UBEND_POOL,
+    reason="set DADO_UBEND_POOL to a U-Bend pool CSV with a p*,...,j* header to enable",
+)
 class TestConditionalUBend:
     def test_low_budget_final_values(self):
-        pool_template = load_pool(UBEND_POOL, d=28, num_obj=2)
+        pool_template = load_pool(UBEND_POOL)
         scenario = ScenarioConfig(
             "ubend-aq25",
             initial_size=100,

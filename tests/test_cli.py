@@ -18,10 +18,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import dado
 from dado import cli, datapool, surrogate
-from dado.adam import native_kernel
 from dado.cli import ITERATIONS_HEADER, RUN_KEYS, SWEEP_KEYS, build_parser, main
 from dado.datapool import load_pool
+from dado.errors import SchemaMismatch
+from dado.native import native_kernel
 
 FAST_CFG = """
 # fast run settings
@@ -89,8 +91,8 @@ class TestGenPool:
 
     def test_analytic_pool_loads_back(self, tmp_path):
         path = make_pool(tmp_path, n=30, d=4)
-        pool = load_pool(path, d=4, num_obj=2)
-        assert len(pool) == 30
+        pool = load_pool(path)
+        assert (len(pool), pool.d, pool.num_obj) == (30, 4, 2)
 
     def test_kind_may_be_omitted(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -114,7 +116,7 @@ class TestGenPool:
     def test_negative_anchor_in_equals_form(self, tmp_path):
         out = tmp_path / "x.csv"
         assert run_cli("gen-pool", "--n", 10, "--d", 2, "--anchor-a=-0.1,0.2", "--out", out) == 0
-        pool = load_pool(out, d=2, num_obj=2)
+        pool = load_pool(out)
         expected = ((pool.params[0] - np.array([-0.1, 0.2])) ** 2).sum()
         assert pool.objectives[0, 0] == pytest.approx(expected, rel=1e-12)
 
@@ -553,19 +555,24 @@ class TestReport:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"{iterations}:3:" in err
 
-    def test_header_only_iterations_exits_1(self, tmp_path, capsys):
+    @pytest.mark.parametrize("header", [",".join(ITERATIONS_HEADER), "iter,x"],
+                             ids=["expected-header", "wrong-header"])
+    def test_header_only_iterations_exits_1(self, tmp_path, capsys, header):
         pool = make_pool(tmp_path)
         cfg = tmp_path / "run.cfg"
         cfg.write_text(FAST_CFG)
         d1 = tmp_path / "r1"
         assert run_cli("run", "--pool", pool, "--config", cfg, "--out-dir", d1) == 0
         iterations = d1 / "iterations.csv"
-        iterations.write_text(",".join(ITERATIONS_HEADER) + "\n")
+        iterations.write_text(header + "\n")
         out = tmp_path / "c.csv"
         assert run_cli("report", "--runs", d1, "--metric", "srocc", "--out", out) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(iterations) in err
         assert not out.exists()
+        # Both are faults of the file's layout, not of a size across runs.
+        with pytest.raises(SchemaMismatch):
+            cli.read_iterations(iterations)
 
     def test_unknown_metric_is_usage_error(self, tmp_path):
         assert run_cli("report", "--runs", tmp_path, "--metric", "accuracy",
@@ -871,6 +878,22 @@ class TestConfigKeys:
         listed = re.findall(r"`(--[a-z-]+)`", sentence.group(1))
         overrides = [flag for flag, dest in run_flags().items() if dest in RUN_KEYS]
         assert sorted(listed) == sorted(overrides)
+
+
+class TestLibraryUse:
+    """The names the README's "Library use" section calls, as `dado.<name>`."""
+
+    NAMES = ("ScenarioConfig", "StrategyKind", "gen_synthetic_pool", "run_experiment",
+             "CandidatePool", "pool_from_arrays", "load_pool", "annotate", "SurrogateModel",
+             "init_model", "train", "predict_batch")
+
+    def test_readme_names_resolve(self):
+        section = README.read_text(encoding="utf-8").split("## Library use", 1)[1]
+        for name in self.NAMES:
+            assert re.search(rf"\b{name}\b", section), name
+            assert callable(getattr(dado, name)), name
+        # The gradient check is test code (tests/gradcheck.py), not library surface.
+        assert not hasattr(dado, "grad_check")
 
 
 class TestBlasPin:

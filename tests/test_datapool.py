@@ -13,8 +13,7 @@ import numpy as np
 import pytest
 
 import dado
-from dado import adam, datapool
-from dado.adam import csv_formatter, csv_reader, native_kernel, repr_rows
+from dado import datapool, native
 from dado.datapool import (
     SAVE_CHUNK_ROWS,
     bootstrap_draw,
@@ -34,6 +33,7 @@ from dado.errors import (
     SchemaMismatch,
     UnknownId,
 )
+from dado.native import csv_formatter, csv_reader, native_kernel, repr_rows
 from dado.oracle import gen_synthetic_pool
 
 
@@ -53,7 +53,7 @@ class TestLoadPool:
             tmp_path / "pool.csv",
             ["p0,p1,j0,j1", "0.1,0.2,1.0,2.0", "0.3,0.4,3.0,4.0", "0.5,0.6,5.0,6.0"],
         )
-        pool = load_pool(path, d=2, num_obj=2)
+        pool = load_pool(path)
         assert len(pool) == 3
         assert pool.available == 3
         np.testing.assert_array_equal(pool.params[1], [0.3, 0.4])
@@ -62,12 +62,7 @@ class TestLoadPool:
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(MissingFile):
-            load_pool(tmp_path / "nope.csv", d=2, num_obj=2)
-
-    def test_wrong_column_count(self, tmp_path):
-        path = write_csv(tmp_path / "pool.csv", ["p0,p1,j0", "0.1,0.2,1.0"])
-        with pytest.raises(SchemaMismatch):
-            load_pool(path, d=2, num_obj=2)
+            load_pool(tmp_path / "nope.csv")
 
     def test_nan_cell_names_the_row(self, tmp_path):
         path = write_csv(
@@ -75,12 +70,12 @@ class TestLoadPool:
             ["p0,p1,j0,j1", "0.1,0.2,1.0,2.0", "0.3,NaN,3.0,4.0"],
         )
         with pytest.raises(NonFiniteValue, match="row 1"):
-            load_pool(path, d=2, num_obj=2)
+            load_pool(path)
 
     def test_non_numeric_cell(self, tmp_path):
         path = write_csv(tmp_path / "pool.csv", ["p0,j0", "0.1,oops"])
         with pytest.raises(SchemaMismatch):
-            load_pool(path, d=1, num_obj=1)
+            load_pool(path)
 
     @pytest.mark.parametrize(
         "rows", [["0.1,0.2", "0.3,oops"], ["0.1,0.2", "0.3"], ["0.1,0.2", "0.3,0.4,0.5"]]
@@ -88,24 +83,24 @@ class TestLoadPool:
     def test_bad_row_is_named(self, tmp_path, rows):
         path = write_csv(tmp_path / "pool.csv", ["p0,j0", *rows])
         with pytest.raises(SchemaMismatch, match=r"row \d"):
-            load_pool(path, d=1, num_obj=1)
+            load_pool(path)
 
     def test_data_rows_wider_than_header(self, tmp_path):
         path = write_csv(tmp_path / "pool.csv", ["p0,j0", "0.1,0.2,0.3", "0.4,0.5,0.6"])
         with pytest.raises(SchemaMismatch, match="columns"):
-            load_pool(path, d=1, num_obj=1)
+            load_pool(path)
 
     def test_no_data_rows(self, tmp_path):
         path = write_csv(tmp_path / "pool.csv", ["p0,j0"])
         with pytest.raises(SchemaMismatch):
-            load_pool(path, d=1, num_obj=1)
+            load_pool(path)
 
     def test_ubend_shaped_file(self, tmp_path):
         # 28 parameter columns followed by 2 objective columns.
         pool = gen_synthetic_pool(20, 28, seed=5)
         path = tmp_path / "ubend_like.csv"
         save_pool(pool, path)
-        loaded = load_pool(path, d=28, num_obj=2)
+        loaded = load_pool(path)
         assert loaded.d == 28
         assert loaded.num_obj == 2
         assert len(loaded) == 20
@@ -114,7 +109,7 @@ class TestLoadPool:
         pool = small_pool(n=7)
         path = tmp_path / "pool.csv"
         save_pool(pool, path)
-        loaded = load_pool(path, d=pool.d, num_obj=pool.num_obj)
+        loaded = load_pool(path)
         np.testing.assert_array_equal(pool.params, loaded.params)
         np.testing.assert_array_equal(pool.objectives, loaded.objectives)
 
@@ -440,8 +435,8 @@ class TestPoolWriter:
 
     def test_mutant_formatter_fails_the_self_check(self, kernel, tmp_path, monkeypatch):
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
-        source = adam._SOURCE.read_text()
-        check = adam._format_check
+        source = native._SOURCE.read_text()
+        check = native._format_check
         mutations = [
             ('return put(p, ".0", 2);', "return p;"),  # integral values lose their ".0"
             ("decpt <= 16) {", "decpt <= 17) {"),  # 1e16 written positionally
@@ -451,12 +446,12 @@ class TestPoolWriter:
             assert source.count(old) == 1, old
             wrong = tmp_path / f"wrong-{i}.c"
             wrong.write_text(source.replace(old, new))
-            monkeypatch.setattr(adam, "_SOURCE", wrong)
-            monkeypatch.setattr(adam, "_format_check", check)
-            assert adam.load_kernel() is None, new
+            monkeypatch.setattr(native, "_SOURCE", wrong)
+            monkeypatch.setattr(native, "_format_check", check)
+            assert native.load_kernel() is None, new
             # The source builds and loads: the formatter check is what refuses it.
-            monkeypatch.setattr(adam, "_format_check", lambda kernel: True)
-            assert adam.load_kernel() is not None, new
+            monkeypatch.setattr(native, "_format_check", lambda kernel: True)
+            assert native.load_kernel() is not None, new
 
     def test_no_undefined_behaviour(self, kernel, tmp_path):
         # Ryu's shifts and 128-bit products, built with UBSan at -O3 and run on random bits,
@@ -465,7 +460,7 @@ class TestPoolWriter:
         sanitize = ("-fsanitize=undefined", "-fno-sanitize-recover=all")
         probe = tmp_path / "probe.c"
         probe.write_text("int probe(int x) { return x + 1; }\n")
-        built = subprocess.run([shutil.which("cc"), *adam._CFLAGS, *sanitize, str(probe),
+        built = subprocess.run([shutil.which("cc"), *native._CFLAGS, *sanitize, str(probe),
                                 "-o", str(tmp_path / "probe.so")], capture_output=True)
         if built.returncode != 0:
             pytest.skip("no UBSan runtime")
@@ -479,23 +474,23 @@ import ctypes
 import mmap
 import sys
 import numpy as np
-from dado import adam
-adam._CFLAGS += {sanitize!r}
-kernel = adam.load_kernel()
+from dado import native
+native._CFLAGS += {sanitize!r}
+kernel = native.load_kernel()
 if kernel is None:
     sys.exit("the sanitized library failed to build, load or pass its self-check")
 table = np.random.default_rng(0).integers(0, 2**64, 100_000, dtype=np.uint64)
 table = table.view(np.float64).reshape(-1, 25)
-if adam.csv_formatter(kernel, 25, len(table))(table) != adam.repr_rows(table):
+if native.csv_formatter(kernel, 25, len(table))(table) != native.repr_rows(table):
     sys.exit("the sanitized formatter differs from repr")
-read = adam.csv_reader(kernel)
+read = native.csv_reader(kernel)
 finite = table.ravel()[np.isfinite(table.ravel())]
 finite = finite[:len(finite) // 25 * 25].reshape(-1, 25)
 params, objectives = np.empty((len(finite), 20)), np.empty((len(finite), 5))
 text = open({str(cells)!r}, "rb").read()
 column = np.empty((text.count(b"\\n") + 1, 1))
-if (read(adam.repr_rows(finite), params[:-1], objectives[:-1]) != len(finite)
-        or read(adam.repr_rows(finite), params, objectives) != len(finite)
+if (read(native.repr_rows(finite), params[:-1], objectives[:-1]) != len(finite)
+        or read(native.repr_rows(finite), params, objectives) != len(finite)
         or np.hstack([params, objectives]).tobytes() != finite.tobytes()
         or read(text, column, np.empty((len(column), 0))) != len(column)
         or column.ravel().tolist() != list(map(float, text.split()))):
@@ -543,10 +538,10 @@ def fuzzed_decimals(rng, n):
     return cells
 
 
-def whole_file_outcome(path, d, num_obj):
+def whole_file_outcome(path):
     """What a pool file loads to through one np.loadtxt call over the whole file, the
-    reader that the block reader replaced: the pool's arrays, or the error's class and
-    message."""
+    reader that the block reader replaced, with the schema its p*,...,j* header names:
+    the pool's arrays, or the error's class and message."""
     p = Path(path)
     try:
         with open(p, newline="", encoding="utf-8") as fh:
@@ -555,9 +550,10 @@ def whole_file_outcome(path, d, num_obj):
         return SchemaMismatch, f"{p}: not UTF-8 text"
     if not header:
         return SchemaMismatch, f"{p}: empty file, expected a header row"
-    if len(header) != d + num_obj:
-        return SchemaMismatch, (f"{p}: expected {d + num_obj} columns ({d} params + {num_obj} "
-                                f"objectives), found {len(header)}")
+    d = next((i for i, name in enumerate(header) if not name.startswith("p")), len(header))
+    num_obj = len(header) - d
+    if d == 0 or num_obj == 0 or not all(name.startswith("j") for name in header[d:]):
+        return SchemaMismatch, f"{p}: header does not follow the p*,...,j* convention"
     try:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
@@ -577,56 +573,57 @@ def whole_file_outcome(path, d, num_obj):
     return tuple(a.tobytes() for a in (params, objectives, bounds)) + (data.shape,)
 
 
-def outcome(path, d, num_obj):
+def outcome(path):
     """`load_pool`'s result in `whole_file_outcome`'s terms."""
     try:
-        pool = load_pool(path, d, num_obj)
+        pool = load_pool(path)
     except (SchemaMismatch, NonFiniteValue) as exc:
         return type(exc), str(exc)
     arrays = (pool.params, pool.objectives, pool.feature_bounds)
     return tuple(a.tobytes() for a in arrays) + ((len(pool), pool.d + pool.num_obj),)
 
 
-def both_readers(monkeypatch, path, d, num_obj):
+def both_readers(monkeypatch, path):
     """`load_pool`'s outcomes through the C reader and through np.loadtxt alone."""
-    native = outcome(path, d, num_obj)
+    native = outcome(path)
     with monkeypatch.context() as patch:
         patch.setattr(datapool, "native_kernel", lambda: None)
-        return native, outcome(path, d, num_obj)
+        return native, outcome(path)
 
 
 ODD_FILES = {
     # Every TestLoadPool file.
-    "minimal": ("p0,p1,j0,j1\n0.1,0.2,1.0,2.0\n0.3,0.4,3.0,4.0\n0.5,0.6,5.0,6.0\n", 2, 2),
-    "wrong-column-count": ("p0,p1,j0\n0.1,0.2,1.0\n", 2, 2),
-    "nan-cell": ("p0,p1,j0,j1\n0.1,0.2,1.0,2.0\n0.3,NaN,3.0,4.0\n", 2, 2),
-    "non-numeric": ("p0,j0\n0.1,oops\n", 1, 1),
-    "bad-row-cell": ("p0,j0\n0.1,0.2\n0.3,oops\n", 1, 1),
-    "short-row": ("p0,j0\n0.1,0.2\n0.3\n", 1, 1),
-    "long-row": ("p0,j0\n0.1,0.2\n0.3,0.4,0.5\n", 1, 1),
-    "wider-than-header": ("p0,j0\n0.1,0.2,0.3\n0.4,0.5,0.6\n", 1, 1),
-    "no-data-rows": ("p0,j0\n", 1, 1),
-    "missing-header": ("", 1, 1),
+    "minimal": "p0,p1,j0,j1\n0.1,0.2,1.0,2.0\n0.3,0.4,3.0,4.0\n0.5,0.6,5.0,6.0\n",
+    "nan-cell": "p0,p1,j0,j1\n0.1,0.2,1.0,2.0\n0.3,NaN,3.0,4.0\n",
+    "non-numeric": "p0,j0\n0.1,oops\n",
+    "bad-row-cell": "p0,j0\n0.1,0.2\n0.3,oops\n",
+    "short-row": "p0,j0\n0.1,0.2\n0.3\n",
+    "long-row": "p0,j0\n0.1,0.2\n0.3,0.4,0.5\n",
+    "wider-than-header": "p0,j0\n0.1,0.2,0.3\n0.4,0.5,0.6\n",
+    "no-data-rows": "p0,j0\n",
+    "missing-header": "",
+    "infer-schema": "p0,p1,p2,j0,j1\n1,2,3,4,5\n",
+    "odd-header": "a,b,c\n1,2,3\n",
     # Line endings and blank lines.
-    "crlf": ("p0,j0\r\n0.1,0.2\r\n0.3,0.4\r\n", 1, 1),
-    "cr": ("p0,j0\r0.1,0.2\r0.3,0.4\r", 1, 1),
-    "no-final-newline": ("p0,j0\r\n0.1,0.2\r\n0.3,0.4", 1, 1),
-    "header-only-no-newline": ("p0,j0", 1, 1),
-    "trailing-blank-line": ("p0,j0\n0.1,0.2\n\n", 1, 1),
-    "inner-blank-lines": ("p0,j0\r\n0.1,0.2\r\n\r\n\n0.3,0.4\r\n", 1, 1),
-    "blank-line-then-short-row": ("p0,j0\n0.1,0.2\n\n0.3\n", 1, 1),
-    "whitespace-line": ("p0,j0\n0.1,0.2\n  \n", 1, 1),
+    "crlf": "p0,j0\r\n0.1,0.2\r\n0.3,0.4\r\n",
+    "cr": "p0,j0\r0.1,0.2\r0.3,0.4\r",
+    "no-final-newline": "p0,j0\r\n0.1,0.2\r\n0.3,0.4",
+    "header-only-no-newline": "p0,j0",
+    "trailing-blank-line": "p0,j0\n0.1,0.2\n\n",
+    "inner-blank-lines": "p0,j0\r\n0.1,0.2\r\n\r\n\n0.3,0.4\r\n",
+    "blank-line-then-short-row": "p0,j0\n0.1,0.2\n\n0.3\n",
+    "whitespace-line": "p0,j0\n0.1,0.2\n  \n",
     # Cells outside the writer's form.
-    "whitespace": ("p0,j0\n 0.1 ,0.2\t\n", 1, 1),
-    "plus": ("p0,j0\n+1,2\n", 1, 1),
-    "leading-point": ("p0,j0\n.5,2\n", 1, 1),
-    "trailing-point": ("p0,j0\n1.,2\n", 1, 1),
-    "nan": ("p0,j0\n1,2\nNaN,3\n", 1, 1),
-    "overflow": ("p0,j0\n1,2\n1e400,3\n", 1, 1),
-    "twenty-digits": ("p0,j0\n12345678901234567890,0.12345678901234567890\n", 1, 1),
-    "exponent-forms": ("p0,j0\n1e5,1E+5\n1e-0005,-0\n", 1, 1),
-    "empty-cell": ("p0,j0\n1,\n", 1, 1),
-    "non-utf8-cell": (b"p0,j0\n1,2\n3,\xff\n", 1, 1),
+    "whitespace": "p0,j0\n 0.1 ,0.2\t\n",
+    "plus": "p0,j0\n+1,2\n",
+    "leading-point": "p0,j0\n.5,2\n",
+    "trailing-point": "p0,j0\n1.,2\n",
+    "nan": "p0,j0\n1,2\nNaN,3\n",
+    "overflow": "p0,j0\n1,2\n1e400,3\n",
+    "twenty-digits": "p0,j0\n12345678901234567890,0.12345678901234567890\n",
+    "exponent-forms": "p0,j0\n1e5,1E+5\n1e-0005,-0\n",
+    "empty-cell": "p0,j0\n1,\n",
+    "non-utf8-cell": b"p0,j0\n1,2\n3,\xff\n",
 }
 
 
@@ -640,8 +637,8 @@ class TestPoolReader:
         return path
 
     def test_desk_pool_reads_alike(self, kernel, desk_file, monkeypatch):
-        native, loadtxt = both_readers(monkeypatch, desk_file, 28, 2)
-        assert native == loadtxt == whole_file_outcome(desk_file, 28, 2)
+        native, loadtxt = both_readers(monkeypatch, desk_file)
+        assert native == loadtxt == whole_file_outcome(desk_file)
         assert native[-1] == (10_000, 30)
 
     def test_fuzzed_decimals_read_as_float(self, kernel):
@@ -654,11 +651,11 @@ class TestPoolReader:
 
     @pytest.mark.parametrize("name", sorted(ODD_FILES))
     def test_files_read_alike(self, kernel, tmp_path, monkeypatch, name):
-        text, d, num_obj = ODD_FILES[name]
+        text = ODD_FILES[name]
         path = tmp_path / "pool.csv"
         path.write_bytes(text if isinstance(text, bytes) else text.encode())
-        native, loadtxt = both_readers(monkeypatch, path, d, num_obj)
-        assert native == loadtxt == whole_file_outcome(path, d, num_obj)
+        native, loadtxt = both_readers(monkeypatch, path)
+        assert native == loadtxt == whole_file_outcome(path)
 
     @pytest.mark.parametrize("row, cell, error", [
         (100, "oops", "at row 100,"), (100, "0.5,0.5", "at row 101;"), (100, "NaN", "in row 100"),
@@ -673,8 +670,8 @@ class TestPoolReader:
         lines[40:40] = ["", "\r"]
         path = tmp_path / "pool.csv"
         path.write_text("\n".join(lines) + "\n")
-        native, loadtxt = both_readers(monkeypatch, path, 1, 1)
-        assert native == loadtxt == whole_file_outcome(path, 1, 1)
+        native, loadtxt = both_readers(monkeypatch, path)
+        assert native == loadtxt == whole_file_outcome(path)
         if error is None:
             assert native[-1] == (200, 2)
         else:
@@ -685,8 +682,8 @@ class TestPoolReader:
         lines[1 + 9_000] = b"oops," + lines[1 + 9_000].split(b",", 1)[1]
         path = tmp_path / "pool.csv"
         path.write_bytes(b"\r\n".join(lines))
-        native, loadtxt = both_readers(monkeypatch, path, 28, 2)
-        assert native == loadtxt == whole_file_outcome(path, 28, 2)
+        native, loadtxt = both_readers(monkeypatch, path)
+        assert native == loadtxt == whole_file_outcome(path)
         assert "at row 9000," in native[1]
 
     def test_file_is_read_in_blocks(self, kernel, desk_file, monkeypatch):
@@ -698,7 +695,7 @@ class TestPoolReader:
             return lambda text, *tables: texts.append(len(text)) or read(text, *tables)
 
         monkeypatch.setattr(datapool, "csv_reader", recording)
-        load_pool(desk_file, 28, 2)
+        load_pool(desk_file)
         data = desk_file.read_bytes()
         # One block of whole lines per read; the first is read twice, to size the tables.
         assert len(texts) == math.ceil(len(data) / datapool.LOAD_BLOCK_BYTES) + 1
@@ -719,8 +716,8 @@ class TestPoolReader:
 
     def test_mutant_reader_fails_the_self_check(self, kernel, tmp_path, monkeypatch):
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
-        source = adam._SOURCE.read_text()
-        check = adam._parse_check
+        source = native._SOURCE.read_text()
+        check = native._parse_check
         mutations = [
             # The rounding carry out of the largest subnormal is lost.
             ("        ++exponent;", "        ;"),
@@ -731,9 +728,9 @@ class TestPoolReader:
             assert source.count(old) == 1, old
             wrong = tmp_path / f"wrong-{i}.c"
             wrong.write_text(source.replace(old, new))
-            monkeypatch.setattr(adam, "_SOURCE", wrong)
-            monkeypatch.setattr(adam, "_parse_check", check)
-            assert adam.load_kernel() is None, new
+            monkeypatch.setattr(native, "_SOURCE", wrong)
+            monkeypatch.setattr(native, "_parse_check", check)
+            assert native.load_kernel() is None, new
             # The source builds and loads: the reader check is what refuses it.
-            monkeypatch.setattr(adam, "_parse_check", lambda kernel: True)
-            assert adam.load_kernel() is not None, new
+            monkeypatch.setattr(native, "_parse_check", lambda kernel: True)
+            assert native.load_kernel() is not None, new

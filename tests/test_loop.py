@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dado import loop
 from dado.errors import ConfigError, PoolExhausted
 from dado.loop import (
     ScenarioConfig,
@@ -19,7 +20,7 @@ from dado.loop import (
     run_sweep,
     stderr_of,
 )
-from dado.datapool import pool_from_arrays
+from dado.datapool import consume, initial_sample, pool_from_arrays
 from dado.oracle import annotate, gen_synthetic_pool
 from dado.strategies import StrategyKind
 from dado.surrogate import MlpConfig, TrainConfig
@@ -39,6 +40,26 @@ def fast_scenario(strategy=StrategyKind.L2_SELECT, seed=0, name="fast", **kwargs
 @pytest.fixture
 def pool():
     return gen_synthetic_pool(300, 3, seed=17)
+
+
+@pytest.fixture
+def taken_ids(monkeypatch):
+    """The ids each `run_experiment` call takes, one (initial ids, [acquired ids per
+    iteration]) pair per call, recorded by spies on the names `dado.loop` calls."""
+    runs = []
+
+    def initial_spy(pool, size, rng):
+        picked = initial_sample(pool, size, rng)
+        runs.append((picked.tolist(), []))
+        return picked
+
+    def consume_spy(pool, ids):
+        consume(pool, ids)
+        runs[-1][1].append(np.asarray(ids).tolist())
+
+    monkeypatch.setattr(loop, "initial_sample", initial_spy)
+    monkeypatch.setattr(loop, "consume", consume_spy)
+    return runs
 
 
 class TestScenarioConfig:
@@ -74,17 +95,18 @@ class TestScenarioConfig:
 
 
 class TestRunExperiment:
-    def test_structure_and_budget_accounting(self, pool):
+    def test_structure_and_budget_accounting(self, pool, taken_ids):
         cfg = fast_scenario(initial_size=20, aq_size=10, budget=60)
         result = run_experiment(pool, cfg)
+        [(initial_ids, acquired_ids)] = taken_ids
         assert len(result.curve.records) == cfg.n_iter == 4
         for i, rec in enumerate(result.curve.records):
             assert rec.iteration == i
             assert rec.train_set_size == cfg.initial_size + i * cfg.aq_size
-            assert len(result.acquired_ids[i]) == cfg.aq_size
+            assert len(acquired_ids[i]) == cfg.aq_size
         assert np.count_nonzero(pool.consumed) == cfg.budget
         # No candidate enters the training set twice.
-        all_ids = list(result.initial_ids) + [i for batch in result.acquired_ids for i in batch]
+        all_ids = initial_ids + [i for batch in acquired_ids for i in batch]
         assert len(all_ids) == len(set(all_ids)) == cfg.budget
 
     def test_summary_final_matches_last_record(self, pool):
@@ -112,35 +134,37 @@ class TestRunExperiment:
             assert rec.best_mse == 0.0
             assert rec.rnd_mse == 0.0
 
-    def test_deterministic_across_runs(self, pool):
+    def test_deterministic_across_runs(self, pool, taken_ids):
         cfg = fast_scenario(seed=9)
         r1 = run_experiment(pool.copy(), cfg)
         r2 = run_experiment(pool.copy(), cfg)
-        assert r1.acquired_ids == r2.acquired_ids
-        assert r1.initial_ids == r2.initial_ids
+        [(initial1, acquired1), (initial2, acquired2)] = taken_ids
+        assert acquired1 == acquired2
+        assert initial1 == initial2
         for a, b in zip(r1.curve.records, r2.curve.records):
             assert a == b
 
-    def test_seed_changes_the_run(self, pool):
-        r1 = run_experiment(pool.copy(), fast_scenario(seed=1))
-        r2 = run_experiment(pool.copy(), fast_scenario(seed=2))
-        assert r1.initial_ids != r2.initial_ids
+    def test_seed_changes_the_run(self, pool, taken_ids):
+        run_experiment(pool.copy(), fast_scenario(seed=1))
+        run_experiment(pool.copy(), fast_scenario(seed=2))
+        [(initial1, _), (initial2, _)] = taken_ids
+        assert initial1 != initial2
 
-    def test_draw_truths_never_reach_training(self, pool):
+    def test_draw_truths_never_reach_training(self, pool, taken_ids):
         """Perturbing objectives of never-acquired candidates leaves the whole
         acquisition trajectory unchanged; those truths feed metrics only."""
         cfg = fast_scenario(seed=3)
-        reference = run_experiment(pool.copy(), cfg)
-        used = set(reference.initial_ids) | {
-            i for batch in reference.acquired_ids for i in batch
-        }
+        run_experiment(pool.copy(), cfg)
+        [(initial_ids, acquired_ids)] = taken_ids
+        used = set(initial_ids) | {i for batch in acquired_ids for i in batch}
         unused = np.ones(len(pool), dtype=bool)
         unused[list(used)] = False
         objectives = pool.objectives.copy()
         objectives[unused] += 100.0
-        rerun = run_experiment(pool_from_arrays(pool.params, objectives), cfg)
-        assert rerun.initial_ids == reference.initial_ids
-        assert rerun.acquired_ids == reference.acquired_ids
+        run_experiment(pool_from_arrays(pool.params, objectives), cfg)
+        [_, (rerun_initial, rerun_acquired)] = taken_ids
+        assert rerun_initial == initial_ids
+        assert rerun_acquired == acquired_ids
 
     def test_pool_too_small_fails_before_running(self):
         pool = gen_synthetic_pool(50, 3, seed=0)

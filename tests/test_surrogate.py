@@ -13,7 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import dado.adam as adam
+import dado.native as native
 import dado.surrogate as surrogate
 from dado.datapool import TargetNormalizer
 from dado.errors import DimensionMismatch, NumericalDivergence
@@ -23,14 +23,11 @@ from dado.surrogate import (
     TrainConfig,
     TrainLog,
     _forward,
-    finite_difference_gradients,
-    grad_check,
     init_model,
-    loss_gradients,
-    max_relative_error,
     predict_batch,
     train,
 )
+from gradcheck import finite_difference_gradients, grad_check, loss_gradients, max_relative_error
 
 # A 5 -> 7 -> 3 -> 2 net.
 SMALL = MlpConfig(hidden=(7, 3))
@@ -298,7 +295,7 @@ class TestTrain:
 def kernel():
     if shutil.which("cc") is None:
         pytest.skip("no C compiler, so only the numpy Adam can run")
-    k = adam.native_kernel()
+    k = native.native_kernel()
     assert k is not None, "the C Adam loop failed to build, load or pass its self-check"
     return k
 
@@ -321,7 +318,7 @@ class TestAdam:
         states = []
         for k in (None, kernel):
             theta, grad, m, v = theta0.copy(), np.empty(n), np.zeros(n), np.zeros(n)
-            update = adam.adam_updater(k, theta, grad, m, v, learning_rate=5e-4,
+            update = native.adam_updater(k, theta, grad, m, v, learning_rate=5e-4,
                                        beta1=0.9, beta2=0.999, eps=1e-8)
             for step in range(1, 2001):
                 # Cycle the bank with a changing sign so m and v keep moving.
@@ -348,8 +345,8 @@ class TestAdam:
     def test_no_compiler_falls_back_to_numpy(self, tmp_path, monkeypatch):
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
         monkeypatch.setenv("PATH", "")
-        assert adam.load_kernel() is None
-        monkeypatch.setattr(surrogate, "native_kernel", adam.load_kernel)
+        assert native.load_kernel() is None
+        monkeypatch.setattr(surrogate, "native_kernel", native.load_kernel)
         rng = np.random.default_rng(0)
         trained, log = train(init_model(SMALL, 5, 2, seed=0), rng.random((8, 5)),
                              rng.normal(size=(8, 2)), TrainConfig(max_epochs=3),
@@ -359,20 +356,20 @@ class TestAdam:
 
     def test_build_is_cached_by_source_and_flags(self, kernel, tmp_path, monkeypatch):
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-        assert adam.load_kernel() is not None
+        assert native.load_kernel() is not None
         built = list((tmp_path / "dado").iterdir())
         assert len(built) == 1 and built[0].name.startswith("native-")
         mtime = built[0].stat().st_mtime_ns
-        assert adam.load_kernel() is not None
+        assert native.load_kernel() is not None
         assert list((tmp_path / "dado").iterdir()) == built
         assert built[0].stat().st_mtime_ns == mtime
 
     def test_build_is_cached_per_cpu_architecture(self, kernel, tmp_path, monkeypatch):
         # A cache shared by hosts of two architectures must not hand one the other's library.
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-        assert adam.load_kernel() is not None
+        assert native.load_kernel() is not None
         monkeypatch.setattr(platform, "machine", lambda: "other-arch")
-        assert adam.load_kernel() is not None
+        assert native.load_kernel() is not None
         built = sorted(f.name for f in (tmp_path / "dado").iterdir())
         assert len(built) == 2 and all(name.startswith("native-") for name in built)
 
@@ -387,10 +384,10 @@ class TestAdam:
         for name in stale + kept:
             (cache / name).write_bytes(b"")
         # Only libraries older than a week are stale; the kept files are old too.
-        week_ago = time.time() - adam._STALE_BUILD_AGE_S - 60
+        week_ago = time.time() - native._STALE_BUILD_AGE_S - 60
         for name in stale + kept:
             os.utime(cache / name, (week_ago, week_ago))
-        assert adam.load_kernel() is not None
+        assert native.load_kernel() is not None
         built = {f.name for f in cache.iterdir()}.difference(kept)
         assert len(built) == 1 and built.pop().startswith(f"native-{platform.machine()}-")
         assert all((cache / name).exists() for name in kept)
@@ -399,12 +396,12 @@ class TestAdam:
         # Two checkouts of different sources alternating on one cache keep both libraries.
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
         other = tmp_path / "other.c"
-        other.write_text(adam._SOURCE.read_text() + "/* another version */\n")
-        sources, compiled, compile_ = [adam._SOURCE, other], [], adam._compile
-        monkeypatch.setattr(adam, "_compile", lambda *a: compiled.append(a[3].name) or compile_(*a))
+        other.write_text(native._SOURCE.read_text() + "/* another version */\n")
+        sources, compiled, compile_ = [native._SOURCE, other], [], native._compile
+        monkeypatch.setattr(native, "_compile", lambda *a: compiled.append(a[3].name) or compile_(*a))
         for i in range(4):
-            monkeypatch.setattr(adam, "_SOURCE", sources[i % 2])
-            assert adam.load_kernel() is not None
+            monkeypatch.setattr(native, "_SOURCE", sources[i % 2])
+            assert native.load_kernel() is not None
         assert len(compiled) == 2
         assert len(list((tmp_path / "dado").iterdir())) == 2
 
@@ -412,21 +409,21 @@ class TestAdam:
         blocker = tmp_path / "not-a-directory"
         blocker.write_text("")
         monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
-        assert adam.load_kernel() is not None
+        assert native.load_kernel() is not None
 
     def test_failed_build_or_self_check_falls_back(self, kernel, tmp_path, monkeypatch):
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
-        source = adam._SOURCE.read_text()
+        source = native._SOURCE.read_text()
         broken = tmp_path / "broken.c"
         broken.write_text("this is not C\n")
-        monkeypatch.setattr(adam, "_SOURCE", broken)
-        assert adam.load_kernel() is None
+        monkeypatch.setattr(native, "_SOURCE", broken)
+        assert native.load_kernel() is None
         # Builds and loads, but adds eps twice, so the self-check must refuse it.
         wrong = tmp_path / "wrong.c"
         wrong.write_text(source.replace("+ eps)", "+ eps + eps)"))
         assert wrong.read_text() != source
-        monkeypatch.setattr(adam, "_SOURCE", wrong)
-        assert adam.load_kernel() is None
+        monkeypatch.setattr(native, "_SOURCE", wrong)
+        assert native.load_kernel() is None
 
 
 class TestGradients:
@@ -584,7 +581,7 @@ def reference_train(model, x, t, cfg, rng):
     grad = np.zeros_like(theta)
     grads = work.like(grad)
     m, v = np.zeros_like(theta), np.zeros_like(theta)
-    update = adam.adam_updater(adam.native_kernel(), theta, grad, m, v,
+    update = native.adam_updater(native.native_kernel(), theta, grad, m, v,
                                learning_rate=cfg.learning_rate, beta1=surrogate.ADAM_BETA1,
                                beta2=surrogate.ADAM_BETA2, eps=surrogate.ADAM_EPS)
     step = 0
@@ -730,7 +727,7 @@ class TestNativePass:
         masks = surrogate._dropout_masks(rng, n, mlp)
         grad = np.empty_like(model.theta)
         want = model.like(np.empty_like(model.theta))
-        run = adam.fwd_bwd_binder(kernel, model.theta, grad, model.widths, mlp.leaky_slope,
+        run = native.fwd_bwd_binder(kernel, model.theta, grad, model.widths, mlp.leaky_slope,
                                   tcfg.batch_size)(xs, ts, masks)
         for start in range(0, n, tcfg.batch_size):
             stop = min(start + tcfg.batch_size, n)
@@ -747,7 +744,7 @@ class TestNativePass:
         xs, ts = rng.random((30, 6)), rng.normal(size=(30, 1))
         masks = surrogate._dropout_masks(rng, 30, mlp)
         grad = np.empty_like(model.theta)
-        run = adam.fwd_bwd_binder(kernel, model.theta, grad, model.widths, mlp.leaky_slope,
+        run = native.fwd_bwd_binder(kernel, model.theta, grad, model.widths, mlp.leaky_slope,
                                   30)(xs.copy(), ts.copy(), masks.copy())
         gc.collect()
         clobber = [np.full_like(a, np.nan) for a in (xs, ts, masks) for _ in range(4)]
@@ -759,8 +756,8 @@ class TestNativePass:
 
     def test_wrong_dispatch_fails_the_self_check(self, kernel, tmp_path, monkeypatch):
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
-        source = adam._SOURCE.read_text()
-        check = adam._fwd_bwd_check
+        source = native._SOURCE.read_text()
+        check = native._fwd_bwd_check
         mutations = [
             ("a_m * s, a_n * s", "a_n * s, a_m * s"),  # the left operand's strides swapped
             ("if (width == 1) {", "if (width == 0) {"),  # a single column summed row by row
@@ -770,12 +767,12 @@ class TestNativePass:
             assert source.count(old) == 1, old
             wrong = tmp_path / f"wrong-{i}.c"
             wrong.write_text(source.replace(old, new))
-            monkeypatch.setattr(adam, "_SOURCE", wrong)
-            monkeypatch.setattr(adam, "_fwd_bwd_check", check)
-            assert adam.load_kernel() is None, new
+            monkeypatch.setattr(native, "_SOURCE", wrong)
+            monkeypatch.setattr(native, "_fwd_bwd_check", check)
+            assert native.load_kernel() is None, new
             # The source builds and loads: the forward/backward check is what refuses it.
-            monkeypatch.setattr(adam, "_fwd_bwd_check", lambda kernel: True)
-            assert adam.load_kernel() is not None, new
+            monkeypatch.setattr(native, "_fwd_bwd_check", lambda kernel: True)
+            assert native.load_kernel() is not None, new
 
     def test_no_float64_loop_falls_back_to_numpy(self, kernel, tmp_path, monkeypatch):
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
@@ -783,13 +780,13 @@ class TestNativePass:
         def missing(ufunc):
             raise LookupError(f"{ufunc.__name__} has no float64 loop")
 
-        monkeypatch.setattr(adam, "_float64_loop", missing)
-        assert adam.load_kernel() is None
+        monkeypatch.setattr(native, "_float64_loop", missing)
+        assert native.load_kernel() is None
 
     def test_float64_loop_lookup(self):
-        assert adam._float64_loop(np.matmul) and adam._float64_loop(np.add)
+        assert native._float64_loop(np.matmul) and native._float64_loop(np.add)
         with pytest.raises(LookupError):
-            adam._float64_loop(np.bitwise_and)
+            native._float64_loop(np.bitwise_and)
 
     def test_products_and_single_column_sums_run_numpys_loops(self, kernel, tmp_path,
                                                               monkeypatch):
@@ -799,7 +796,7 @@ class TestNativePass:
         calls = {"matmul": 0, "add": 0}
 
         def counting(ufunc):
-            real = loop_type(adam._float64_loop(ufunc))
+            real = loop_type(native._float64_loop(ufunc))
 
             def loop(*args):
                 calls[ufunc.__name__] += 1
@@ -808,16 +805,16 @@ class TestNativePass:
             return loop_type(loop)
 
         loops = {ufunc.__name__: counting(ufunc) for ufunc in (np.matmul, np.add)}
-        monkeypatch.setattr(adam, "_float64_loop", lambda ufunc: ctypes.cast(
+        monkeypatch.setattr(native, "_float64_loop", lambda ufunc: ctypes.cast(
             loops[ufunc.__name__], ctypes.c_void_p).value)
-        counted = adam.load_kernel()
+        counted = native.load_kernel()
         assert counted is not None and calls["matmul"] > 0 and calls["add"] > 0
         rng = np.random.default_rng(3)
         model = init_model(*self.NET, seed=4)
         xs, ts = rng.random((30, 6)), rng.normal(size=(30, 1))
         grad = np.empty_like(model.theta)
         want = model.like(np.empty_like(model.theta))
-        run = adam.fwd_bwd_binder(counted, model.theta, grad, model.widths,
+        run = native.fwd_bwd_binder(counted, model.theta, grad, model.widths,
                                   self.NET[0].leaky_slope, 30)(xs, ts, None)
         calls.update(matmul=0, add=0)
         run(0, 30)
@@ -831,13 +828,13 @@ class TestNativePass:
         cc = shutil.which("cc")
         if cc is None:
             pytest.skip("no C compiler")
-        subprocess.run([cc, *adam._CFLAGS, "-Wall", "-Wextra", "-Werror", str(adam._SOURCE),
+        subprocess.run([cc, *native._CFLAGS, "-Wall", "-Wextra", "-Werror", str(native._SOURCE),
                         "-o", str(tmp_path / "native.so")], check=True, timeout=120)
 
     def test_no_kernel_runs_numpy_for_both(self, kernel, monkeypatch):
         calls = []
-        adam_numpy = adam.adam_numpy
-        monkeypatch.setattr(adam, "adam_numpy", lambda *args: calls.append(adam_numpy(*args)))
+        adam_numpy = native.adam_numpy
+        monkeypatch.setattr(native, "adam_numpy", lambda *args: calls.append(adam_numpy(*args)))
         got, got_log, got_paths = train_recording_paths(monkeypatch, None, self.NET, 30, self.TCFG)
         assert got_paths == {"numpy"}
         assert len(calls) == 4 * math.ceil(30 / self.TCFG.batch_size)
