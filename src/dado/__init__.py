@@ -39,55 +39,10 @@ def _pin_malloc_thresholds() -> None:
 
 _pin_malloc_thresholds()
 
-from .datapool import (
-    CandidatePool,
-    FeatureNormalizer,
-    TargetNormalizer,
-    bootstrap_draw,
-    consume,
-    fit_normalizers,
-    initial_sample,
-    load_pool,
-    pool_from_arrays,
-    save_pool,
-)
-from .loop import (
-    ExperimentResult,
-    ScenarioConfig,
-    SweepSummary,
-    derive_rng,
-    derive_seed,
-    run_experiment,
-    run_sweep,
-)
-from .metrics import (
-    METRIC_FIELDS,
-    IterationRecord,
-    LearningCurve,
-    auc,
-    intersections,
-    mean_rank,
-    mse,
-    normalize_mr,
-    optimal_mean_rank,
-    reference_order,
-    srocc,
-)
+from .datapool import CandidatePool, load_pool, pool_from_arrays
+from .loop import ScenarioConfig, run_experiment
 from .oracle import annotate, gen_synthetic_pool
-from .strategies import (
-    StrategyKind,
-    component_max,
-    select,
-    selection_order,
-)
-from .surrogate import (
-    MlpConfig,
-    SurrogateModel,
-    TrainConfig,
-    TrainLog,
-    init_model,
-    predict_batch,
-    train,
-)
+from .strategies import StrategyKind
+from .surrogate import SurrogateModel, init_model, predict_batch, train
 
 __version__ = "0.1.0"

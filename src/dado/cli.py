@@ -211,12 +211,9 @@ def _scenario(values: dict) -> ScenarioConfig:
     for key, value in values.items():
         section = _CONFIG_KEYS[key][0]
         (nested[section] if section else top)[key] = value
-    try:
-        return ScenarioConfig(
-            **top, **{section: cls(**nested[section]) for section, cls in _SUBCONFIGS.items()}
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return ScenarioConfig(
+        **top, **{section: cls(**nested[section]) for section, cls in _SUBCONFIGS.items()}
+    )
 
 
 def _load_pool_auto(path):
@@ -234,7 +231,7 @@ def _load_pool_auto(path):
 
 def _write_run_outputs(out_dir: Path, pool_entry: dict, result) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_csv(out_dir / "iterations.csv", ITERATIONS_HEADER, map(astuple, result.curve.records))
+    _write_csv(out_dir / "iterations.csv", ITERATIONS_HEADER, map(astuple, result.records))
     _write_json(out_dir / "summary.json", result.summary)
     manifest = {
         "tool": "dado",

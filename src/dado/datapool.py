@@ -247,16 +247,20 @@ def _loadtxt_pool(p: Path, fh, d: int, expected: int) -> tuple[np.ndarray, np.nd
     errors naming the data row.
     """
     fh.seek(0)
+    text = io.TextIOWrapper(fh, encoding="utf-8", newline=None)
     try:
         with warnings.catch_warnings():
             # A header-only file is reported by the caller as having no data rows.
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            data = np.loadtxt(io.TextIOWrapper(fh, encoding="utf-8", newline=None),
-                              delimiter=",", skiprows=1, ndmin=2, comments=None)
+            data = np.loadtxt(text, delimiter=",", skiprows=1, ndmin=2, comments=None)
     except UnicodeDecodeError:
         raise SchemaMismatch(f"{p}: not UTF-8 text") from None
     except ValueError as exc:
         raise SchemaMismatch(f"{p}: {exc}") from None
+    finally:
+        # Detached, the wrapper leaves `fh` to the caller's `with` instead of
+        # closing it when freed.
+        text.detach()
     if len(data) and data.shape[1] != expected:
         raise SchemaMismatch(f"{p}: data rows have {data.shape[1]} columns, expected {expected}")
     return data[:, :d].copy(), data[:, d:].copy()

@@ -27,7 +27,6 @@ from .errors import ConfigError, PoolExhausted
 from .metrics import (
     METRIC_FIELDS,
     IterationRecord,
-    LearningCurve,
     auc,
     intersections,
     mean_rank,
@@ -99,17 +98,17 @@ class ScenarioConfig:
 
 @dataclass
 class ExperimentResult:
-    """One run's learning curve plus its AUC/final summary."""
+    """One run's per-iteration records plus their AUC/final summary."""
 
     scenario: ScenarioConfig
-    curve: LearningCurve
+    records: list[IterationRecord]
     summary: dict[str, dict[str, float]]
 
 
-def _summarize(curve: LearningCurve) -> dict[str, dict[str, float]]:
+def _summarize(records: list[IterationRecord]) -> dict[str, dict[str, float]]:
     out = {}
     for metric in METRIC_FIELDS:
-        series = curve.series(metric)
+        series = [getattr(rec, metric) for rec in records]
         # A one-iteration curve has no area; its value stands in, matching the
         # normalized convention that a constant curve scores its own value.
         out[metric] = {
@@ -203,8 +202,7 @@ def run_experiment(
         train_rows = np.concatenate([train_rows, acquired])
         train_targets = np.vstack([train_targets, truths_raw[sel_idx]])
 
-    curve = LearningCurve(records)
-    return ExperimentResult(cfg, curve, _summarize(curve))
+    return ExperimentResult(cfg, records, _summarize(records))
 
 
 @dataclass

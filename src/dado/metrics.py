@@ -31,21 +31,6 @@ class IterationRecord:
 METRIC_FIELDS = tuple(f.name for f in fields(IterationRecord))[2:]
 
 
-@dataclass
-class LearningCurve:
-    records: list[IterationRecord]
-
-    def __post_init__(self):
-        for i, rec in enumerate(self.records):
-            if rec.iteration != i:
-                raise ValueError("iterations must be consecutive starting at 0")
-
-    def series(self, metric: str) -> list[float]:
-        if metric not in METRIC_FIELDS:
-            raise KeyError(f"unknown metric {metric!r}")
-        return [getattr(rec, metric) for rec in self.records]
-
-
 def reference_order(truths, kind: StrategyKind) -> list[int]:
     """Rank draw positions by true performance under the strategy's score, best first.
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NumericalDivergence
+from .errors import ConfigError, DimensionMismatch, NumericalDivergence
 from .native import (
     adam_updater,
     fwd_bwd_binder,
@@ -37,11 +37,11 @@ class MlpConfig:
 
     def __post_init__(self):
         if not self.hidden or any(h < 1 for h in self.hidden):
-            raise ValueError("hidden layer sizes must be positive")
+            raise ConfigError("hidden layer sizes must be positive")
         if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError("dropout_rate must lie in [0, 1)")
+            raise ConfigError("dropout_rate must lie in [0, 1)")
         if not 0.0 <= self.leaky_slope <= 1.0:
-            raise ValueError("leaky_slope must lie in [0, 1]")
+            raise ConfigError("leaky_slope must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -53,9 +53,9 @@ class TrainConfig:
 
     def __post_init__(self):
         if not 0.0 < self.learning_rate < float("inf"):
-            raise ValueError("learning_rate must be positive and finite")
+            raise ConfigError("learning_rate must be positive and finite")
         if self.batch_size < 1 or self.patience < 1 or self.max_epochs < 1:
-            raise ValueError("batch_size, patience, and max_epochs must be >= 1")
+            raise ConfigError("batch_size, patience, and max_epochs must be >= 1")
 
 
 @dataclass

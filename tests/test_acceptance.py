@@ -132,7 +132,7 @@ class TestCriterion4:
             seed=5,
         )
         result = run_experiment(pool, cfg, predict_override=perfect)
-        records = result.curve.records
+        records = result.records
         ok = all(
             r.intersections == 1.0 and r.srocc == 1.0 and r.best_mse == 0.0 and r.rnd_mse == 0.0
             for r in records
@@ -210,7 +210,7 @@ def _auc_mean(sweep, scenario, strategy, metric):
 
 def _curve_point_mean(sweep, strategy, metric, position):
     values = [
-        r.result.curve.series(metric)[position]
+        getattr(r.result.records[position], metric)
         for r in sweep.runs
         if r.strategy == strategy and r.result is not None
     ]

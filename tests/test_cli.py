@@ -13,6 +13,7 @@ import re
 import shutil
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ import dado
 from dado import cli, datapool, surrogate
 from dado.cli import ITERATIONS_HEADER, RUN_KEYS, SWEEP_KEYS, build_parser, main
 from dado.datapool import load_pool
-from dado.errors import SchemaMismatch
+from dado.errors import ConfigError, SchemaMismatch
 from dado.native import native_kernel
 
 FAST_CFG = """
@@ -527,6 +528,25 @@ class TestReport:
         assert run_cli("report", "--runs", d1, d2, "--metric", "srocc",
                        "--out", tmp_path / "c.csv") == 1
 
+    def test_report_takes_one_scenario_of_a_sweep(self, tmp_path, capsys):
+        # Runs of different aq sizes differ in length, so the README reports one scenario.
+        pool = make_pool(tmp_path)
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(SWEEP_CFG.replace("aq_sizes = 10", "aq_sizes = 10, 20") + f"\npool = {pool}\n")
+        runs = tmp_path / "sweep-out" / "runs"
+        assert run_cli("sweep", "--config", cfg, "--out-dir", runs.parent) == 0
+        every_run = tmp_path / "all.csv"
+        assert run_cli("report", "--runs", *sorted(runs.glob("*")), "--metric", "srocc",
+                       "--out", every_run) == 1
+        short_run = runs / "mini-aq20-l2-select-seed0"
+        assert f"{short_run}: has 1 iterations, other runs have 2" in capsys.readouterr().err
+        assert not every_run.exists()
+        one_scenario = tmp_path / "aq10.csv"
+        assert run_cli("report", "--runs", *sorted(runs.glob("mini-aq10-*")), "--metric", "srocc",
+                       "--out", one_scenario) == 0
+        with open(one_scenario) as fh:
+            assert {r["strategy"] for r in csv.DictReader(fh)} == {"l2-select", "random"}
+
     @pytest.mark.parametrize(
         "manifest", ["{not json", '{"config": {}}', '["config"]', "\xff"]
     )
@@ -894,6 +914,19 @@ class TestLibraryUse:
             assert callable(getattr(dado, name)), name
         # The gradient check is test code (tests/gradcheck.py), not library surface.
         assert not hasattr(dado, "grad_check")
+
+    def test_package_exports_only_the_readme_names(self):
+        public = {name for name, value in vars(dado).items()
+                  if not isinstance(value, types.ModuleType)
+                  and (not name.startswith("_") or name == "__version__")}
+        assert public == {*self.NAMES, "__version__"}
+
+    @pytest.mark.parametrize("make", [lambda: surrogate.MlpConfig(dropout_rate=1.0),
+                                      lambda: surrogate.TrainConfig(batch_size=0)],
+                             ids=["mlp", "train"])
+    def test_bad_sub_config_is_a_config_error(self, make):
+        with pytest.raises(ConfigError):
+            make()
 
 
 class TestBlasPin:

@@ -1,5 +1,6 @@
 """Pool loading, saving, sampling, consumption, and normalizer behavior."""
 
+import contextlib
 import csv
 import math
 import os
@@ -701,6 +702,19 @@ class TestPoolReader:
         assert len(texts) == math.ceil(len(data) / datapool.LOAD_BLOCK_BYTES) + 1
         assert texts[0] == texts[1] and max(texts) <= datapool.LOAD_BLOCK_BYTES
         assert sum(texts[1:]) == len(data) - data.index(b"\r\n") - 2  # all but the header
+
+    @pytest.mark.parametrize("text", [b"p0,j0\n1 ,2\n", b"p0,j0\n1,oops\n"],
+                             ids=["read", "refused"])
+    def test_fallback_leaves_the_handle_open(self, tmp_path, text):
+        # The handle belongs to load_pool's `with`; np.loadtxt's wrapper must not close it.
+        path = tmp_path / "pool.csv"
+        path.write_bytes(text)
+        with open(path, "rb") as fh:
+            with contextlib.suppress(SchemaMismatch):
+                datapool._loadtxt_pool(path, fh, 1, 2)
+            assert not fh.closed
+            fh.seek(0)
+            assert fh.read() == text
 
     def test_reader_checks_its_tables(self, kernel):
         assert csv_reader(None) is None

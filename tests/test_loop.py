@@ -99,8 +99,8 @@ class TestRunExperiment:
         cfg = fast_scenario(initial_size=20, aq_size=10, budget=60)
         result = run_experiment(pool, cfg)
         [(initial_ids, acquired_ids)] = taken_ids
-        assert len(result.curve.records) == cfg.n_iter == 4
-        for i, rec in enumerate(result.curve.records):
+        assert len(result.records) == cfg.n_iter == 4
+        for i, rec in enumerate(result.records):
             assert rec.iteration == i
             assert rec.train_set_size == cfg.initial_size + i * cfg.aq_size
             assert len(acquired_ids[i]) == cfg.aq_size
@@ -111,13 +111,13 @@ class TestRunExperiment:
 
     def test_summary_final_matches_last_record(self, pool):
         result = run_experiment(pool, fast_scenario())
-        last = result.curve.records[-1]
+        last = result.records[-1]
         assert result.summary["intersections"]["final"] == last.intersections
         assert result.summary["rnd_mse"]["final"] == last.rnd_mse
 
     def test_mr_norm_is_one_at_iteration_zero(self, pool):
         result = run_experiment(pool, fast_scenario(seed=5))
-        first = result.curve.records[0]
+        first = result.records[0]
         if first.mr_raw > (fast_scenario().aq_size + 1) / 2:
             assert first.mr_norm == 1.0
 
@@ -128,7 +128,7 @@ class TestRunExperiment:
 
         cfg = fast_scenario(strategy=kind, initial_size=20, aq_size=10, budget=60)
         result = run_experiment(pool, cfg, predict_override=perfect)
-        for rec in result.curve.records:
+        for rec in result.records:
             assert rec.intersections == 1.0
             assert rec.srocc == 1.0
             assert rec.best_mse == 0.0
@@ -141,7 +141,7 @@ class TestRunExperiment:
         [(initial1, acquired1), (initial2, acquired2)] = taken_ids
         assert acquired1 == acquired2
         assert initial1 == initial2
-        for a, b in zip(r1.curve.records, r2.curve.records):
+        for a, b in zip(r1.records, r2.records):
             assert a == b
 
     def test_seed_changes_the_run(self, pool, taken_ids):
@@ -184,7 +184,7 @@ class TestRunExperiment:
             seed=cfg.seed, mlp=MlpConfig(hidden=(4, 2)), train=TrainConfig(max_epochs=1),
         )
         result = run_experiment(pool, cfg)
-        assert len(result.curve.records) == 20
+        assert len(result.records) == 20
 
 
 class TestSeedDerivation:

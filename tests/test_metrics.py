@@ -8,8 +8,6 @@ from scipy import stats
 
 from dado.errors import DegenerateInput, SizeMismatch, UnknownId
 from dado.metrics import (
-    IterationRecord,
-    LearningCurve,
     auc,
     intersections,
     mean_rank,
@@ -186,26 +184,3 @@ class TestAuc:
     def test_too_few_points(self):
         with pytest.raises(DegenerateInput):
             auc([1.0])
-
-
-class TestLearningCurve:
-    @staticmethod
-    def record(i, value=0.0):
-        return IterationRecord(i, 100, value, 1.0, 0.5, 0.1, 0.2, 0.3)
-
-    def test_series_extraction(self):
-        curve = LearningCurve([self.record(0, 0.1), self.record(1, 0.9)])
-        assert curve.series("intersections") == [0.1, 0.9]
-
-    def test_iterations_must_start_at_zero(self):
-        with pytest.raises(ValueError):
-            LearningCurve([self.record(1)])
-
-    def test_iterations_must_be_consecutive(self):
-        with pytest.raises(ValueError):
-            LearningCurve([self.record(0), self.record(2)])
-
-    def test_unknown_metric(self):
-        curve = LearningCurve([self.record(0)])
-        with pytest.raises(KeyError):
-            curve.series("accuracy")
