@@ -476,13 +476,12 @@ static const char *parse_cell(const char *p, const char *end, double *x)
 
 /* Read the CSV text [text, text + length): rows of cols cells as parse_cell
  * reads them, separated by ',' and each ended by "\n", "\r\n" or the end of
- * the text. The first capacity rows are stored row-major, each row's first d
- * cells in params and the rest in objectives; later rows are only counted.
- * Returns the number of rows, or -1 when the text is not of that form:
- * whitespace, '+', a blank line, nan, an 18th significant digit and so on.
- * Reads nothing at or past text + length. */
-int64_t dado_parse_rows(const char *text, int64_t length, int64_t cols, int64_t d,
-                        double *params, double *objectives, int64_t capacity)
+ * the text. The first capacity rows are stored in the row-major table; later
+ * rows are only counted. Returns the number of rows, or -1 when the text is
+ * not of that form: whitespace, '+', a blank line, nan, an 18th significant
+ * digit and so on. Reads nothing at or past text + length. */
+int64_t dado_parse_rows(const char *text, int64_t length, int64_t cols, double *table,
+                        int64_t capacity)
 {
     const char *p = text, *const end = text + length;
     int64_t rows = 0;
@@ -491,10 +490,7 @@ int64_t dado_parse_rows(const char *text, int64_t length, int64_t cols, int64_t 
         for (int64_t j = 0; j < cols; ++j) {
             if (j > 0 && (p == end || *p++ != ','))
                 return -1;
-            double *x = rows >= capacity ? &discarded
-                        : j < d ? params + rows * d + j
-                        : objectives + rows * (cols - d) + (j - d);
-            p = parse_cell(p, end, x);
+            p = parse_cell(p, end, rows < capacity ? table + rows * cols + j : &discarded);
             if (p == NULL)
                 return -1;
         }

@@ -93,9 +93,9 @@ def _write_csv(path, header, rows) -> None:
 
 
 def _read_lines(path: Path, error: type[DadoError]) -> list[str]:
-    """The lines of a UTF-8 text file; a file in another encoding raises `error`."""
+    """The lines of a UTF-8 text file, less any byte-order mark; another encoding raises `error`."""
     try:
-        return path.read_text(encoding="utf-8").splitlines()
+        return path.read_text(encoding="utf-8-sig").splitlines()
     except UnicodeDecodeError:
         raise error(f"{path}: not UTF-8 text") from None
 

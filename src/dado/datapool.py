@@ -74,29 +74,36 @@ class TargetNormalizer:
 class CandidatePool:
     """The candidate table plus consumption bookkeeping; row index is candidate id.
 
-    ``params`` is (n, d) and ``objectives`` (n, num_obj); ``objectives`` is
-    only ever read by the annotator, never by the surrogate or the selection
-    path. ``feature_bounds`` has shape (d, 2): column 0 holds per-dimension
-    minima, column 1 maxima, both over the whole pool. ``consumed`` is a
-    boolean mask over the rows. The three arrays are read-only and shared
-    between copies; each copy has its own mask.
+    ``table`` is (n, d + num_obj), and ``params`` and ``objectives`` are views
+    of its first d and last num_obj columns; ``objectives`` is only ever read
+    by the annotator. ``feature_bounds`` has shape (d, 2): per-dimension
+    minima, then maxima, over the whole pool. ``consumed`` is a boolean mask
+    over the rows. The table and the bounds are read-only and shared between
+    copies; each copy has its own mask.
     """
 
-    params: np.ndarray
-    objectives: np.ndarray
+    table: np.ndarray
     feature_bounds: np.ndarray
     consumed: np.ndarray
 
     def __len__(self) -> int:
-        return self.params.shape[0]
+        return self.table.shape[0]
 
     @property
     def d(self) -> int:
-        return self.params.shape[1]
+        return self.feature_bounds.shape[0]
 
     @property
     def num_obj(self) -> int:
-        return self.objectives.shape[1]
+        return self.table.shape[1] - self.d
+
+    @property
+    def params(self) -> np.ndarray:
+        return self.table[:, :self.d]
+
+    @property
+    def objectives(self) -> np.ndarray:
+        return self.table[:, self.d:]
 
     @property
     def available(self) -> int:
@@ -104,16 +111,16 @@ class CandidatePool:
 
     def copy(self) -> "CandidatePool":
         """Pool sharing the read-only arrays, with its own consumption mask."""
-        return CandidatePool(self.params, self.objectives, self.feature_bounds, self.consumed.copy())
+        return CandidatePool(self.table, self.feature_bounds, self.consumed.copy())
 
 
 def pool_from_arrays(params: np.ndarray, objectives: np.ndarray) -> CandidatePool:
     """Build a pool from (n, d) parameters and (n, num_obj) objectives, ids 0..n-1.
 
-    The pool keeps its own read-only copies of both arrays.
+    The pool keeps its own read-only table of both arrays.
     """
-    params = np.array(params, dtype=float)
-    objectives = np.array(objectives, dtype=float)
+    params = np.asarray(params, dtype=float)
+    objectives = np.asarray(objectives, dtype=float)
     if params.ndim != 2 or objectives.ndim != 2 or params.shape[0] != objectives.shape[0]:
         raise SchemaMismatch("params and objectives must be 2-D with matching row counts")
     if params.shape[0] == 0:
@@ -122,15 +129,16 @@ def pool_from_arrays(params: np.ndarray, objectives: np.ndarray) -> CandidatePoo
         raise SchemaMismatch("pool needs at least one parameter and one objective column")
     if not np.isfinite(params).all() or not np.isfinite(objectives).all():
         raise NonFiniteValue("non-finite value in pool arrays")
-    return _own_pool(params, objectives)
+    return _own_pool(np.hstack([params, objectives]), params.shape[1])
 
 
-def _own_pool(params: np.ndarray, objectives: np.ndarray) -> CandidatePool:
-    """The pool of these checked arrays, which it takes over and makes read-only."""
-    bounds = np.column_stack([params.min(axis=0), params.max(axis=0)])
-    for table in (params, objectives, bounds):
-        table.setflags(write=False)
-    return CandidatePool(params, objectives, bounds, np.zeros(params.shape[0], dtype=bool))
+def _own_pool(table: np.ndarray, d: int) -> CandidatePool:
+    """The pool of this checked table of d parameter columns, which it takes over
+    and makes read-only."""
+    bounds = np.column_stack([table[:, :d].min(axis=0), table[:, :d].max(axis=0)])
+    for a in (table, bounds):
+        a.setflags(write=False)
+    return CandidatePool(table, bounds, np.zeros(len(table), dtype=bool))
 
 
 def _line_blocks(fh, digest):
@@ -164,13 +172,14 @@ def _line_blocks(fh, digest):
 def _read_header(p: Path, blocks) -> tuple[list[str], memoryview]:
     """The header row of a pool CSV and the bytes after its line ending.
 
-    An empty or non-UTF-8 header raises. The header ends at the first
-    CR, LF or CRLF, as `csv` and universal newlines end it.
+    An empty or non-UTF-8 header raises; a UTF-8 byte-order mark before it
+    is dropped. The header ends at the first CR, LF or CRLF, as `csv` and
+    universal newlines end it.
     """
     first = next(blocks, memoryview(b""))
     end = re.search(rb"\r\n?|\n", first)
     try:
-        line = str(first[:end.start() if end else len(first)], "utf-8")
+        line = str(first[:end.start() if end else len(first)], "utf-8-sig")
     except UnicodeDecodeError:
         raise SchemaMismatch(f"{p}: not UTF-8 text") from None
     header = next(csv.reader([line]), None)
@@ -212,39 +221,37 @@ def load_pool(path, *, digest=None) -> CandidatePool:
         blocks = _line_blocks(fh, digest)
         header, text = _read_header(p, blocks)
         d, num_obj = _schema(p, header)
-        # Each block's rows go straight into the pool's arrays, which grow to the
-        # rows the bytes read so far foretell, and are cut to the rows at the end.
-        params, objectives = np.empty((0, d)), np.empty((0, num_obj))
+        # Each block's rows go straight into the pool's table, which grows to the
+        # rows the bytes read so far foretell, and is cut to the rows at the end.
+        table = np.empty((0, d + num_obj))
         size, read, rows = os.fstat(fh.fileno()).st_size, 0, 0
         for text in itertools.chain([text], blocks):
             read += len(text)
-            n = None if parse is None else parse(text, params[rows:], objectives[rows:])
+            n = None if parse is None else parse(text, table[rows:])
             if n is None:
                 collections.deque(blocks, maxlen=0)  # the digest still sees every byte
-                params, objectives = _loadtxt_pool(p, fh, d, d + num_obj)
-                rows = len(params)
+                table = _loadtxt_pool(p, fh, d + num_obj)
+                rows = len(table)
                 break
-            if rows + n > len(params):
+            if rows + n > len(table):
                 capacity = max(rows + n, round((rows + n) * size / read * 1.05))
-                for table in (params, objectives):
-                    table.resize((capacity, table.shape[1]), refcheck=False)
-                parse(text, params[rows:], objectives[rows:])
+                table.resize((capacity, d + num_obj), refcheck=False)
+                parse(text, table[rows:])
             rows += n
     if rows == 0:
         raise SchemaMismatch(f"{p}: no data rows")
-    for table in (params, objectives):
-        table.resize((rows, table.shape[1]), refcheck=False)
-    finite = np.isfinite(params).all(axis=1) & np.isfinite(objectives).all(axis=1)
+    table.resize((rows, d + num_obj), refcheck=False)
+    finite = np.isfinite(table).all(axis=1)
     if not finite.all():
         bad = int(np.flatnonzero(~finite)[0])
         raise NonFiniteValue(f"{p}: non-finite value in row {bad}")
-    return _own_pool(params, objectives)
+    return _own_pool(table, d)
 
 
-def _loadtxt_pool(p: Path, fh, d: int, expected: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (params, objectives) of the pool file open in `fh`, read from its
-    start by one `np.loadtxt` call: universal newlines, blank lines skipped,
-    errors naming the data row.
+def _loadtxt_pool(p: Path, fh, expected: int) -> np.ndarray:
+    """The table of the pool file open in `fh`, read from its start by one
+    `np.loadtxt` call: universal newlines, blank lines skipped, errors naming
+    the data row.
     """
     fh.seek(0)
     text = io.TextIOWrapper(fh, encoding="utf-8", newline=None)
@@ -263,7 +270,7 @@ def _loadtxt_pool(p: Path, fh, d: int, expected: int) -> tuple[np.ndarray, np.nd
         text.detach()
     if len(data) and data.shape[1] != expected:
         raise SchemaMismatch(f"{p}: data rows have {data.shape[1]} columns, expected {expected}")
-    return data[:, :d].copy(), data[:, d:].copy()
+    return data
 
 
 def save_pool(pool: CandidatePool, path) -> None:
@@ -275,12 +282,11 @@ def save_pool(pool: CandidatePool, path) -> None:
     the same bytes.
     """
     header = [f"p{i}" for i in range(pool.d)] + [f"j{i}" for i in range(pool.num_obj)]
-    table = np.hstack([pool.params, pool.objectives])
-    format_rows = csv_formatter(native_kernel(), table.shape[1], SAVE_CHUNK_ROWS) or repr_rows
+    format_rows = csv_formatter(native_kernel(), pool.table.shape[1], SAVE_CHUNK_ROWS) or repr_rows
     with open(path, "wb") as fh:
         fh.write(",".join(header).encode() + b"\r\n")
-        for start in range(0, len(table), SAVE_CHUNK_ROWS):
-            fh.write(format_rows(table[start:start + SAVE_CHUNK_ROWS]))
+        for start in range(0, len(pool), SAVE_CHUNK_ROWS):
+            fh.write(format_rows(pool.table[start:start + SAVE_CHUNK_ROWS]))
 
 
 def _sample_available(pool: CandidatePool, size: int, rng, what: str) -> np.ndarray:

@@ -174,32 +174,27 @@ def csv_formatter(kernel, cols: int, rows: int):
 
 
 def csv_reader(kernel):
-    """Return `read(text, params, objectives)`, the C reader of CSV rows; None without a kernel.
+    """Return `read(text, table)`, the C reader of CSV rows; None without a kernel.
 
     `read` reads all of the bytes-like `text` as rows of the writer's form:
     cells `-?D[.D][e(+|-)E]` with at most 17 significant digits in the Ds and
     at most three digits in E, separated by "," and each row ended by CRLF,
     LF or the end of the text, with as many cells as the C-contiguous float64
-    tables `params` and `objectives` have columns together. It stores the
-    values `float` reads, each row's leading cells in `params` and the rest in
-    `objectives`, for as many rows as the tables hold, and returns the number
-    of rows in `text`: a number above the tables' length means read again
-    into longer ones. It returns None when any byte of `text` is outside that
-    form.
+    `table` has columns. It stores the values `float` reads for as many rows
+    as the table holds, and returns the number of rows in `text`: a number
+    above the table's length means read again into a longer one. It returns
+    None when any byte of `text` is outside that form.
     """
     if kernel is None:
         return None
     parse = kernel.parse_rows
 
-    def read(text, params, objectives):
-        if not all(t.ndim == 2 and t.dtype == np.float64 and t.flags.c_contiguous
-                   and t.flags.writeable for t in (params, objectives)):
-            raise ValueError("expected writeable contiguous 2-D float64 tables")
-        if len(params) != len(objectives) or params.shape[1] + objectives.shape[1] < 1:
-            raise ValueError("the tables need one length and at least one cell a row")
+    def read(text, table):
+        if (table.ndim != 2 or table.shape[1] < 1 or table.dtype != np.float64
+                or not table.flags.c_contiguous or not table.flags.writeable):
+            raise ValueError("expected a writeable contiguous 2-D float64 table with a column")
         data = np.frombuffer(text, np.uint8)
-        n = parse(_address(data), len(data), params.shape[1] + objectives.shape[1],
-                  params.shape[1], _address(params), _address(objectives), len(params))
+        n = parse(_address(data), len(data), table.shape[1], _address(table), len(table))
         return None if n < 0 else n
 
     return read
@@ -283,8 +278,8 @@ def load_kernel():
     set_loops(*loops)
     format_rows.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64]
     format_rows.restype = ctypes.c_int64
-    parse_rows.argtypes = ([ctypes.c_void_p] + [ctypes.c_int64] * 3 + [ctypes.c_void_p] * 2
-                           + [ctypes.c_int64])
+    parse_rows.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p,
+                           ctypes.c_int64]
     parse_rows.restype = ctypes.c_int64
     set_pow5.argtypes, set_pow5.restype = [ctypes.c_void_p] * 2, None
     inverse, power = _pow5_tables()
@@ -469,20 +464,18 @@ def _parse_check(kernel) -> bool:
 
     True when every double read equals `float`'s reading bit for bit. The
     finite values are read from their `repr_rows` text, rows of eight cells
-    ended by CRLF, split five and three; the edges, and the values left over,
-    as rows of one cell ended by LF with no newline after the last.
+    ended by CRLF; the edges, and the values left over, as rows of one cell
+    ended by LF with no newline after the last.
     """
     values = _check_values()
     values = values[np.isfinite(values)]
     table, text = _check_table()
     cells = [*_PARSE_EDGES, *map(repr, values[table.size:].tolist())]
     read = csv_reader(kernel)
-    for text, expected, d in ((text, table, 5),
-                              ("\n".join(cells).encode(), np.array([[float(c) for c in cells]]).T, 1)):
-        params = np.empty((len(expected), d))
-        objectives = np.empty((len(expected), expected.shape[1] - d))
-        if (read(text, params, objectives) != len(expected)
-                or np.hstack([params, objectives]).tobytes() != expected.tobytes()):
+    for text, expected in ((text, table),
+                           ("\n".join(cells).encode(), np.array([[float(c) for c in cells]]).T)):
+        got = np.empty_like(expected)
+        if read(text, got) != len(expected) or got.tobytes() != expected.tobytes():
             return False
     return True
 

@@ -261,6 +261,19 @@ class TestRun:
         cfg.write_text(FAST_CFG + "\nwarmup = 5\n")
         assert run_cli("run", "--pool", pool, "--config", cfg, "--out-dir", tmp_path / "o") == 2
 
+    def test_config_with_byte_order_mark_runs_like_the_plain_one(self, tmp_path):
+        # Spreadsheet exports and older Notepad saves start a UTF-8 file with one.
+        pool = make_pool(tmp_path)
+        for name, encoding in (("plain", "utf-8"), ("marked", "utf-8-sig")):
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_text(GOLDEN_RUN_CFG, encoding=encoding)
+            out_dir = tmp_path / name
+            assert run_cli("run", "--pool", pool, "--config", cfg, "--out-dir", out_dir) == 0
+        assert (tmp_path / "marked.cfg").read_bytes().startswith(b"\xef\xbb\xbf")
+        for name in ("iterations.csv", "summary.json"):
+            plain, marked = (tmp_path / run / name for run in ("plain", "marked"))
+            assert plain.read_bytes() == marked.read_bytes()
+
     def test_reruns_are_byte_identical(self, tmp_path):
         pool = make_pool(tmp_path)
         cfg = tmp_path / "run.cfg"
@@ -630,6 +643,25 @@ GOLDEN_SHA256 = {
 }
 
 
+# Prints the name of the OpenBLAS kernel numpy runs (empty when its OpenBLAS does not
+# say), then runs `dado` with the arguments after argv[1] if that name is argv[1].
+KERNEL_CLI = """
+import ctypes, sys
+from dado.cli import main
+import numpy
+
+try:
+    corename = ctypes.CDLL(numpy._core._multiarray_umath.__file__).scipy_openblas_get_corename64_
+    corename.restype = ctypes.c_char_p
+    name = corename().decode()
+except (AttributeError, OSError):
+    name = ""
+print(name, flush=True)
+if name.lower() == sys.argv[1].lower():
+    sys.exit(main(sys.argv[2:]))
+"""
+
+
 class TestGoldenDigests:
     """Pinned sha256 of the result files for fixed inputs.
 
@@ -668,6 +700,25 @@ class TestGoldenDigests:
             assert run_cli("run", "--pool", pool, "--config", cfg, "--out-dir", out_dir) == 0
             for name in ("iterations.csv", "summary.json"):
                 assert self.digest(out_dir / name) == GOLDEN_SHA256[name], (reader, name)
+
+    @pytest.mark.parametrize("core", ["SkylakeX", "Haswell"])
+    def test_run_outputs_on_fma_kernels(self, tmp_path, core):
+        # OpenBLAS picks its kernels when numpy loads, so each needs its own process. A CPU
+        # cannot run a kernel wider than its own; OpenBLAS then picks another, whose name
+        # does not read back as the one asked for.
+        pool = self.golden_pool(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(GOLDEN_RUN_CFG)
+        out_dir = tmp_path / core
+        env = {**os.environ, "OPENBLAS_CORETYPE": core, "PYTHONPATH": SRC}
+        done = subprocess.run([sys.executable, "-c", KERNEL_CLI, core, "run", "--pool", str(pool),
+                               "--config", str(cfg), "--out-dir", str(out_dir)],
+                              env=env, capture_output=True, text=True, check=True, timeout=120)
+        picked = done.stdout.partition("\n")[0]
+        if picked.lower() != core.lower():
+            pytest.skip(f"OpenBLAS runs {picked or 'an unnamed kernel'} here, not {core}")
+        for name in ("iterations.csv", "summary.json"):
+            assert self.digest(out_dir / name) == GOLDEN_SHA256[name], name
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_sweep_table(self, tmp_path, monkeypatch, threads):

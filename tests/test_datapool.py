@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -348,7 +349,7 @@ class TestPoolInvariants:
         consume(pool, [0, 1])
         assert clone.available == 10
         assert pool.available == 8
-        assert clone.params is pool.params and clone.objectives is pool.objectives
+        assert clone.table is pool.table
 
     def test_table_arrays_are_read_only(self):
         params = np.zeros((3, 2))
@@ -357,6 +358,21 @@ class TestPoolInvariants:
             pool.objectives[0, 0] = 1.0
         params[0, 0] = 1.0  # the pool holds its own copy
         assert pool.params[0, 0] == 0.0
+
+    def test_columns_are_views_of_one_read_only_table(self, tmp_path, monkeypatch):
+        path = tmp_path / "pool.csv"
+        save_pool(small_pool(), path)
+        pools = [small_pool(), gen_synthetic_pool(10, 3, seed=0), load_pool(path)]
+        monkeypatch.setattr(datapool, "native_kernel", lambda: None)
+        pools.append(load_pool(path))  # through np.loadtxt
+        for pool in pools:
+            assert pool.table.shape == (10, 5)
+            assert (pool.params.shape, pool.objectives.shape) == ((10, 3), (10, 2))
+            for view in (pool.params, pool.objectives):
+                assert np.shares_memory(view, pool.table)
+            for a in (pool.table, pool.params, pool.objectives, pool.feature_bounds):
+                assert not a.flags.writeable
+            assert pool.copy().table is pool.table
 
 
 @pytest.fixture(scope="module")
@@ -391,10 +407,6 @@ def hard_floats(rng):
     ])
 
 
-def table_of(pool):
-    return np.hstack([pool.params, pool.objectives])
-
-
 class TestPoolWriter:
     """The C formatter writes pool CSVs byte for byte as `repr` does."""
 
@@ -424,7 +436,19 @@ class TestPoolWriter:
         save_pool(pool, tmp_path / "repr.csv")
         native = (tmp_path / "native.csv").read_bytes()
         assert native == (tmp_path / "repr.csv").read_bytes()
-        assert native == b"p0,p1,p2,p3,p4,j0,j1\r\n" + repr_rows(table_of(pool))
+        assert native == b"p0,p1,p2,p3,p4,j0,j1\r\n" + repr_rows(pool.table)
+
+    def test_save_pool_writes_the_pools_own_table(self, kernel, tmp_path):
+        # The rows go out from the pool's table, chunk by chunk, with no copy of the table.
+        pool = pool_from_arrays(np.random.default_rng(4).random((100_000, 3)),
+                                np.random.default_rng(5).random((100_000, 1)))
+        tracemalloc.start()
+        try:
+            save_pool(pool, tmp_path / "pool.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < pool.table.nbytes / 2
 
     def test_formatter_checks_its_block(self, kernel):
         run = csv_formatter(kernel, 3, 4)
@@ -487,13 +511,13 @@ if native.csv_formatter(kernel, 25, len(table))(table) != native.repr_rows(table
 read = native.csv_reader(kernel)
 finite = table.ravel()[np.isfinite(table.ravel())]
 finite = finite[:len(finite) // 25 * 25].reshape(-1, 25)
-params, objectives = np.empty((len(finite), 20)), np.empty((len(finite), 5))
+got = np.empty_like(finite)
 text = open({str(cells)!r}, "rb").read()
 column = np.empty((text.count(b"\\n") + 1, 1))
-if (read(native.repr_rows(finite), params[:-1], objectives[:-1]) != len(finite)
-        or read(native.repr_rows(finite), params, objectives) != len(finite)
-        or np.hstack([params, objectives]).tobytes() != finite.tobytes()
-        or read(text, column, np.empty((len(column), 0))) != len(column)
+if (read(native.repr_rows(finite), got[:-1]) != len(finite)
+        or read(native.repr_rows(finite), got) != len(finite)
+        or got.tobytes() != finite.tobytes()
+        or read(text, column) != len(column)
         or column.ravel().tolist() != list(map(float, text.split()))):
     sys.exit("the sanitized reader differs from float")
 # Each token ends the last readable page, so a read past its end faults.
@@ -507,7 +531,7 @@ if libc.mprotect(base + page, page, 0) != 0:  # PROT_NONE
 out = (ctypes.c_double * 4)()
 for token, expected in {tokens!r}:
     memory[page - len(token):page] = token
-    n = kernel.parse_rows(base + page - len(token), len(token), 1, 1, out, None, len(out))
+    n = kernel.parse_rows(base + page - len(token), len(token), 1, out, len(out))
     if (out[0] if n == 1 else None) != expected:
         sys.exit(f"{{token}}: read {{n}} rows")
 """
@@ -645,7 +669,7 @@ class TestPoolReader:
     def test_fuzzed_decimals_read_as_float(self, kernel):
         cells = fuzzed_decimals(np.random.default_rng(17), 1_000_000)
         got = np.empty((len(cells), 1))
-        assert csv_reader(kernel)("\n".join(cells).encode(), got, got[:, :0]) == len(cells)
+        assert csv_reader(kernel)("\n".join(cells).encode(), got) == len(cells)
         expected = np.array([float(c) for c in cells])
         wrong = np.flatnonzero(got.ravel().view(np.uint64) != expected.view(np.uint64))
         assert [cells[i] for i in wrong[:5]] == []
@@ -693,15 +717,26 @@ class TestPoolReader:
 
         def recording(k):
             read = reader(k)
-            return lambda text, *tables: texts.append(len(text)) or read(text, *tables)
+            return lambda text, table: texts.append(len(text)) or read(text, table)
 
         monkeypatch.setattr(datapool, "csv_reader", recording)
         load_pool(desk_file)
         data = desk_file.read_bytes()
-        # One block of whole lines per read; the first is read twice, to size the tables.
+        # One block of whole lines per read; the first is read twice, to size the table.
         assert len(texts) == math.ceil(len(data) / datapool.LOAD_BLOCK_BYTES) + 1
         assert texts[0] == texts[1] and max(texts) <= datapool.LOAD_BLOCK_BYTES
         assert sum(texts[1:]) == len(data) - data.index(b"\r\n") - 2  # all but the header
+
+    def test_byte_order_mark_before_the_header(self, kernel, tmp_path, monkeypatch):
+        # Spreadsheet "CSV UTF-8" exports start with one; anywhere else it is a bad cell.
+        plain, marked, inner = (tmp_path / f"{name}.csv" for name in ("plain", "marked", "inner"))
+        plain.write_bytes(b"p0,p1,j0\r\n0.1,0.2,0.3\r\n0.4,0.5,0.6\r\n")
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        inner.write_bytes(plain.read_bytes() + b"\xef\xbb\xbf0.7,0.8,0.9\r\n")
+        assert both_readers(monkeypatch, marked) == both_readers(monkeypatch, plain)
+        assert outcome(plain)[-1] == (2, 3)
+        for error in both_readers(monkeypatch, inner):
+            assert error[0] is SchemaMismatch and "row 2" in error[1]
 
     @pytest.mark.parametrize("text", [b"p0,j0\n1 ,2\n", b"p0,j0\n1,oops\n"],
                              ids=["read", "refused"])
@@ -711,7 +746,7 @@ class TestPoolReader:
         path.write_bytes(text)
         with open(path, "rb") as fh:
             with contextlib.suppress(SchemaMismatch):
-                datapool._loadtxt_pool(path, fh, 1, 2)
+                datapool._loadtxt_pool(path, fh, 2)
             assert not fh.closed
             fh.seek(0)
             assert fh.read() == text
@@ -719,14 +754,14 @@ class TestPoolReader:
     def test_reader_checks_its_tables(self, kernel):
         assert csv_reader(None) is None
         read = csv_reader(kernel)
-        assert read(b"1,2\r\n3,4\n", np.empty((1, 1)), np.empty((1, 1))) == 2
-        assert read(b"1,2\n3", np.empty((2, 1)), np.empty((2, 1))) is None
-        for params, objectives in ((np.empty((2, 0)), np.empty((2, 0))),
-                                   (np.empty((2, 1)), np.empty((3, 1))),
-                                   (np.empty((2, 2))[:, :1], np.empty((2, 1))),
-                                   (np.empty((2, 1), dtype=np.float32), np.empty((2, 1)))):
+        assert read(b"1,2\r\n3,4\n", np.empty((1, 2))) == 2
+        assert read(b"1,2\n3", np.empty((2, 2))) is None
+        read_only = np.empty((2, 2))
+        read_only.setflags(write=False)
+        for table in (np.empty((2, 0)), np.empty((2, 4))[:, :2], np.empty(4),
+                      np.empty((2, 2), dtype=np.float32), read_only):
             with pytest.raises(ValueError):
-                read(b"1,2\n", params, objectives)
+                read(b"1,2\n", table)
 
     def test_mutant_reader_fails_the_self_check(self, kernel, tmp_path, monkeypatch):
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
