@@ -359,8 +359,11 @@ def cmd_report(args) -> int:
         try:
             with open(manifest_path, encoding="utf-8") as fh:
                 strategy = json.load(fh)["config"]["strategy"]
+            if not isinstance(strategy, str):
+                raise TypeError(strategy)
         except (ValueError, KeyError, TypeError):
-            raise SchemaMismatch(f"{manifest_path}: not a run manifest with config.strategy") from None
+            raise SchemaMismatch(
+                f"{manifest_path}: not a run manifest with a config.strategy name") from None
         columns = read_iterations(run_path / "iterations.csv")
         series = columns[metric]
         if n_iter is None:

@@ -143,30 +143,21 @@ def _own_pool(table: np.ndarray, d: int) -> CandidatePool:
 
 def _line_blocks(fh, digest):
     """The file's bytes as non-empty blocks of whole lines of at most
-    LOAD_BLOCK_BYTES (or one longer line), each byte read once and fed to
+    LOAD_BLOCK_BYTES (or longer, to end a longer line), each byte fed once to
     `digest` (unless None); the last block holds what follows the last LF.
 
-    The blocks are views of one buffer, each valid until the next is taken.
+    Each block is a view of the bytes of its own read, cut at its last LF;
+    the line it cuts starts the next read.
     """
-    buffer = bytearray(LOAD_BLOCK_BYTES)
-    kept = 0  # the partial line carried to the front
-    while True:
-        if kept == len(buffer):  # a line longer than the buffer
-            buffer = buffer + bytes(len(buffer))
-        view = memoryview(buffer)
-        read = fh.readinto(view[kept:])
-        if not read:
-            break
+    while block := fh.read(LOAD_BLOCK_BYTES):
+        while b"\n" not in block and (more := fh.read(len(block))):
+            block += more  # a line longer than a block
+        cut = block.rfind(b"\n") + 1 or len(block)
+        fh.seek(cut - len(block), os.SEEK_CUR)
+        block = memoryview(block)[:cut]
         if digest is not None:
-            digest.update(view[kept:kept + read])
-        end = kept + read
-        cut = buffer.rfind(b"\n", 0, end) + 1
-        if cut:
-            yield view[:cut]
-        buffer[:end - cut] = buffer[cut:end]
-        kept = end - cut
-    if kept:
-        yield view[:kept]
+            digest.update(block)
+        yield block
 
 
 def _read_header(p: Path, blocks) -> tuple[list[str], memoryview]:
@@ -282,7 +273,7 @@ def save_pool(pool: CandidatePool, path) -> None:
     the same bytes.
     """
     header = [f"p{i}" for i in range(pool.d)] + [f"j{i}" for i in range(pool.num_obj)]
-    format_rows = csv_formatter(native_kernel(), pool.table.shape[1], SAVE_CHUNK_ROWS) or repr_rows
+    format_rows = csv_formatter(native_kernel(), pool.table.shape[1]) or repr_rows
     with open(path, "wb") as fh:
         fh.write(",".join(header).encode() + b"\r\n")
         for start in range(0, len(pool), SAVE_CHUNK_ROWS):

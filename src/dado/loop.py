@@ -55,8 +55,8 @@ def derive_rng(master_seed: int, label: str, iteration: int = 0) -> np.random.Ge
 class ScenarioConfig:
     """One experiment's knobs: sampling sizes, budget, strategy, seed, surrogate.
 
-    `name` is part of a sweep's run directory names, so it may not contain a
-    path separator.
+    `name` is part of a sweep's run directory names, so it may not be empty,
+    start with "-" (an option to a shell command) or contain a path separator.
 
     `target_space` picks the space the strategies and rank metrics score in:
     "normalized" uses the z-scored targets; "raw" uses original units, which
@@ -88,6 +88,8 @@ class ScenarioConfig:
             raise ConfigError("budget - initial_size must be a multiple of aq_size")
         if "/" in self.name or os.sep in self.name:
             raise ConfigError(f"scenario name {self.name!r} must not contain a path separator")
+        if not self.name or self.name.startswith("-"):
+            raise ConfigError(f"scenario name {self.name!r} must not be empty or start with '-'")
         if self.target_space not in ("normalized", "raw"):
             raise ConfigError("target_space must be 'normalized' or 'raw'")
 

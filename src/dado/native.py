@@ -150,25 +150,24 @@ def repr_rows(block) -> bytes:
     return "".join(",".join(map(repr, row)) + "\r\n" for row in block.tolist()).encode()
 
 
-def csv_formatter(kernel, cols: int, rows: int):
+def csv_formatter(kernel, cols: int):
     """Return `text(block)`, `repr_rows` through the C formatter; None without a kernel.
 
-    `block` is a C-contiguous float64 array of at most `rows` rows of `cols`
-    cells; its text is formatted into one buffer kept for every call and
-    returned as bytes.
+    `block` is a C-contiguous float64 array of `cols` cells a row; each call
+    formats its text into a buffer of its own and returns it as bytes.
     """
     if kernel is None:
         return None
     if cols < 1:
         raise ValueError("a CSV row needs at least one cell")
-    buffer = np.empty(rows * (cols * 25 + 1), dtype=np.uint8)
-    fill = functools.partial(kernel.format_rows, _address(buffer), ctypes.c_int64(cols))
 
     def text(block) -> bytes:
-        if (block.ndim != 2 or block.shape[1] != cols or len(block) > rows
+        if (block.ndim != 2 or block.shape[1] != cols
                 or block.dtype != np.float64 or not block.flags.c_contiguous):
-            raise ValueError(f"expected a contiguous float64 array of at most {rows} x {cols}")
-        return buffer[:fill(_address(block), len(block))].tobytes()
+            raise ValueError(f"expected a contiguous float64 array of {cols} columns")
+        buffer = np.empty(len(block) * (cols * 25 + 1), dtype=np.uint8)
+        return buffer[:kernel.format_rows(_address(buffer), cols, _address(block),
+                                          len(block))].tobytes()
 
     return text
 
@@ -442,7 +441,7 @@ def _format_check(kernel) -> bool:
     """
     values = _check_values()
     column = np.concatenate([values[~np.isfinite(values)], values[-8:]])[:, None]
-    return all(csv_formatter(kernel, t.shape[1], len(t))(t) == text
+    return all(csv_formatter(kernel, t.shape[1])(t) == text
                for t, text in (_check_table(), (column, repr_rows(column))))
 
 

@@ -447,6 +447,21 @@ class TestSweep:
         assert "path separator" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["pool.csv", "sweep.cfg"]
 
+    def test_empty_name_is_a_config_error(self, tmp_path, capsys):
+        # An empty sweep name would give run directories such as "-aq10-random-seed0",
+        # which shells and argparse read as an option.
+        pool = make_pool(tmp_path)
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(SWEEP_CFG.replace("name = mini", "name =") + f"\npool = {pool}\n")
+        assert run_cli("sweep", "--config", cfg, "--out-dir", tmp_path / "out") == 2
+        assert "must not be empty" in capsys.readouterr().err
+        run_cfg = tmp_path / "run.cfg"
+        run_cfg.write_text(FAST_CFG)
+        assert run_cli("run", "--pool", pool, "--config", run_cfg, "--name", "",
+                       "--out-dir", tmp_path / "run") == 2
+        assert "must not be empty" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["pool.csv", "run.cfg", "sweep.cfg"]
+
     def test_single_seed_stderr_is_zero(self, tmp_path):
         pool = make_pool(tmp_path)
         cfg = tmp_path / "sweep.cfg"
@@ -561,7 +576,8 @@ class TestReport:
             assert {r["strategy"] for r in csv.DictReader(fh)} == {"l2-select", "random"}
 
     @pytest.mark.parametrize(
-        "manifest", ["{not json", '{"config": {}}', '["config"]', "\xff"]
+        "manifest", ["{not json", '{"config": {}}', '["config"]', "\xff",
+                     '{"config": {"strategy": 7}}', '{"config": {"strategy": ["random"]}}']
     )
     def test_bad_manifest_exits_1_and_names_it(self, tmp_path, capsys, manifest):
         run_dir = tmp_path / "r1"
@@ -719,6 +735,26 @@ class TestGoldenDigests:
             pytest.skip(f"OpenBLAS runs {picked or 'an unnamed kernel'} here, not {core}")
         for name in ("iterations.csv", "summary.json"):
             assert self.digest(out_dir / name) == GOLDEN_SHA256[name], name
+
+    def test_pool_and_run_outputs_without_a_compiler(self, tmp_path):
+        # With no `cc` on PATH nothing is built: the pool is written through `repr`,
+        # read through np.loadtxt and trained on numpy, with the same bytes.
+        cache, no_tools = tmp_path / "cache", tmp_path / "no-tools"
+        cache.mkdir()
+        no_tools.mkdir()
+        env = {**os.environ, "PATH": str(no_tools), "XDG_CACHE_HOME": str(cache), "PYTHONPATH": SRC}
+        pool, cfg, out_dir = tmp_path / "pool.csv", tmp_path / "run.cfg", tmp_path / "run"
+        cfg.write_text(GOLDEN_RUN_CFG)
+        for argv in (["gen-pool", "--kind", "analytic", "--n", "400", "--d", "4", "--seed", "3",
+                      "--out", str(pool)],
+                     ["run", "--pool", str(pool), "--config", str(cfg), "--out-dir", str(out_dir)]):
+            subprocess.run([sys.executable, "-m", "dado.cli", *argv], env=env, capture_output=True,
+                           check=True, timeout=120)
+        assert self.digest(pool) == GOLDEN_SHA256["pool.csv"]
+        for name in ("iterations.csv", "summary.json"):
+            assert self.digest(out_dir / name) == GOLDEN_SHA256[name], name
+        assert json.loads((out_dir / "manifest.json").read_text())["train_step"] == "numpy"
+        assert list(cache.iterdir()) == []
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_sweep_table(self, tmp_path, monkeypatch, threads):

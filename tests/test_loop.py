@@ -89,6 +89,12 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError, match="path separator"):
             fast_scenario(name="../../escape")
 
+    @pytest.mark.parametrize("name", ["", "-aq10"])
+    def test_empty_or_option_like_name_is_rejected(self, name):
+        # Run directories named "" or "-..." are lost, or read as options by shells.
+        with pytest.raises(ConfigError, match="must not be empty or start with '-'"):
+            fast_scenario(name=name)
+
     def test_budget_must_exceed_initial(self):
         with pytest.raises(ConfigError):
             fast_scenario(initial_size=50, budget=50)
