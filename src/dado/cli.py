@@ -12,6 +12,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 from dataclasses import MISSING, asdict, astuple, fields, is_dataclass
 from datetime import datetime, timezone
@@ -118,11 +119,13 @@ def read_iterations(path) -> dict[str, list[float]]:
             )
         for name, cell in zip(ITERATIONS_HEADER, row):
             try:
-                columns[name].append(float(cell))
+                value = float(cell)
             except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
                 raise SchemaMismatch(
-                    f"{p}:{reader.line_num}: {name} is not a number: {cell!r}"
-                ) from None
+                    f"{p}:{reader.line_num}: {name} is not a finite number: {cell!r}")
+            columns[name].append(value)
     if not columns["iter"]:
         raise SchemaMismatch(f"{p}: no iteration rows")
     return columns
@@ -441,8 +444,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (DadoError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (DadoError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2 if isinstance(exc, ConfigError) else 1
 
 

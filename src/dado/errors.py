@@ -39,14 +39,6 @@ class NumericalDivergence(DadoError):
     """Training produced a non-finite loss or non-finite weights."""
 
 
-class EmptyDraw(DadoError):
-    """An operation that needs at least one candidate got none."""
-
-
-class AcquisitionTooLarge(DadoError):
-    """Acquisition size exceeds the number of drawn candidates."""
-
-
 class SizeMismatch(DadoError):
     """Two collections that must have equal sizes do not."""
 

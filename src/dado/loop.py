@@ -33,11 +33,11 @@ from .metrics import (
     mse,
     normalize_mr,
     optimal_mean_rank,
-    reference_order,
+    rank_array,
     srocc,
 )
 from .oracle import annotate
-from .strategies import StrategyKind, select
+from .strategies import StrategyKind, reference_order, select
 from .surrogate import MlpConfig, TrainConfig, init_model, predict_batch, train
 
 
@@ -56,7 +56,8 @@ class ScenarioConfig:
     """One experiment's knobs: sampling sizes, budget, strategy, seed, surrogate.
 
     `name` is part of a sweep's run directory names, so it may not be empty,
-    start with "-" (an option to a shell command) or contain a path separator.
+    start with "-" (an option to a shell command) or contain a path separator
+    or a NUL byte.
 
     `target_space` picks the space the strategies and rank metrics score in:
     "normalized" uses the z-scored targets; "raw" uses original units, which
@@ -86,8 +87,9 @@ class ScenarioConfig:
             raise ConfigError("budget must exceed initial_size")
         if (self.budget - self.initial_size) % self.aq_size != 0:
             raise ConfigError("budget - initial_size must be a multiple of aq_size")
-        if "/" in self.name or os.sep in self.name:
-            raise ConfigError(f"scenario name {self.name!r} must not contain a path separator")
+        if "/" in self.name or os.sep in self.name or "\0" in self.name:
+            raise ConfigError(
+                f"scenario name {self.name!r} must not contain a path separator or a NUL byte")
         if not self.name or self.name.startswith("-"):
             raise ConfigError(f"scenario name {self.name!r} must not be empty or start with '-'")
         if self.target_space not in ("normalized", "raw"):
@@ -176,24 +178,21 @@ def run_experiment(
         else:
             score_preds, score_truths = preds, truths
 
-        sel_idx = select(cfg.strategy, score_preds, cfg.aq_size, derive_rng(cfg.seed, "select", i))
+        pred_order = reference_order(cfg.strategy, score_preds)
+        sel_idx = select(cfg.strategy, pred_order, cfg.aq_size, derive_rng(cfg.seed, "select", i))
+        ranks = rank_array(reference_order(cfg.strategy, score_truths))
 
-        true_order = reference_order(score_truths, cfg.strategy)
-        pred_order = reference_order(score_preds, cfg.strategy)
-
-        raw_mr = mean_rank(sel_idx, true_order, cfg.aq_size)
+        raw_mr = mean_rank(sel_idx, ranks, cfg.aq_size)
         if i == 0:
             mr_first = raw_mr
         records.append(
             IterationRecord(
                 iteration=i,
                 train_set_size=len(train_rows),
-                intersections=intersections(
-                    sel_idx, true_order[: cfg.aq_size], cfg.aq_size
-                ),
+                intersections=intersections(sel_idx, ranks, cfg.aq_size),
                 mr_raw=raw_mr,
                 mr_norm=normalize_mr(raw_mr, optimal_mean_rank(cfg.aq_size), mr_first),
-                srocc=srocc(pred_order[: cfg.aq_size], true_order, cfg.aq_size),
+                srocc=srocc(pred_order, ranks, cfg.aq_size),
                 best_mse=mse(preds[sel_idx], truths[sel_idx]),
                 rnd_mse=mse(preds, truths),
             )

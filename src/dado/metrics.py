@@ -1,8 +1,10 @@
 """Per-iteration evaluation metrics and learning-curve summaries.
 
 All comparisons happen in the scaled target space the strategies score in.
-Ranks are 1-based throughout: the best possible mean rank of an aq-sized
-selection is (aq + 1) / 2.
+The rank metrics score draw positions against one rank array per iteration,
+built by `rank_array` from the truths' `strategies.reference_order`. Ranks
+are 1-based throughout: the best possible mean rank of an aq-sized selection
+is (aq + 1) / 2.
 """
 
 from __future__ import annotations
@@ -11,8 +13,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import DegenerateInput, SizeMismatch, UnknownId
-from .strategies import StrategyKind, selection_order
+from .errors import DegenerateInput, SizeMismatch
 
 
 @dataclass
@@ -31,26 +32,16 @@ class IterationRecord:
 METRIC_FIELDS = tuple(f.name for f in fields(IterationRecord))[2:]
 
 
-def reference_order(truths, kind: StrategyKind) -> list[int]:
-    """Rank draw positions by true performance under the strategy's score, best first.
-
-    Position k in the result is true rank k+1. The random strategy has no
-    meaningful ordering of its own, so its reference ranks by ascending
-    Euclidean norm, the same geometry L2-Select uses.
-    """
-    return [int(i) for i in selection_order(kind, truths)]
+def rank_array(order) -> np.ndarray:
+    """The 1-based rank of every draw position under a best-first order of them all."""
+    ranks = np.empty(len(order), dtype=np.intp)
+    ranks[order] = np.arange(1, len(order) + 1)
+    return ranks
 
 
-def intersections(selected_ids, true_top_ids, aq_size: int) -> float:
-    """Fraction of the selected set that coincides with the true top set."""
-    selected = {int(i) for i in selected_ids}
-    true_top = {int(i) for i in true_top_ids}
-    if len(selected) != aq_size or len(true_top) != aq_size:
-        raise SizeMismatch(
-            f"both sets must have exactly aq_size={aq_size} members, "
-            f"got {len(selected)} and {len(true_top)}"
-        )
-    return len(selected & true_top) / aq_size
+def intersections(selected, ranks, aq_size: int) -> float:
+    """Fraction of the selected positions that lie in the true top aq_size."""
+    return int(np.count_nonzero(ranks[selected] <= aq_size)) / aq_size
 
 
 def optimal_mean_rank(aq_size: int) -> float:
@@ -58,21 +49,9 @@ def optimal_mean_rank(aq_size: int) -> float:
     return (aq_size + 1) / 2
 
 
-def _positions(true_order) -> dict[int, int]:
-    return {int(c): k for k, c in enumerate(true_order, start=1)}
-
-
-def mean_rank(selected_ids, true_order, aq_size: int) -> float:
-    """Average 1-based position of the selected candidates in the true order."""
-    selected = [int(i) for i in selected_ids]
-    if len(selected) != aq_size:
-        raise SizeMismatch(f"expected {aq_size} selected ids, got {len(selected)}")
-    pos = _positions(true_order)
-    try:
-        ranks = [pos[i] for i in selected]
-    except KeyError as exc:
-        raise UnknownId(f"selected id {exc.args[0]} is not in the true order") from None
-    return float(sum(ranks)) / aq_size
+def mean_rank(selected, ranks, aq_size: int) -> float:
+    """Average true rank of the selected positions."""
+    return int(ranks[selected].sum()) / aq_size
 
 
 def normalize_mr(raw: float, mr_optimal: float, mr_first: float) -> float:
@@ -86,26 +65,16 @@ def normalize_mr(raw: float, mr_optimal: float, mr_first: float) -> float:
     return float(min(1.0, max(0.0, (raw - mr_optimal) / (mr_first - mr_optimal))))
 
 
-def srocc(selected_pred_order, true_order, aq_size: int) -> float:
+def srocc(pred_order, ranks, aq_size: int) -> float:
     """Spearman rank correlation on the top-aq_size predicted candidates.
 
-    The prediction-ranked top candidates are compared against their relative
-    true ordering (their positions in the full true order, rank-transformed
-    among themselves, which is tie-free because reference orders are strict),
-    via rho = 1 - 6*sum(d^2) / (m*(m^2-1)).
+    The first aq_size positions of the predictions' order are compared with
+    their true ranks, rank-transformed among themselves (tie-free, since the
+    true order is strict), via rho = 1 - 6*sum(d^2) / (m*(m^2-1)).
     """
     if aq_size < 2:
         raise DegenerateInput("srocc needs at least two selected candidates")
-    selected = [int(i) for i in selected_pred_order][:aq_size]
-    if len(selected) < aq_size:
-        raise SizeMismatch(f"need {aq_size} prediction-ranked ids, got {len(selected)}")
-    pos = _positions(true_order)
-    try:
-        true_pos = np.array([pos[i] for i in selected])
-    except KeyError as exc:
-        raise UnknownId(f"selected id {exc.args[0]} is not in the true order") from None
-    rel = np.empty(aq_size, dtype=int)
-    rel[np.argsort(true_pos, kind="stable")] = np.arange(1, aq_size + 1)
+    rel = rank_array(np.argsort(ranks[pred_order[:aq_size]]))
     d = np.arange(1, aq_size + 1) - rel
     return 1.0 - 6.0 * float(np.sum(d * d)) / (aq_size * (aq_size**2 - 1))
 

@@ -1,11 +1,14 @@
-"""Query strategies: norm-based scoring and batch subset selection.
+"""Query strategies: the best-first order of a draw and the batch taken from it.
 
 Both objectives are minimized, and scores operate on target-normalized
 predictions so the two axes are comparable. L2-Select keeps the candidates
 with the smallest Euclidean norm of the predicted objective vector.
 L2-Reject drops the candidates closest to the componentwise maximum of the
 draw's predictions and keeps the remainder, which favors the edges of the
-predicted cloud.
+predicted cloud. Random samples uniformly.
+
+`reference_order` is the one ordering function: the loop orders each draw's
+predictions with it, to select and to score, and the draw's truths, to score.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import AcquisitionTooLarge, ConfigError, EmptyDraw
+from .errors import ConfigError
 
 
 class StrategyKind(Enum):
@@ -31,48 +34,27 @@ class StrategyKind(Enum):
         raise ConfigError(f"unknown strategy {name!r}; expected one of: {names}")
 
 
-def component_max(ys) -> np.ndarray:
-    """Componentwise maximum over a set of objective vectors."""
-    ys = np.asarray(ys, dtype=float)
-    if ys.size == 0:
-        raise EmptyDraw("component_max needs at least one vector")
-    return ys.max(axis=0)
-
-
-def _as_matrix(predictions) -> np.ndarray:
-    ys = np.asarray(predictions, dtype=float)
-    if ys.ndim != 2:
-        ys = np.atleast_2d(ys)
-    return ys
-
-
-def selection_order(kind: StrategyKind, ys) -> np.ndarray:
+def reference_order(kind: StrategyKind, ys) -> np.ndarray:
     """Draw positions ranked best-first under the strategy's scoring rule.
 
-    L2-Select (also used as the random baseline's reference) ranks ascending
-    by norm, ties broken by ascending position. L2-Reject rejects ascending by
-    distance-to-maximum, so the best-first ranking is that order reversed;
-    taking the first aq positions then yields exactly the non-rejected set for
-    every aq, ties included.
+    L2-Select ranks ascending by norm, ties broken by ascending position; the
+    random strategy has no ordering of its own and ranks the same way.
+    L2-Reject rejects ascending by distance to the componentwise maximum of
+    `ys`, so its best-first order is that order reversed: the first aq
+    positions are exactly the non-rejected set for every aq, ties included.
     """
-    ys = _as_matrix(ys)
+    ys = np.asarray(ys, dtype=float)
     if kind is StrategyKind.L2_REJECT:
-        return np.argsort(np.linalg.norm(ys - component_max(ys), axis=1), kind="stable")[::-1]
+        return np.argsort(np.linalg.norm(ys - ys.max(axis=0), axis=1), kind="stable")[::-1]
     return np.argsort(np.linalg.norm(ys, axis=1), kind="stable")
 
 
-def select(kind: StrategyKind, predictions, aq_size: int, rng=None) -> np.ndarray:
-    """Choose aq_size draw positions (an int array) according to the query strategy.
+def select(kind: StrategyKind, order, aq_size: int, rng=None) -> np.ndarray:
+    """The aq_size draw positions the strategy acquires, given the predictions' order.
 
-    The random strategy samples uniformly without replacement; the norm
-    strategies are fully deterministic (ties broken by draw position).
+    The norm strategies take the head of `order`, their `reference_order`;
+    random samples the draw uniformly without replacement from `rng`.
     """
-    ys = _as_matrix(predictions)
-    n = ys.shape[0]
-    if aq_size > n:
-        raise AcquisitionTooLarge(f"aq_size {aq_size} exceeds draw of {n} candidates")
     if kind is StrategyKind.RANDOM:
-        if rng is None:
-            raise ValueError("random selection needs an rng")
-        return rng.choice(n, size=aq_size, replace=False)
-    return selection_order(kind, ys)[:aq_size]
+        return rng.choice(len(order), size=aq_size, replace=False)
+    return order[:aq_size]

@@ -23,10 +23,11 @@ from dado.metrics import (
     intersections,
     mean_rank,
     optimal_mean_rank,
+    rank_array,
     srocc,
 )
 from dado.oracle import annotate, gen_synthetic_pool
-from dado.strategies import StrategyKind, select
+from dado.strategies import StrategyKind, reference_order, select
 from dado.surrogate import MlpConfig, TrainConfig, init_model
 from gradcheck import grad_check
 
@@ -73,13 +74,15 @@ class TestCriterion1:
             norms = np.linalg.norm(ys, axis=1)
             order = sorted(range(n), key=lambda i: (norms[i], i))
             expected_l2s = set(order[:aq])
-            got_l2s = set(select(StrategyKind.L2_SELECT, ys, aq))
+            got_l2s = set(select(StrategyKind.L2_SELECT,
+                                 reference_order(StrategyKind.L2_SELECT, ys), aq))
             assert got_l2s == expected_l2s
 
             dists = np.linalg.norm(ys - ys.max(axis=0), axis=1)
             order = sorted(range(n), key=lambda i: (dists[i], i))
             expected_l2r = set(range(n)) - set(order[: n - aq])
-            got_l2r = set(select(StrategyKind.L2_REJECT, ys, aq))
+            got_l2r = set(select(StrategyKind.L2_REJECT,
+                                 reference_order(StrategyKind.L2_REJECT, ys), aq))
             assert got_l2r == expected_l2r
         elapsed = time.monotonic() - start
         report(1, elapsed < 10.0, f"100 draws exactly matched both oracles in {elapsed:.2f}s")
@@ -103,13 +106,14 @@ class TestCriterion3:
     def test_metric_unit_suite(self):
         tol = 1e-12
         checks = []
-        checks.append(abs(intersections({1, 2, 3}, {1, 2, 3}, 3) - 1.0) <= tol)
+        checks.append(abs(intersections([1, 2, 3], rank_array([1, 2, 3, 0]), 3) - 1.0) <= tol)
         order = list(range(40))
-        checks.append(abs(mean_rank(order[:5], order, 5) - optimal_mean_rank(5)) <= tol)
-        checks.append(abs(srocc(order[:6], order, 6) - 1.0) <= tol)
-        checks.append(abs(srocc(list(reversed(order[:6])), order, 6) + 1.0) <= tol)
-        swapped = [10, 12, 11, 13]  # selected true ranks (1, 3, 2)
-        checks.append(abs(srocc([10, 11, 12], swapped, 3) - 0.5) <= tol)
+        ranks = rank_array(order)
+        checks.append(abs(mean_rank(order[:5], ranks, 5) - optimal_mean_rank(5)) <= tol)
+        checks.append(abs(srocc(order[:6], ranks, 6) - 1.0) <= tol)
+        checks.append(abs(srocc(list(reversed(order[:6])), ranks, 6) + 1.0) <= tol)
+        swapped = [0, 2, 1, 3]  # selected true ranks (1, 3, 2)
+        checks.append(abs(srocc([0, 1, 2], rank_array(swapped), 3) - 0.5) <= tol)
         checks.append(abs(auc([0.25] * 16) - 0.25) <= tol)
         report(3, all(checks), f"{sum(checks)}/{len(checks)} metric identities exact")
 

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 import dado
-from dado import cli, datapool, surrogate
+from dado import cli, datapool, loop, surrogate
 from dado.cli import ITERATIONS_HEADER, RUN_KEYS, SWEEP_KEYS, build_parser, main
 from dado.datapool import load_pool
 from dado.errors import ConfigError, SchemaMismatch
@@ -338,6 +338,23 @@ class TestRun:
         assert code == 1
         assert "loss" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("message, shown", [("Unable to allocate 74.5 GiB",) * 2,
+                                                ("", "MemoryError")], ids=["message", "bare"])
+    def test_out_of_memory_is_an_error_line(self, tmp_path, capsys, monkeypatch, message, shown):
+        # The raise stands in for an allocation too large to make, such as the
+        # weights of hidden = 100000,100000.
+        def init_model(*args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(loop, "init_model", init_model)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(FAST_CFG)
+        code = run_cli("run", "--pool", make_pool(tmp_path), "--config", cfg,
+                       "--out-dir", tmp_path / "o")
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {shown}\n"
+        assert not (tmp_path / "o").exists()
+
 
 class TestSweep:
     def run_sweep(self, tmp_path):
@@ -461,6 +478,19 @@ class TestSweep:
                        "--out-dir", tmp_path / "run") == 2
         assert "must not be empty" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["pool.csv", "run.cfg", "sweep.cfg"]
+
+    def test_name_with_nul_byte_is_refused_before_any_run(self, tmp_path, capsys, monkeypatch):
+        # The name cannot become a directory; it must be refused before the sweep's work.
+        runs = []
+        monkeypatch.setattr(loop, "run_experiment", lambda *args: runs.append(args))
+        monkeypatch.setenv("DADO_THREADS", "1")
+        pool = make_pool(tmp_path)
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(SWEEP_CFG.replace("name = mini", "name = a\0b") + f"\npool = {pool}\n")
+        assert run_cli("sweep", "--config", cfg, "--out-dir", tmp_path / "out") == 2
+        assert "NUL byte" in capsys.readouterr().err
+        assert runs == []
+        assert not (tmp_path / "out").exists()
 
     def test_single_seed_stderr_is_zero(self, tmp_path):
         pool = make_pool(tmp_path)
@@ -588,7 +618,8 @@ class TestReport:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(run_dir / "manifest.json") in err
 
-    @pytest.mark.parametrize("bad_row", ["0,20,1,2,3,oops,5,6", "0,20,1,2,3"])
+    @pytest.mark.parametrize("bad_row", ["0,20,1,2,3,oops,5,6", "0,20,1,2,3", "0,20,1,2,3,nan,5,6",
+                                         "0,20,1,2,3,inf,5,6", "0,20,1,2,3,-inf,5,6"])
     def test_bad_iterations_row_exits_1_and_names_it(self, tmp_path, capsys, bad_row):
         pool = make_pool(tmp_path)
         cfg = tmp_path / "run.cfg"
@@ -599,10 +630,13 @@ class TestReport:
         lines = iterations.read_text().splitlines()
         lines[2] = bad_row
         iterations.write_text("\n".join(lines) + "\n")
-        assert run_cli("report", "--runs", d1, "--metric", "srocc",
-                       "--out", tmp_path / "c.csv") == 1
+        out = tmp_path / "c.csv"
+        assert run_cli("report", "--runs", d1, "--metric", "srocc", "--out", out) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"{iterations}:3:" in err
+        # A bad cell is named by its column: the sixth is srocc.
+        assert ("srocc" in err) == (len(bad_row.split(",")) == len(ITERATIONS_HEADER))
+        assert not out.exists()
 
     @pytest.mark.parametrize("header", [",".join(ITERATIONS_HEADER), "iter,x"],
                              ids=["expected-header", "wrong-header"])
@@ -1101,7 +1135,8 @@ class TestBenchmarkTracer:
         names = self.traced(tmp_path, "run-spans", "run", "--pool", pool, "--config", cfg,
                             "--out-dir", tmp_path / "run")
         assert {"loop.run_experiment", "surrogate.train", "surrogate.predict_batch",
-                "strategies.select"} <= names
+                "strategies.select", "metrics.reference_order", "metrics.intersections",
+                "metrics.mean_rank", "metrics.srocc", "metrics.mse"} <= names
         monkeypatch.setenv("DADO_THREADS", "2")
         cfg.write_text(SWEEP_CFG + f"\npool = {pool}\n")
         names = self.traced(tmp_path, "sweep-spans", "sweep", "--config", cfg,
