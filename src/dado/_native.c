@@ -267,6 +267,27 @@ static uint64_t shortest(uint64_t ieee_mantissa, uint32_t ieee_exponent, int32_t
 
     /* Drop digits while the interval still holds a shorter number. */
     int32_t removed = 0;
+    if (!vm_trailing_zeros && !vr_trailing_zeros) {
+        /* Ryu's common case: no trailing zeros to track, so the last digit
+         * dropped alone decides the rounding. Two digits go at once first. */
+        int round_up = 0;
+        if (vp / 100 > vm / 100) {
+            round_up = vr % 100 >= 50;
+            vr /= 100;
+            vp /= 100;
+            vm /= 100;
+            removed = 2;
+        }
+        while (vp / 10 > vm / 10) {
+            round_up = vr % 10 >= 5;
+            vr /= 10;
+            vp /= 10;
+            vm /= 10;
+            ++removed;
+        }
+        *exponent = e10 + removed;
+        return vr + (vr == vm || round_up);
+    }
     uint32_t last_removed = 0;
     while (vp / 10 > vm / 10) {
         vm_trailing_zeros &= vm % 10 == 0;
@@ -299,10 +320,43 @@ static char *put(char *p, const char *text, size_t n)
     return p + n;
 }
 
+/* "00" to "99", two characters each. */
+static const char digit_pairs[200] =
+    "0001020304050607080910111213141516171819"
+    "2021222324252627282930313233343536373839"
+    "4041424344454647484950515253545556575859"
+    "6061626364656667686970717273747576777879"
+    "8081828384858687888990919293949596979899";
+
+/* Write the decimal digits of 0 < v < 10^17 so that they end just before
+ * `end`, two at a time from digit_pairs in 32-bit arithmetic, and return
+ * where they start. */
+static char *put_digits(char *end, uint64_t v)
+{
+    if (v >= 100000000) {
+        const uint64_t high = v / 100000000;
+        uint32_t low = (uint32_t)(v - high * 100000000);
+        for (int i = 0; i < 4; ++i, low /= 100)
+            memcpy(end -= 2, digit_pairs + 2 * (low % 100), 2);
+        v = high;
+    }
+    uint32_t w = (uint32_t)v;
+    for (; w >= 100; w /= 100)
+        memcpy(end -= 2, digit_pairs + 2 * (w % 100), 2);
+    if (w >= 10) {
+        end -= 2;
+        memcpy(end, digit_pairs + 2 * w, 2);
+    } else {
+        *--end = (char)('0' + w);
+    }
+    return end;
+}
+
 /* Write x as repr(x) writes it, and return the end. Positional notation when
  * -4 < decpt <= 16, where the value is 0.DIGITS * 10^decpt, with ".0" after an
  * integral value; otherwise D.DDDe+XX, with at least two exponent digits. At
- * most 24 bytes. */
+ * most 24 bytes. The digits and zeros go out in copies of a fixed 16 or 17
+ * bytes, which may write up to 16 bytes past the end. */
 static char *format_double(double x, char *p)
 {
     uint64_t bits;
@@ -319,50 +373,50 @@ static char *format_double(double x, char *p)
         return put(p, "0.0", 3);
 
     int32_t exponent;
-    uint64_t digits = shortest(mantissa, ieee_exponent, &exponent);
-    char text[20];
-    int n = 0;
-    for (; digits; digits /= 10)
-        text[19 - n++] = (char)('0' + digits % 10);
-    const char *d = text + 20 - n;
+    /* The digits end at text + 20; every fixed-size copy from them stays in text. */
+    char text[40];
+    const char *d = put_digits(text + 20, shortest(mantissa, ieee_exponent, &exponent));
+    const int n = (int)(text + 20 - d);
     const int32_t decpt = exponent + n;
 
     if (decpt > -4 && decpt <= 16) {
         if (decpt <= 0) {
-            p = put(p, "0.000", 2 - decpt);
-            return put(p, d, n);
+            memcpy(p, "0.000000", 8);
+            p += 2 - decpt;
+            memcpy(p, d, 17);
+            return p + n;
         }
+        memcpy(p, d, 16);
         if (decpt < n) {
-            p = put(p, d, decpt);
+            p += decpt;
             *p++ = '.';
-            return put(p, d + decpt, n - decpt);
+            memcpy(p, d + decpt, 16);
+            return p + n - decpt;
         }
-        p = put(p, d, n);
-        for (int i = n; i < decpt; ++i)
-            *p++ = '0';
+        p += n;
+        memcpy(p, "0000000000000000", 16);
+        p += decpt - n;
         return put(p, ".0", 2);
     }
-    *p++ = d[0];
-    if (n > 1) {
-        *p++ = '.';
-        p = put(p, d + 1, n - 1);
-    }
+    p[0] = d[0];
+    p[1] = '.';
+    memcpy(p + 2, d + 1, 16);
+    p += n > 1 ? n + 1 : 1;
     int32_t e = decpt - 1;
-    *p++ = 'e';
-    *p++ = e < 0 ? '-' : '+';
+    p = put(p, e < 0 ? "e-" : "e+", 2);
     e = e < 0 ? -e : e;
     if (e >= 100) {
         *p++ = (char)('0' + e / 100);
         e %= 100;
     }
-    *p++ = (char)('0' + e / 10);
-    *p++ = (char)('0' + e % 10);
-    return p;
+    return put(p, digit_pairs + 2 * e, 2);
 }
 
 /* Write rows x cols doubles of the row-major table as CSV text into out:
  * each row as ",".join(map(repr, row)) + "\r\n". out holds at least
- * rows * (cols * 25 + 1) bytes; returns the number written. */
+ * rows * (cols * 25 + 1) + 16 bytes (dado.native.FORMAT_SLACK): the text takes
+ * at most the first term, and a cell's fixed-size copies may write 16 bytes
+ * past its end. Returns the number of bytes of text. */
 int64_t dado_format_rows(char *out, int64_t cols, const double *table, int64_t rows)
 {
     char *p = out;

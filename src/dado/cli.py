@@ -22,7 +22,7 @@ from typing import get_type_hints
 import numpy as np
 
 from . import __version__
-from .datapool import load_pool, save_pool
+from .datapool import load_pool, save_pool, thread_count
 from .errors import ConfigError, DadoError, MissingFile, SchemaMismatch, SizeMismatch
 from .loop import AggregateRow, ScenarioConfig, run_experiment, run_sweep, stderr_of
 from .metrics import METRIC_FIELDS
@@ -73,12 +73,9 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def _sha256(path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
+def _sha256():
+    """A new sha256 digest for the pool's bytes, fed as the pool is written or read."""
+    return hashlib.sha256()
 
 
 def _utc_now() -> str:
@@ -219,15 +216,16 @@ def _scenario(values: dict) -> ScenarioConfig:
     )
 
 
-def _load_pool_auto(path):
-    """Load a pool CSV whose schema comes from its header.
+def _load_pool_auto(path, threads: int | None = None):
+    """Load a pool CSV whose schema comes from its header, on `threads` threads
+    (default `thread_count()`).
 
     Returns the pool and its manifest entry. The file is opened once and
     hashed as it is read, so every manifest of the command names the bytes
     loaded.
     """
-    digest = hashlib.sha256()
-    pool = load_pool(path, digest=digest)
+    digest = _sha256()
+    pool = load_pool(path, digest=digest, threads=threads)
     return pool, {"path": str(path), "sha256": digest.hexdigest(), "d": pool.d,
                   "num_obj": pool.num_obj}
 
@@ -253,25 +251,28 @@ def _write_run_outputs(out_dir: Path, pool_entry: dict, result) -> None:
 
 
 def cmd_gen_pool(args) -> int:
+    threads = thread_count()
     anchors = [None if text is None else _list(f"anchor-{ab}", float, text)
                for ab, text in (("a", args.anchor_a), ("b", args.anchor_b))]
     pool = gen_synthetic_pool(args.n, args.d, args.seed, *anchors)
-    save_pool(pool, args.out)
+    digest = _sha256()
+    save_pool(pool, args.out, digest=digest, threads=threads)
     print(
         f"wrote {args.out}: n={len(pool)} d={pool.d} num_obj={pool.num_obj} "
-        f"sha256={_sha256(args.out)}"
+        f"sha256={digest.hexdigest()}"
     )
     return 0
 
 
 def cmd_run(args) -> int:
+    threads = thread_count()
     kv = parse_kv_file(args.config) if args.config else {}
     # A flag's dest is its config key and its text is parsed like the file's; a flag
     # that was given overrides the file.
     kv.update((key, text) for key, text in vars(args).items()
               if key in RUN_KEYS and text is not None)
     cfg = _scenario(_parse_config(kv, RUN_KEYS, _RUN_REQUIRED, "run"))
-    pool, pool_entry = _load_pool_auto(args.pool)
+    pool, pool_entry = _load_pool_auto(args.pool, threads)
     result = run_experiment(pool, cfg)
     _write_run_outputs(Path(args.out_dir), pool_entry, result)
     print(f"run {cfg.name!r} complete: {cfg.n_iter} iterations, outputs in {args.out_dir}")
@@ -303,12 +304,13 @@ def _sweep_plan(kv: dict, config_dir: Path, pool_flag):
 
 
 def cmd_sweep(args) -> int:
+    threads = thread_count()
     kv = parse_kv_file(args.config)
     pool_path, scenarios, strategies, seeds = _sweep_plan(
         kv, Path(args.config).parent, args.pool
     )
-    pool, pool_entry = _load_pool_auto(pool_path)
-    summary = run_sweep(pool, scenarios, strategies, seeds)
+    pool, pool_entry = _load_pool_auto(pool_path, threads)
+    summary = run_sweep(pool, scenarios, strategies, seeds, workers=threads)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -11,12 +11,14 @@ training set are marked *consumed* and never drawn again.
 from __future__ import annotations
 
 import collections
+import contextlib
 import csv
 import io
 import itertools
 import os
 import re
 import warnings
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -24,6 +26,7 @@ import numpy as np
 
 from .errors import (
     AlreadyConsumed,
+    ConfigError,
     DegenerateInput,
     MissingFile,
     NonFiniteValue,
@@ -141,33 +144,69 @@ def _own_pool(table: np.ndarray, d: int) -> CandidatePool:
     return CandidatePool(table, bounds, np.zeros(len(table), dtype=bool))
 
 
+def thread_count() -> int:
+    """The number of threads or processes a command may run on.
+
+    It is `DADO_THREADS`, a positive integer, or when that is unset or empty
+    the CPUs this process may run on. It bounds a sweep's worker processes and
+    the pool CSV threads. Any other value raises ConfigError.
+    """
+    raw = os.environ.get("DADO_THREADS", "")
+    if not raw:
+        affinity = getattr(os, "sched_getaffinity", None)
+        return len(affinity(0)) if affinity else os.cpu_count() or 1
+    try:
+        threads = int(raw)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise ConfigError(f"DADO_THREADS must be a positive integer, got {raw!r}")
+    return threads
+
+
+class _CallingThread:
+    """The executor of one thread: each call runs in the calling thread as it is submitted."""
+
+    def submit(self, fn, /, *args) -> Future:
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+def _executor(threads: int):
+    """A context giving an executor of `threads` threads; for one, the calling thread."""
+    return ThreadPoolExecutor(threads) if threads > 1 else contextlib.nullcontext(_CallingThread())
+
+
 def _line_blocks(fh, digest):
     """The file's bytes as non-empty blocks of whole lines of at most
     LOAD_BLOCK_BYTES (or longer, to end a longer line), each byte fed once to
     `digest` (unless None); the last block holds what follows the last LF.
 
-    Each block is a view of the bytes of its own read, cut at its last LF;
-    the line it cuts starts the next read.
+    Each block is a view of the bytes of its own read, cut at its last LF,
+    and comes with its count of LFs; the line it cuts starts the next read.
     """
     while block := fh.read(LOAD_BLOCK_BYTES):
         while b"\n" not in block and (more := fh.read(len(block))):
             block += more  # a line longer than a block
         cut = block.rfind(b"\n") + 1 or len(block)
         fh.seek(cut - len(block), os.SEEK_CUR)
+        lfs = block.count(b"\n")  # all of them lie before the cut
         block = memoryview(block)[:cut]
         if digest is not None:
             digest.update(block)
-        yield block
+        yield block, lfs
 
 
-def _read_header(p: Path, blocks) -> tuple[list[str], memoryview]:
-    """The header row of a pool CSV and the bytes after its line ending.
+def _read_header(p: Path, blocks) -> tuple[list[str], tuple[memoryview, int]]:
+    """The header row of a pool CSV, and the bytes after its line ending with
+    their count of LFs.
 
     An empty or non-UTF-8 header raises; a UTF-8 byte-order mark before it
     is dropped. The header ends at the first CR, LF or CRLF, as `csv` and
     universal newlines end it.
     """
-    first = next(blocks, memoryview(b""))
+    first, lfs = next(blocks, (memoryview(b""), 0))
     end = re.search(rb"\r\n?|\n", first)
     try:
         line = str(first[:end.start() if end else len(first)], "utf-8-sig")
@@ -176,7 +215,8 @@ def _read_header(p: Path, blocks) -> tuple[list[str], memoryview]:
     header = next(csv.reader([line]), None)
     if not header:
         raise SchemaMismatch(f"{p}: empty file, expected a header row")
-    return header, first[end.end() if end else len(first):]
+    rest = end.end() if end else len(first)
+    return header, (first[rest:], lfs - (first[rest - 1:rest] == b"\n"))
 
 
 def _schema(p: Path, header: list[str]) -> tuple[int, int]:
@@ -191,7 +231,7 @@ def _schema(p: Path, header: list[str]) -> tuple[int, int]:
     return d, num_obj
 
 
-def load_pool(path, *, digest=None) -> CandidatePool:
+def load_pool(path, *, digest=None, threads=None) -> CandidatePool:
     """Read a pool CSV with a header row, d parameter columns, then num_obj objectives.
 
     d and num_obj come from the header's p*/j* names. Row order defines
@@ -199,44 +239,78 @@ def load_pool(path, *, digest=None) -> CandidatePool:
     that convention, a wrong column count or a non-numeric cell, or
     NonFiniteValue naming the offending data row. The file is opened once
     and read in blocks of whole lines that also go to `digest`, a hashlib
-    object, when given. The C reader parses the blocks when the library
-    loaded and every byte is in the writer's form; otherwise one
-    `np.loadtxt` call reads the whole file again from its start. Either way
-    the values and errors are that call's.
+    object, when given. The C reader parses the blocks, on `threads` threads
+    (default `thread_count()`), when the library loaded and every byte is in
+    the writer's form; otherwise one `np.loadtxt` call reads the whole file
+    again from its start. Either way the values and errors are that call's.
     """
+    threads = thread_count() if threads is None else threads
     p = Path(path)
     if not p.is_file():
         raise MissingFile(f"pool file not found: {p}")
     parse = csv_reader(native_kernel())
     with open(p, "rb") as fh:
         blocks = _line_blocks(fh, digest)
-        header, text = _read_header(p, blocks)
+        header, first = _read_header(p, blocks)
         d, num_obj = _schema(p, header)
-        # Each block's rows go straight into the pool's table, which grows to the
-        # rows the bytes read so far foretell, and is cut to the rows at the end.
-        table = np.empty((0, d + num_obj))
-        size, read, rows = os.fstat(fh.fileno()).st_size, 0, 0
-        for text in itertools.chain([text], blocks):
-            read += len(text)
-            n = None if parse is None else parse(text, table[rows:])
-            if n is None:
-                collections.deque(blocks, maxlen=0)  # the digest still sees every byte
-                table = _loadtxt_pool(p, fh, d + num_obj)
-                rows = len(table)
-                break
-            if rows + n > len(table):
-                capacity = max(rows + n, round((rows + n) * size / read * 1.05))
-                table.resize((capacity, d + num_obj), refcheck=False)
-                parse(text, table[rows:])
-            rows += n
-    if rows == 0:
+        table = None if parse is None else _parse_blocks(
+            parse, itertools.chain([first], blocks), d + num_obj, os.fstat(fh.fileno()).st_size,
+            threads)
+        if table is None:
+            collections.deque(blocks, maxlen=0)  # the digest still sees every byte
+            table = _loadtxt_pool(p, fh, d + num_obj)
+    if len(table) == 0:
         raise SchemaMismatch(f"{p}: no data rows")
-    table.resize((rows, d + num_obj), refcheck=False)
     finite = np.isfinite(table).all(axis=1)
     if not finite.all():
         bad = int(np.flatnonzero(~finite)[0])
         raise NonFiniteValue(f"{p}: non-finite value in row {bad}")
     return _own_pool(table, d)
+
+
+def _parse_blocks(parse, blocks, cols: int, size: int, threads: int):
+    """The table of `blocks`, pairs of whole lines of a `size`-byte file and
+    their LF count, read by the C reader `parse` on `threads` threads; None
+    when it refuses a block or reads other than the block's rows.
+
+    A block's rows are its LFs, plus one for any text after the last, so each
+    is parsed straight into its own slice of the table. The table grows, only
+    while no parse is in flight, to the rows the bytes read so far foretell,
+    and is cut to the rows at the end.
+    """
+    table = np.empty((0, cols))
+    read = rows = 0
+    parses = collections.deque()
+    ok = True
+    with _executor(threads) as executor:
+        for text, lfs in blocks:
+            n = lfs + (len(text) > 0 and text[-1] != ord("\n"))
+            read += len(text)
+            grow = rows + n > len(table)
+            # At most `threads` parses in flight, and none while the table moves.
+            ok = _settled(parses, 0 if grow else threads - 1)
+            if not ok:
+                break
+            if grow:
+                capacity = max(rows + n, round((rows + n) * size / read * 1.05))
+                table.resize((capacity, cols), refcheck=False)
+            parses.append((executor.submit(parse, text, table[rows:rows + n]), n))
+            rows += n
+        ok = _settled(parses, 0) and ok
+    if not ok:
+        return None
+    table.resize((rows, cols), refcheck=False)
+    return table
+
+
+def _settled(parses, in_flight: int) -> bool:
+    """Wait for the oldest `parses`, (future, rows expected) pairs, until at most
+    `in_flight` remain; False when any of them read other than its rows."""
+    ok = True
+    while len(parses) > in_flight:
+        future, rows = parses.popleft()
+        ok = future.result() == rows and ok
+    return ok
 
 
 def _loadtxt_pool(p: Path, fh, expected: int) -> np.ndarray:
@@ -264,20 +338,35 @@ def _loadtxt_pool(p: Path, fh, expected: int) -> np.ndarray:
     return data
 
 
-def save_pool(pool: CandidatePool, path) -> None:
+def save_pool(pool: CandidatePool, path, *, digest=None, threads=None) -> None:
     """Write the standard pool CSV: header p0..p{d-1},j0..j{num_obj-1}, one row per id.
 
     Each float is written as its `repr`, the shortest text that reads back to
     it, so identical pools serialize to identical bytes. The rows go out in
     chunks, through the C formatter when it loaded and `repr` otherwise, with
-    the same bytes.
+    the same bytes. The chunks are formatted on `threads` threads (default
+    `thread_count()`), at most one in flight per thread, and the calling
+    thread writes them in order, feeding every byte written to `digest`, a
+    hashlib object, when given.
     """
+    threads = thread_count() if threads is None else threads
     header = [f"p{i}" for i in range(pool.d)] + [f"j{i}" for i in range(pool.num_obj)]
     format_rows = csv_formatter(native_kernel(), pool.table.shape[1]) or repr_rows
-    with open(path, "wb") as fh:
-        fh.write(",".join(header).encode() + b"\r\n")
+    with open(path, "wb") as fh, _executor(threads) as executor:
+
+        def write(text) -> None:
+            fh.write(text)
+            if digest is not None:
+                digest.update(text)
+
+        write(",".join(header).encode() + b"\r\n")
+        chunks = collections.deque()
         for start in range(0, len(pool), SAVE_CHUNK_ROWS):
-            fh.write(format_rows(pool.table[start:start + SAVE_CHUNK_ROWS]))
+            if len(chunks) == threads:
+                write(chunks.popleft().result())
+            chunks.append(executor.submit(format_rows, pool.table[start:start + SAVE_CHUNK_ROWS]))
+        while chunks:
+            write(chunks.popleft().result())
 
 
 def _sample_available(pool: CandidatePool, size: int, rng, what: str) -> np.ndarray:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -22,6 +21,7 @@ from .datapool import (
     consume,
     fit_normalizers,
     initial_sample,
+    thread_count,
 )
 from .errors import ConfigError, PoolExhausted
 from .metrics import (
@@ -262,26 +262,12 @@ def stderr_of(values) -> float:
     return float(v.std(ddof=1) / np.sqrt(v.size))
 
 
-def _sweep_workers() -> int:
-    raw = os.environ.get("DADO_THREADS", "")
-    if not raw:
-        affinity = getattr(os, "sched_getaffinity", None)
-        return len(affinity(0)) if affinity else os.cpu_count() or 1
-    try:
-        workers = int(raw)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ConfigError(f"DADO_THREADS must be a positive integer, got {raw!r}")
-    return workers
-
-
-def run_sweep(pool: CandidatePool, scenarios, strategies, seeds) -> SweepSummary:
+def run_sweep(pool: CandidatePool, scenarios, strategies, seeds, *,
+              workers: int | None = None) -> SweepSummary:
     """Run the scenario x strategy x seed grid, each on a fresh pool copy.
 
-    The runs spread over `DADO_THREADS` worker processes (default: the CPUs
-    this process may run on), each of which receives the pool once and each
-    job only its ScenarioConfig. Failures are recorded per run and excluded from
+    The runs spread over `workers` processes (default: `thread_count()`),
+    each of which receives the pool once and each job only its ScenarioConfig. Failures are recorded per run and excluded from
     aggregation instead of aborting the sweep. Aggregates are the mean and
     standard error across seeds, per scenario, strategy, and metric, for both
     AUC and final value.
@@ -304,8 +290,10 @@ def run_sweep(pool: CandidatePool, scenarios, strategies, seeds) -> SweepSummary
         for st in strategies
         for sd in seeds
     ]
-    workers = _sweep_workers()
+    workers = thread_count() if workers is None else workers
     if workers > 1 and len(jobs) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         # Under fork the workers inherit the pool; under spawn and forkserver
         # it is pickled once per worker, never once per job.
         with ProcessPoolExecutor(min(workers, len(jobs)), initializer=_set_sweep_pool,

@@ -32,9 +32,6 @@ import hashlib
 import os
 import platform
 import re
-import shutil
-import subprocess
-import tempfile
 import time
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -44,6 +41,7 @@ import numpy as np
 _SOURCE = Path(__file__).with_name("_native.c")
 _CFLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-shared", "-fPIC")
 _STALE_BUILD_AGE_S = 7 * 24 * 60 * 60  # a week
+FORMAT_SLACK = 16  # bytes past its text the C formatter may write (dado_format_rows)
 
 
 class Kernels(NamedTuple):
@@ -154,7 +152,8 @@ def csv_formatter(kernel, cols: int):
     """Return `text(block)`, `repr_rows` through the C formatter; None without a kernel.
 
     `block` is a C-contiguous float64 array of `cols` cells a row; each call
-    formats its text into a buffer of its own and returns it as bytes.
+    formats its text into a bytearray of its own, cut to the text, and
+    returns it.
     """
     if kernel is None:
         return None
@@ -165,9 +164,11 @@ def csv_formatter(kernel, cols: int):
         if (block.ndim != 2 or block.shape[1] != cols
                 or block.dtype != np.float64 or not block.flags.c_contiguous):
             raise ValueError(f"expected a contiguous float64 array of {cols} columns")
-        buffer = np.empty(len(block) * (cols * 25 + 1), dtype=np.uint8)
-        return buffer[:kernel.format_rows(_address(buffer), cols, _address(block),
-                                          len(block))].tobytes()
+        buffer = bytearray(len(block) * (cols * 25 + 1) + FORMAT_SLACK)
+        n = kernel.format_rows(_address(np.frombuffer(buffer, np.uint8)), cols, _address(block),
+                               len(block))
+        del buffer[n:]  # no copy: the bytearray only shrinks
+        return buffer
 
     return text
 
@@ -220,6 +221,9 @@ def _compile(cc: str, source: bytes, directory: Path, target: Path) -> None:
     The rename is atomic, so sweep workers building at the same moment each
     see either no file or a whole one.
     """
+    import subprocess
+    import tempfile
+
     fd, tmp = tempfile.mkstemp(prefix=".native-", suffix=".so", dir=directory)
     os.close(fd)
     try:
@@ -239,35 +243,19 @@ def load_kernel():
     Never raises for a missing compiler, a failed build or load, no float64
     loop to call, or a self-check mismatch: each of those means the numpy path.
     """
-    private = None
     try:
         source = _SOURCE.read_bytes()
         key = hashlib.sha256(source + "\0".join(_CFLAGS).encode()).hexdigest()[:20]
-        name = f"native-{platform.machine()}-{key}.so"
-        directory = _cache_dir()
-        target = directory / name
-        if not target.is_file():
-            cc = shutil.which("cc")
-            if cc is None:
-                return None
-            try:
-                directory.mkdir(parents=True, exist_ok=True)
-                _compile(cc, source, directory, target)
-                _remove_stale_builds(directory, name)
-            except OSError:
-                private = directory = Path(tempfile.mkdtemp(prefix="dado-"))
-                target = directory / name
-                _compile(cc, source, directory, target)
-        lib = ctypes.CDLL(str(target))
+        target = _cache_dir() / f"native-{platform.machine()}-{key}.so"
+        lib = ctypes.CDLL(str(target)) if target.is_file() else _build(source, target)
+        if lib is None:
+            return None
         adam, fwd_bwd, set_loops = lib.dado_adam_step, lib.dado_fwd_bwd, lib.dado_set_loops
         format_rows, set_pow5 = lib.dado_format_rows, lib.dado_set_pow5
         parse_rows = lib.dado_parse_rows
         loops = [_float64_loop(ufunc) for ufunc in (np.matmul, np.add)]
-    except (OSError, AttributeError, LookupError, subprocess.SubprocessError):
+    except (OSError, AttributeError, LookupError):
         return None
-    finally:
-        if private is not None:
-            shutil.rmtree(private, ignore_errors=True)  # a loaded library stays mapped
     adam.argtypes = [ctypes.c_void_p] * 4 + [ctypes.c_size_t] + [ctypes.c_double] * 7
     adam.restype = None
     fwd_bwd.argtypes = ([ctypes.c_void_p, ctypes.c_int64, ctypes.c_double]
@@ -286,6 +274,37 @@ def load_kernel():
     kernel = Kernels(adam, fwd_bwd, format_rows, parse_rows)
     checks = (_adam_check, _fwd_bwd_check, _format_check, _parse_check)
     return kernel if all(check(kernel) for check in checks) else None
+
+
+def _build(source: bytes, target: Path):
+    """Build `source` into `target` and load it; None with no compiler or a failed build.
+
+    When the cache is not writable, the library is built in a private
+    temporary directory instead, deleted once the library is loaded (a loaded
+    library stays mapped).
+    """
+    import shutil
+    import subprocess
+    import tempfile
+
+    cc = shutil.which("cc")
+    if cc is None:
+        return None
+    try:
+        try:
+            target.parent.mkdir(parents=True, exist_ok=True)
+            _compile(cc, source, target.parent, target)
+            _remove_stale_builds(target.parent, target.name)
+        except OSError:
+            private = Path(tempfile.mkdtemp(prefix="dado-"))
+            try:
+                _compile(cc, source, private, private / target.name)
+                return ctypes.CDLL(str(private / target.name))
+            finally:
+                shutil.rmtree(private, ignore_errors=True)
+    except subprocess.SubprocessError:
+        return None
+    return ctypes.CDLL(str(target))
 
 
 def _remove_stale_builds(directory: Path, current: str) -> None:

@@ -76,7 +76,8 @@ class TestGenPool:
         assert len(lines) == 401
         assert lines[0] == "p0,p1,j0,j1"
         printed = capsys.readouterr().out
-        assert "n=400" in printed and "sha256=" in printed
+        assert "n=400" in printed
+        assert f"sha256={hashlib.sha256(out.read_bytes()).hexdigest()}" in printed
 
     def test_same_flags_identical_bytes(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -446,14 +447,30 @@ class TestSweep:
     @pytest.mark.parametrize("threads", ["0", "-5", "two"])
     def test_dado_threads_must_be_a_positive_integer(self, tmp_path, capsys, monkeypatch,
                                                      threads):
+        pool = make_pool(tmp_path)  # gen-pool, too, refuses the setting
         monkeypatch.setenv("DADO_THREADS", threads)
-        pool = make_pool(tmp_path)
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text(SWEEP_CFG + f"\npool = {pool}\n")
         code = run_cli("sweep", "--config", cfg, "--out-dir", tmp_path / "o")
         assert code == 2
         assert "DADO_THREADS must be a positive integer" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["sweep", "run", "gen-pool"])
+    def test_dado_threads_is_checked_before_the_pool_file(self, tmp_path, capsys, monkeypatch,
+                                                         command):
+        # A missing pool would exit 1; the bad setting is found first, and nothing is written.
+        monkeypatch.setenv("DADO_THREADS", "0")
+        pool, out = tmp_path / "missing.csv", tmp_path / "o"
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(SWEEP_CFG + f"\npool = {pool}\n")
+        argv = {"sweep": ["--config", cfg, "--out-dir", out],
+                "run": ["--pool", pool, "--strategy", "random", "--initial", 20, "--draw", 40,
+                        "--aq", 10, "--budget", 40, "--out-dir", out],
+                "gen-pool": ["--n", 10, "--d", 2, "--out", pool]}[command]
+        assert run_cli(command, *argv) == 2
+        assert "DADO_THREADS must be a positive integer, got '0'" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.cfg"]
 
     def test_name_with_path_separator_is_a_config_error(self, tmp_path, capsys):
         pool = make_pool(tmp_path)
@@ -1050,6 +1067,31 @@ class TestLibraryUse:
             make()
 
 
+# Prints the modules `import dado.cli` adds to those numpy loads, then every module loaded.
+CLI_IMPORTS = """
+import sys
+import numpy
+before = set(sys.modules)
+import dado.cli
+print(" ".join(sorted(set(sys.modules) - before)))
+print(" ".join(sorted(sys.modules)))
+"""
+
+
+class TestStartup:
+    def test_cli_import_loads_no_process_or_build_modules(self):
+        # Only a sweep on several workers needs a process pool, and only a build of the C
+        # file needs subprocess and tempfile. numpy loads tempfile itself on some Pythons
+        # (through importlib.resources), so dado is held to not adding it.
+        done = subprocess.run([sys.executable, "-c", CLI_IMPORTS],
+                              env={**os.environ, "PYTHONPATH": SRC}, capture_output=True,
+                              text=True, check=True, timeout=120)
+        added, loaded = (set(line.split()) for line in done.stdout.splitlines())
+        unused = {"concurrent.futures.process", "multiprocessing", "subprocess", "tempfile"}
+        assert not unused & added
+        assert not (unused - {"tempfile"}) & loaded
+
+
 class TestBlasPin:
     """Importing dado pins OpenBLAS to one thread before numpy loads."""
 
@@ -1134,14 +1176,14 @@ class TestBenchmarkTracer:
         cfg.write_text(FAST_CFG)
         names = self.traced(tmp_path, "run-spans", "run", "--pool", pool, "--config", cfg,
                             "--out-dir", tmp_path / "run")
-        assert {"loop.run_experiment", "surrogate.train", "surrogate.predict_batch",
+        assert {"cli.sha256", "loop.run_experiment", "surrogate.train", "surrogate.predict_batch",
                 "strategies.select", "metrics.reference_order", "metrics.intersections",
                 "metrics.mean_rank", "metrics.srocc", "metrics.mse"} <= names
         monkeypatch.setenv("DADO_THREADS", "2")
         cfg.write_text(SWEEP_CFG + f"\npool = {pool}\n")
         names = self.traced(tmp_path, "sweep-spans", "sweep", "--config", cfg,
                             "--out-dir", tmp_path / "sweep")
-        assert {"loop.run_sweep", "cli.write_run_outputs"} <= names
+        assert {"cli.sha256", "loop.run_sweep", "cli.write_run_outputs"} <= names
         worker_names = set()
         for path in (tmp_path / "sweep-spans").glob("spans-*-*.json"):
             with open(path, encoding="utf-8") as fh:

@@ -8,6 +8,7 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -421,23 +422,61 @@ class TestPoolWriter:
     @pytest.mark.parametrize("rows", [1, 2 * SAVE_CHUNK_ROWS + 3])
     def test_save_pool_writes_the_same_bytes_on_both_paths(self, kernel, tmp_path, monkeypatch,
                                                            rows):
+        # On one thread and on several, each formatting chunks of 1,000 rows.
         pool = gen_synthetic_pool(rows, 5, seed=rows)
-        chunks = []
+        expected = b"p0,p1,p2,p3,p4,j0,j1\r\n" + repr_rows(pool.table)
+        monkeypatch.setattr(datapool, "SAVE_CHUNK_ROWS", 1000)
         formatter = datapool.csv_formatter
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("DADO_THREADS", threads)
+            chunks = []
 
-        def counting(*args):
+            def counting(*args):
+                run = formatter(*args)
+                return lambda block: chunks.append(len(block)) or run(block)
+
+            digest = hashlib.sha256()
+            with monkeypatch.context() as patch:
+                patch.setattr(datapool, "csv_formatter", counting)
+                save_pool(pool, tmp_path / "native.csv", digest=digest)
+            assert sum(chunks) == rows and len(chunks) == math.ceil(rows / 1000), threads
+            with monkeypatch.context() as patch:
+                patch.setattr(datapool, "native_kernel", lambda: None)
+                save_pool(pool, tmp_path / "repr.csv")
+            assert (tmp_path / "native.csv").read_bytes() == expected, threads
+            assert (tmp_path / "repr.csv").read_bytes() == expected, threads
+            assert digest.digest() == hashlib.sha256(expected).digest(), threads
+
+    def test_chunks_are_written_in_order_when_the_first_finishes_last(self, kernel, tmp_path,
+                                                                       monkeypatch):
+        pool = gen_synthetic_pool(1000, 3, seed=5)
+        expected = b"p0,p1,p2,j0,j1\r\n" + repr_rows(pool.table)
+        monkeypatch.setattr(datapool, "SAVE_CHUNK_ROWS", 100)
+        monkeypatch.setenv("DADO_THREADS", "3")
+        formatter = datapool.csv_formatter
+        third_done, finished, waited = threading.Event(), [], []
+
+        def delaying(*args):
             run = formatter(*args)
-            return lambda block: chunks.append(len(block)) or run(block)
 
-        monkeypatch.setattr(datapool, "csv_formatter", counting)
-        save_pool(pool, tmp_path / "native.csv")
-        assert sum(chunks) == rows and len(chunks) == math.ceil(rows / SAVE_CHUNK_ROWS)
-        monkeypatch.setattr(datapool, "csv_formatter", formatter)
-        monkeypatch.setattr(datapool, "native_kernel", lambda: None)
-        save_pool(pool, tmp_path / "repr.csv")
-        native = (tmp_path / "native.csv").read_bytes()
-        assert native == (tmp_path / "repr.csv").read_bytes()
-        assert native == b"p0,p1,p2,p3,p4,j0,j1\r\n" + repr_rows(pool.table)
+            def text(block):
+                chunk = int(np.flatnonzero(pool.table[:, 0] == block[0, 0])[0]) // 100
+                if chunk == 0:
+                    waited.append(third_done.wait(timeout=30))
+                result = run(block)
+                finished.append(chunk)
+                if chunk == 2:
+                    third_done.set()
+                return result
+
+            return text
+
+        monkeypatch.setattr(datapool, "csv_formatter", delaying)
+        digest = hashlib.sha256()
+        save_pool(pool, tmp_path / "pool.csv", digest=digest)
+        assert waited == [True] and finished.index(0) > finished.index(2)
+        assert (tmp_path / "pool.csv").read_bytes() == expected
+        assert digest.digest() == hashlib.sha256(expected).digest()
 
     def test_save_pool_writes_the_pools_own_table(self, kernel, tmp_path):
         # The rows go out from the pool's table, chunk by chunk, with no copy of the table.
@@ -450,6 +489,18 @@ class TestPoolWriter:
         finally:
             tracemalloc.stop()
         assert peak < pool.table.nbytes / 2
+
+    def test_formatter_writes_within_its_slack(self, kernel):
+        # Rows of 24-byte cells fill the stated capacity exactly; the last cell's 16-byte
+        # copies reach furthest past its own end. No byte past the slack may change.
+        cells = np.full((64, 3), -1.2345678901234567e-308)
+        cells[-1, -1] = -1234567890123456.8
+        assert [len(repr(float(c))) for c in cells[-1]] == [24, 24, 19]
+        capacity = len(cells) * (3 * 25 + 1) + native.FORMAT_SLACK
+        buffer = np.full(capacity + 64, 0xA5, dtype=np.uint8)
+        n = kernel.format_rows(native._address(buffer), 3, native._address(cells), len(cells))
+        assert buffer[:n].tobytes() == repr_rows(cells)
+        assert (buffer[capacity:] == 0xA5).all()
 
     def test_formatter_checks_its_block(self, kernel):
         run = csv_formatter(kernel, 3)
@@ -704,37 +755,56 @@ class TestPoolReader:
         lines[40:40] = ["", "\r"]
         path = tmp_path / "pool.csv"
         path.write_text("\n".join(lines) + "\n")
-        native, loadtxt = both_readers(monkeypatch, path)
-        assert native == loadtxt == whole_file_outcome(path)
-        if error is None:
-            assert native[-1] == (200, 2)
-        else:
-            assert error in native[1]
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("DADO_THREADS", threads)
+            native, loadtxt = both_readers(monkeypatch, path)
+            assert native == loadtxt == whole_file_outcome(path), threads
+            if error is None:
+                assert native[-1] == (200, 2)
+            else:
+                assert error in native[1]
 
     def test_refused_cell_in_a_late_full_block(self, kernel, desk_file, tmp_path, monkeypatch):
         lines = desk_file.read_bytes().split(b"\r\n")
         lines[1 + 9_000] = b"oops," + lines[1 + 9_000].split(b",", 1)[1]
         path = tmp_path / "pool.csv"
         path.write_bytes(b"\r\n".join(lines))
-        native, loadtxt = both_readers(monkeypatch, path)
-        assert native == loadtxt == whole_file_outcome(path)
-        assert "at row 9000," in native[1]
+        monkeypatch.setattr(datapool, "LOAD_BLOCK_BYTES", 1 << 16)
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("DADO_THREADS", threads)
+            native, loadtxt = both_readers(monkeypatch, path)
+            assert native == loadtxt == whole_file_outcome(path), threads
+            assert "at row 9000," in native[1]
 
     def test_file_is_read_in_blocks(self, kernel, desk_file, monkeypatch):
-        texts = []
-        reader = datapool.csv_reader
-
-        def recording(k):
-            read = reader(k)
-            return lambda text, table: texts.append(len(text)) or read(text, table)
-
-        monkeypatch.setattr(datapool, "csv_reader", recording)
-        load_pool(desk_file)
+        # Each block of whole lines is parsed once, in its own slice of the table: the
+        # rows its LFs foretell are where they go.
         data = desk_file.read_bytes()
-        # One block of whole lines per read; the first is read twice, to size the table.
-        assert len(texts) == math.ceil(len(data) / datapool.LOAD_BLOCK_BYTES) + 1
-        assert texts[0] == texts[1] and max(texts) <= datapool.LOAD_BLOCK_BYTES
-        assert sum(texts[1:]) == len(data) - data.index(b"\r\n") - 2  # all but the header
+        header = data.index(b"\r\n") + 2
+        monkeypatch.setattr(datapool, "LOAD_BLOCK_BYTES", 1 << 16)
+        blocks, start = [], 0
+        while start < len(data):
+            end = data.rfind(b"\n", start, start + datapool.LOAD_BLOCK_BYTES) + 1
+            blocks.append(end - start - (header if start == 0 else 0))
+            start = end
+        reader = datapool.csv_reader
+        expected = whole_file_outcome(desk_file)
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("DADO_THREADS", threads)
+            texts = []
+
+            def recording(k):
+                read = reader(k)
+                return lambda text, table: texts.append(len(text)) or read(text, table)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(datapool, "csv_reader", recording)
+                digest = hashlib.sha256()
+                pool = load_pool(desk_file, digest=digest)
+            assert sorted(texts) == sorted(blocks) and len(blocks) > 80, threads
+            arrays = (pool.params, pool.objectives, pool.feature_bounds)
+            assert tuple(a.tobytes() for a in arrays) == expected[:3]
+            assert digest.digest() == hashlib.sha256(data).digest()
 
     def test_byte_order_mark_before_the_header(self, kernel, tmp_path, monkeypatch):
         # Spreadsheet "CSV UTF-8" exports start with one; anywhere else it is a bad cell.

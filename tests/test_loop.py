@@ -13,14 +13,13 @@ from dado import loop
 from dado.errors import ConfigError, PoolExhausted
 from dado.loop import (
     ScenarioConfig,
-    _sweep_workers,
     derive_rng,
     derive_seed,
     run_experiment,
     run_sweep,
     stderr_of,
 )
-from dado.datapool import consume, initial_sample, pool_from_arrays
+from dado.datapool import consume, initial_sample, pool_from_arrays, thread_count
 from dado.oracle import annotate, gen_synthetic_pool
 from dado.strategies import StrategyKind
 from dado.surrogate import MlpConfig, TrainConfig
@@ -350,13 +349,13 @@ class TestSweepWorkers:
     def test_default_is_the_cpu_affinity(self, monkeypatch):
         monkeypatch.delenv("DADO_THREADS", raising=False)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        assert _sweep_workers() == 1
+        assert thread_count() == 1
 
     def test_cpu_count_without_affinity(self, monkeypatch):
         monkeypatch.delenv("DADO_THREADS", raising=False)
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        assert _sweep_workers() == 3
+        assert thread_count() == 3
 
 
 class TestStderr:
