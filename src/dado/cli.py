@@ -216,16 +216,15 @@ def _scenario(values: dict) -> ScenarioConfig:
     )
 
 
-def _load_pool_auto(path, threads: int | None = None):
-    """Load a pool CSV whose schema comes from its header, on `threads` threads
-    (default `thread_count()`).
+def _load_pool_auto(path):
+    """Load a pool CSV whose schema comes from its header.
 
     Returns the pool and its manifest entry. The file is opened once and
     hashed as it is read, so every manifest of the command names the bytes
     loaded.
     """
     digest = _sha256()
-    pool = load_pool(path, digest=digest, threads=threads)
+    pool = load_pool(path, digest=digest)
     return pool, {"path": str(path), "sha256": digest.hexdigest(), "d": pool.d,
                   "num_obj": pool.num_obj}
 
@@ -251,12 +250,12 @@ def _write_run_outputs(out_dir: Path, pool_entry: dict, result) -> None:
 
 
 def cmd_gen_pool(args) -> int:
-    threads = thread_count()
+    thread_count()  # a bad DADO_THREADS exits before any file is opened
     anchors = [None if text is None else _list(f"anchor-{ab}", float, text)
                for ab, text in (("a", args.anchor_a), ("b", args.anchor_b))]
     pool = gen_synthetic_pool(args.n, args.d, args.seed, *anchors)
     digest = _sha256()
-    save_pool(pool, args.out, digest=digest, threads=threads)
+    save_pool(pool, args.out, digest=digest)
     print(
         f"wrote {args.out}: n={len(pool)} d={pool.d} num_obj={pool.num_obj} "
         f"sha256={digest.hexdigest()}"
@@ -265,14 +264,14 @@ def cmd_gen_pool(args) -> int:
 
 
 def cmd_run(args) -> int:
-    threads = thread_count()
+    thread_count()  # a bad DADO_THREADS exits before any file is opened
     kv = parse_kv_file(args.config) if args.config else {}
     # A flag's dest is its config key and its text is parsed like the file's; a flag
     # that was given overrides the file.
     kv.update((key, text) for key, text in vars(args).items()
               if key in RUN_KEYS and text is not None)
     cfg = _scenario(_parse_config(kv, RUN_KEYS, _RUN_REQUIRED, "run"))
-    pool, pool_entry = _load_pool_auto(args.pool, threads)
+    pool, pool_entry = _load_pool_auto(args.pool)
     result = run_experiment(pool, cfg)
     _write_run_outputs(Path(args.out_dir), pool_entry, result)
     print(f"run {cfg.name!r} complete: {cfg.n_iter} iterations, outputs in {args.out_dir}")
@@ -304,13 +303,13 @@ def _sweep_plan(kv: dict, config_dir: Path, pool_flag):
 
 
 def cmd_sweep(args) -> int:
-    threads = thread_count()
+    thread_count()  # a bad DADO_THREADS exits before any file is opened
     kv = parse_kv_file(args.config)
     pool_path, scenarios, strategies, seeds = _sweep_plan(
         kv, Path(args.config).parent, args.pool
     )
-    pool, pool_entry = _load_pool_auto(pool_path, threads)
-    summary = run_sweep(pool, scenarios, strategies, seeds, workers=threads)
+    pool, pool_entry = _load_pool_auto(pool_path)
+    summary = run_sweep(pool, scenarios, strategies, seeds)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

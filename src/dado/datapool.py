@@ -11,14 +11,13 @@ training set are marked *consumed* and never drawn again.
 from __future__ import annotations
 
 import collections
-import contextlib
 import csv
 import io
 import itertools
 import os
 import re
 import warnings
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -164,20 +163,6 @@ def thread_count() -> int:
     return threads
 
 
-class _CallingThread:
-    """The executor of one thread: each call runs in the calling thread as it is submitted."""
-
-    def submit(self, fn, /, *args) -> Future:
-        future = Future()
-        future.set_result(fn(*args))
-        return future
-
-
-def _executor(threads: int):
-    """A context giving an executor of `threads` threads; for one, the calling thread."""
-    return ThreadPoolExecutor(threads) if threads > 1 else contextlib.nullcontext(_CallingThread())
-
-
 def _line_blocks(fh, digest):
     """The file's bytes as non-empty blocks of whole lines of at most
     LOAD_BLOCK_BYTES (or longer, to end a longer line), each byte fed once to
@@ -231,7 +216,7 @@ def _schema(p: Path, header: list[str]) -> tuple[int, int]:
     return d, num_obj
 
 
-def load_pool(path, *, digest=None, threads=None) -> CandidatePool:
+def load_pool(path, *, digest=None) -> CandidatePool:
     """Read a pool CSV with a header row, d parameter columns, then num_obj objectives.
 
     d and num_obj come from the header's p*/j* names. Row order defines
@@ -239,12 +224,12 @@ def load_pool(path, *, digest=None, threads=None) -> CandidatePool:
     that convention, a wrong column count or a non-numeric cell, or
     NonFiniteValue naming the offending data row. The file is opened once
     and read in blocks of whole lines that also go to `digest`, a hashlib
-    object, when given. The C reader parses the blocks, on `threads` threads
-    (default `thread_count()`), when the library loaded and every byte is in
-    the writer's form; otherwise one `np.loadtxt` call reads the whole file
-    again from its start. Either way the values and errors are that call's.
+    object, when given. The C reader parses the blocks, on `thread_count()`
+    threads, when the library loaded and every byte is in the writer's form;
+    otherwise one `np.loadtxt` call reads the whole file again from its
+    start. Either way the values and errors are that call's.
     """
-    threads = thread_count() if threads is None else threads
+    threads = thread_count()
     p = Path(path)
     if not p.is_file():
         raise MissingFile(f"pool file not found: {p}")
@@ -281,36 +266,33 @@ def _parse_blocks(parse, blocks, cols: int, size: int, threads: int):
     table = np.empty((0, cols))
     read = rows = 0
     parses = collections.deque()
-    ok = True
-    with _executor(threads) as executor:
+    with ThreadPoolExecutor(threads) as executor:  # on return, waits for every parse
         for text, lfs in blocks:
             n = lfs + (len(text) > 0 and text[-1] != ord("\n"))
             read += len(text)
             grow = rows + n > len(table)
             # At most `threads` parses in flight, and none while the table moves.
-            ok = _settled(parses, 0 if grow else threads - 1)
-            if not ok:
-                break
+            if not _settled(parses, 0 if grow else threads - 1):
+                return None
             if grow:
                 capacity = max(rows + n, round((rows + n) * size / read * 1.05))
                 table.resize((capacity, cols), refcheck=False)
             parses.append((executor.submit(parse, text, table[rows:rows + n]), n))
             rows += n
-        ok = _settled(parses, 0) and ok
-    if not ok:
-        return None
+        if not _settled(parses, 0):
+            return None
     table.resize((rows, cols), refcheck=False)
     return table
 
 
 def _settled(parses, in_flight: int) -> bool:
     """Wait for the oldest `parses`, (future, rows expected) pairs, until at most
-    `in_flight` remain; False when any of them read other than its rows."""
-    ok = True
+    `in_flight` remain; False at the first that read other than its rows."""
     while len(parses) > in_flight:
         future, rows = parses.popleft()
-        ok = future.result() == rows and ok
-    return ok
+        if future.result() != rows:
+            return False
+    return True
 
 
 def _loadtxt_pool(p: Path, fh, expected: int) -> np.ndarray:
@@ -338,21 +320,21 @@ def _loadtxt_pool(p: Path, fh, expected: int) -> np.ndarray:
     return data
 
 
-def save_pool(pool: CandidatePool, path, *, digest=None, threads=None) -> None:
+def save_pool(pool: CandidatePool, path, *, digest=None) -> None:
     """Write the standard pool CSV: header p0..p{d-1},j0..j{num_obj-1}, one row per id.
 
     Each float is written as its `repr`, the shortest text that reads back to
     it, so identical pools serialize to identical bytes. The rows go out in
     chunks, through the C formatter when it loaded and `repr` otherwise, with
-    the same bytes. The chunks are formatted on `threads` threads (default
-    `thread_count()`), at most one in flight per thread, and the calling
-    thread writes them in order, feeding every byte written to `digest`, a
-    hashlib object, when given.
+    the same bytes. The chunks are formatted on `thread_count()` threads, at
+    most one in flight per thread, and the calling thread writes them in
+    order, feeding every byte written to `digest`, a hashlib object, when
+    given.
     """
-    threads = thread_count() if threads is None else threads
+    threads = thread_count()
     header = [f"p{i}" for i in range(pool.d)] + [f"j{i}" for i in range(pool.num_obj)]
     format_rows = csv_formatter(native_kernel(), pool.table.shape[1]) or repr_rows
-    with open(path, "wb") as fh, _executor(threads) as executor:
+    with open(path, "wb") as fh, ThreadPoolExecutor(threads) as executor:
 
         def write(text) -> None:
             fh.write(text)

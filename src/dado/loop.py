@@ -262,12 +262,12 @@ def stderr_of(values) -> float:
     return float(v.std(ddof=1) / np.sqrt(v.size))
 
 
-def run_sweep(pool: CandidatePool, scenarios, strategies, seeds, *,
-              workers: int | None = None) -> SweepSummary:
+def run_sweep(pool: CandidatePool, scenarios, strategies, seeds) -> SweepSummary:
     """Run the scenario x strategy x seed grid, each on a fresh pool copy.
 
-    The runs spread over `workers` processes (default: `thread_count()`),
-    each of which receives the pool once and each job only its ScenarioConfig. Failures are recorded per run and excluded from
+    The runs spread over `DADO_THREADS` worker processes (default: the CPUs
+    this process may run on), each of which receives the pool once and each
+    job only its ScenarioConfig. Failures are recorded per run and excluded from
     aggregation instead of aborting the sweep. Aggregates are the mean and
     standard error across seeds, per scenario, strategy, and metric, for both
     AUC and final value.
@@ -290,7 +290,7 @@ def run_sweep(pool: CandidatePool, scenarios, strategies, seeds, *,
         for st in strategies
         for sd in seeds
     ]
-    workers = thread_count() if workers is None else workers
+    workers = thread_count()
     if workers > 1 and len(jobs) > 1:
         from concurrent.futures import ProcessPoolExecutor
 

@@ -181,9 +181,10 @@ def csv_reader(kernel):
     at most three digits in E, separated by "," and each row ended by CRLF,
     LF or the end of the text, with as many cells as the C-contiguous float64
     `table` has columns. It stores the values `float` reads for as many rows
-    as the table holds, and returns the number of rows in `text`: a number
-    above the table's length means read again into a longer one. It returns
-    None when any byte of `text` is outside that form.
+    as the table holds, and returns the number of rows in `text`; rows past
+    the table's length are only counted, never stored, so a caller that
+    expects a count treats any other as a refusal. It returns None when any
+    byte of `text` is outside that form.
     """
     if kernel is None:
         return None
@@ -219,7 +220,8 @@ def _compile(cc: str, source: bytes, directory: Path, target: Path) -> None:
     """Build into a temporary file in `directory`, then rename it to `target`.
 
     The rename is atomic, so sweep workers building at the same moment each
-    see either no file or a whole one.
+    see either no file or a whole one. A failed or timed-out compiler raises
+    RuntimeError.
     """
     import subprocess
     import tempfile
@@ -232,6 +234,8 @@ def _compile(cc: str, source: bytes, directory: Path, target: Path) -> None:
             input=source, capture_output=True, check=True, timeout=120,
         )
         os.replace(tmp, target)
+    except subprocess.SubprocessError as exc:
+        raise RuntimeError(f"{cc} failed to build {_SOURCE.name}") from exc
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
@@ -243,19 +247,38 @@ def load_kernel():
     Never raises for a missing compiler, a failed build or load, no float64
     loop to call, or a self-check mismatch: each of those means the numpy path.
     """
+    private = None
     try:
         source = _SOURCE.read_bytes()
         key = hashlib.sha256(source + "\0".join(_CFLAGS).encode()).hexdigest()[:20]
-        target = _cache_dir() / f"native-{platform.machine()}-{key}.so"
-        lib = ctypes.CDLL(str(target)) if target.is_file() else _build(source, target)
-        if lib is None:
-            return None
+        name = f"native-{platform.machine()}-{key}.so"
+        directory = _cache_dir()
+        target = directory / name
+        if not target.is_file():
+            import shutil
+            import tempfile
+
+            cc = shutil.which("cc")
+            if cc is None:
+                return None
+            try:
+                directory.mkdir(parents=True, exist_ok=True)
+                _compile(cc, source, directory, target)
+                _remove_stale_builds(directory, name)
+            except OSError:
+                private = directory = Path(tempfile.mkdtemp(prefix="dado-"))
+                target = directory / name
+                _compile(cc, source, directory, target)
+        lib = ctypes.CDLL(str(target))
         adam, fwd_bwd, set_loops = lib.dado_adam_step, lib.dado_fwd_bwd, lib.dado_set_loops
         format_rows, set_pow5 = lib.dado_format_rows, lib.dado_set_pow5
         parse_rows = lib.dado_parse_rows
         loops = [_float64_loop(ufunc) for ufunc in (np.matmul, np.add)]
-    except (OSError, AttributeError, LookupError):
+    except (OSError, AttributeError, LookupError, RuntimeError):
         return None
+    finally:
+        if private is not None:
+            shutil.rmtree(private, ignore_errors=True)  # a loaded library stays mapped
     adam.argtypes = [ctypes.c_void_p] * 4 + [ctypes.c_size_t] + [ctypes.c_double] * 7
     adam.restype = None
     fwd_bwd.argtypes = ([ctypes.c_void_p, ctypes.c_int64, ctypes.c_double]
@@ -274,37 +297,6 @@ def load_kernel():
     kernel = Kernels(adam, fwd_bwd, format_rows, parse_rows)
     checks = (_adam_check, _fwd_bwd_check, _format_check, _parse_check)
     return kernel if all(check(kernel) for check in checks) else None
-
-
-def _build(source: bytes, target: Path):
-    """Build `source` into `target` and load it; None with no compiler or a failed build.
-
-    When the cache is not writable, the library is built in a private
-    temporary directory instead, deleted once the library is loaded (a loaded
-    library stays mapped).
-    """
-    import shutil
-    import subprocess
-    import tempfile
-
-    cc = shutil.which("cc")
-    if cc is None:
-        return None
-    try:
-        try:
-            target.parent.mkdir(parents=True, exist_ok=True)
-            _compile(cc, source, target.parent, target)
-            _remove_stale_builds(target.parent, target.name)
-        except OSError:
-            private = Path(tempfile.mkdtemp(prefix="dado-"))
-            try:
-                _compile(cc, source, private, private / target.name)
-                return ctypes.CDLL(str(private / target.name))
-            finally:
-                shutil.rmtree(private, ignore_errors=True)
-    except subprocess.SubprocessError:
-        return None
-    return ctypes.CDLL(str(target))
 
 
 def _remove_stale_builds(directory: Path, current: str) -> None:
