@@ -10,9 +10,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import hashlib
+import itertools
 import json
 import math
+import os
 import sys
 from dataclasses import MISSING, asdict, astuple, fields, is_dataclass
 from datetime import datetime, timezone
@@ -24,7 +27,8 @@ import numpy as np
 from . import __version__
 from .datapool import load_pool, save_pool, thread_count
 from .errors import ConfigError, DadoError, MissingFile, SchemaMismatch, SizeMismatch
-from .loop import AggregateRow, ScenarioConfig, run_experiment, run_sweep, stderr_of
+from .loop import (AggregateRow, ScenarioConfig, run_experiment, run_sweep, stderr_of,
+                   sweep_table)
 from .metrics import METRIC_FIELDS
 from .native import native_kernel
 from .oracle import gen_synthetic_pool
@@ -263,6 +267,15 @@ def cmd_gen_pool(args) -> int:
     return 0
 
 
+def _check_out_dir(path: Path) -> None:
+    """Raise the OSError that creating directory `path` would raise when it, or its
+    nearest existing ancestor, is not a directory; create nothing."""
+    existing = next((p for p in (path, *path.parents) if p.exists()), None)
+    if existing is not None and not existing.is_dir():
+        code = errno.EEXIST if existing == path else errno.ENOTDIR
+        raise OSError(code, os.strerror(code), str(path))
+
+
 def cmd_run(args) -> int:
     thread_count()  # a bad DADO_THREADS exits before any file is opened
     kv = parse_kv_file(args.config) if args.config else {}
@@ -271,6 +284,7 @@ def cmd_run(args) -> int:
     kv.update((key, text) for key, text in vars(args).items()
               if key in RUN_KEYS and text is not None)
     cfg = _scenario(_parse_config(kv, RUN_KEYS, _RUN_REQUIRED, "run"))
+    _check_out_dir(Path(args.out_dir))
     pool, pool_entry = _load_pool_auto(args.pool)
     result = run_experiment(pool, cfg)
     _write_run_outputs(Path(args.out_dir), pool_entry, result)
@@ -278,7 +292,13 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _sweep_plan(kv: dict, config_dir: Path, pool_flag):
+def _run_name(cfg: ScenarioConfig) -> str:
+    """A sweep job's run directory name."""
+    return f"{cfg.name}-{cfg.strategy.value}-seed{cfg.seed}"
+
+
+def _sweep_plan(kv: dict, config_dir: Path, pool_flag) -> tuple[Path, list[ScenarioConfig]]:
+    """The pool path and every job of the aq size x strategy x seed grid, in that order."""
     values = _parse_config(kv, SWEEP_KEYS, _SWEEP_REQUIRED, "sweep")
     if pool_flag:
         pool_path = Path(pool_flag)
@@ -288,43 +308,42 @@ def _sweep_plan(kv: dict, config_dir: Path, pool_flag):
     else:
         raise ConfigError("sweep needs a pool: pass --pool or set 'pool' in the config")
     values.pop("pool", None)
-    aq_sizes, strategies, seeds = (values.pop(key) for key in _SWEEP_AXES)
-    if len(set(aq_sizes)) != len(aq_sizes):
-        raise ConfigError("aq_sizes must be unique within a sweep")
+    axes = [values.pop(key) for key in _SWEEP_AXES]
+    for key, axis in zip(_SWEEP_AXES, axes):
+        if len(set(axis)) != len(axis):
+            raise ConfigError(f"{key} must be unique within a sweep")
     base_name = values.pop("name", "scenario")
-    scenarios = [
-        _scenario(
-            {**values, "name": f"{base_name}-aq{aq}", "aq_size": aq,
-             "strategy": strategies[0], "seed": seeds[0]}
-        )
-        for aq in aq_sizes
-    ]
-    return pool_path, scenarios, strategies, seeds
+    jobs = [_scenario({**values, "name": f"{base_name}-aq{aq}", "aq_size": aq, "strategy": st,
+                       "seed": sd}) for aq, st, sd in itertools.product(*axes)]
+    for name in map(_run_name, jobs):
+        if len(name.encode("utf-8")) > 255:
+            raise ConfigError(f"run directory name {name!r} is longer than 255 UTF-8 bytes")
+    return pool_path, jobs
 
 
 def cmd_sweep(args) -> int:
     thread_count()  # a bad DADO_THREADS exits before any file is opened
     kv = parse_kv_file(args.config)
-    pool_path, scenarios, strategies, seeds = _sweep_plan(
-        kv, Path(args.config).parent, args.pool
-    )
-    pool, pool_entry = _load_pool_auto(pool_path)
-    summary = run_sweep(pool, scenarios, strategies, seeds)
-
+    pool_path, jobs = _sweep_plan(kv, Path(args.config).parent, args.pool)
     out_dir = Path(args.out_dir)
+    _check_out_dir(out_dir)
+    pool, pool_entry = _load_pool_auto(pool_path)
+    outcomes = run_sweep(pool, jobs)
+
     out_dir.mkdir(parents=True, exist_ok=True)
-    run_dirs = []
-    failures = []
-    for record in summary.runs:
-        run_name = f"{record.scenario}-{record.strategy}-seed{record.seed}"
-        if record.result is None:
-            failures.append({"run": run_name, "error": record.error})
+    run_dirs, failures = [], []
+    for cfg, (result, error) in zip(jobs, outcomes):
+        if result is None:
+            failures.append({"run": _run_name(cfg), "error": error})
             continue
-        run_dir = out_dir / "runs" / run_name
-        _write_run_outputs(run_dir, pool_entry, record.result)
+        run_dir = out_dir / "runs" / _run_name(cfg)
+        _write_run_outputs(run_dir, pool_entry, result)
         run_dirs.append(str(run_dir.relative_to(out_dir)))
     _write_csv(out_dir / "table.csv", [f.name for f in fields(AggregateRow)],
-               map(astuple, summary.table))
+               map(astuple, sweep_table(r for r, _ in outcomes if r is not None)))
+    # The grid's axes hold no repeats, so each is its values in first-seen job order.
+    scenarios = {cfg.aq_size: {k: v for k, v in scenario_to_dict(cfg).items()
+                               if k not in ("strategy", "seed")} for cfg in jobs}
     _write_json(
         out_dir / "manifest.json",
         {
@@ -333,10 +352,9 @@ def cmd_sweep(args) -> int:
             "created_utc": _utc_now(),
             "pool": {"path": pool_entry["path"], "sha256": pool_entry["sha256"]},
             "grid": {
-                "scenarios": [{k: v for k, v in scenario_to_dict(sc).items()
-                               if k not in ("strategy", "seed")} for sc in scenarios],
-                "strategies": [st.value for st in strategies],
-                "seeds": seeds,
+                "scenarios": list(scenarios.values()),
+                "strategies": list(dict.fromkeys(cfg.strategy.value for cfg in jobs)),
+                "seeds": list(dict.fromkeys(cfg.seed for cfg in jobs)),
             },
             "outputs": {"table": "table.csv", "runs": run_dirs},
             "failures": failures,

@@ -136,8 +136,16 @@ def pool_from_arrays(params: np.ndarray, objectives: np.ndarray) -> CandidatePoo
 
 def _own_pool(table: np.ndarray, d: int) -> CandidatePool:
     """The pool of this checked table of d parameter columns, which it takes over
-    and makes read-only."""
+    and makes read-only. A parameter span or an objective's standard deviation that
+    overflows raises NonFiniteValue: the normalizers could not scale that column. A
+    training subset's squared deviations sum to at most the pool's, so none overflows."""
     bounds = np.column_stack([table[:, :d].min(axis=0), table[:, :d].max(axis=0)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        bad = np.flatnonzero(~np.isfinite(
+            np.concatenate([bounds[:, 1] - bounds[:, 0], table[:, d:].std(axis=0)])))
+    if bad.size:
+        name = f"p{bad[0]}" if bad[0] < d else f"j{bad[0] - d}"
+        raise NonFiniteValue(f"pool column {name} cannot be normalized: its spread overflows")
     for a in (table, bounds):
         a.setflags(write=False)
     return CandidatePool(table, bounds, np.zeros(len(table), dtype=bool))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -207,18 +207,6 @@ def run_experiment(
 
 
 @dataclass
-class RunRecord:
-    """One sweep cell: either a finished result or the error that stopped it."""
-
-    scenario: str
-    aq_size: int
-    strategy: str
-    seed: int
-    result: ExperimentResult | None = None
-    error: str | None = None
-
-
-@dataclass
 class AggregateRow:
     scenario: str
     aq_size: int
@@ -228,12 +216,6 @@ class AggregateRow:
     auc_stderr: float
     final_mean: float
     final_stderr: float
-
-
-@dataclass
-class SweepSummary:
-    runs: list[RunRecord]
-    table: list[AggregateRow] = field(default_factory=list)
 
 
 # The pool a sweep's jobs run on: set once per worker process by the executor's
@@ -262,34 +244,13 @@ def stderr_of(values) -> float:
     return float(v.std(ddof=1) / np.sqrt(v.size))
 
 
-def run_sweep(pool: CandidatePool, scenarios, strategies, seeds) -> SweepSummary:
-    """Run the scenario x strategy x seed grid, each on a fresh pool copy.
+def run_sweep(pool: CandidatePool, jobs: list[ScenarioConfig]) -> list[tuple]:
+    """`(result, None)` or `(None, error)` per job, in job order, each run on its own pool copy.
 
-    The runs spread over `DADO_THREADS` worker processes (default: the CPUs
-    this process may run on), each of which receives the pool once and each
-    job only its ScenarioConfig. Failures are recorded per run and excluded from
-    aggregation instead of aborting the sweep. Aggregates are the mean and
-    standard error across seeds, per scenario, strategy, and metric, for both
-    AUC and final value.
+    A failed run does not stop the others. The jobs spread over `DADO_THREADS`
+    worker processes (default: the CPUs this process may run on), each of which
+    receives the pool once and each job only its ScenarioConfig.
     """
-    scenarios = list(scenarios)
-    strategies = list(strategies)
-    seeds = list(seeds)
-    if not scenarios or not strategies or not seeds:
-        raise ConfigError("sweep needs at least one scenario, strategy, and seed")
-    names = [sc.name for sc in scenarios]
-    if len(set(names)) != len(names):
-        raise ConfigError("scenario names must be unique within a sweep")
-    for what, values in (("strategies", strategies), ("seeds", seeds)):
-        if len(set(values)) != len(values):
-            raise ConfigError(f"{what} must be unique within a sweep")
-
-    jobs = [
-        replace(sc, strategy=st, seed=sd)
-        for sc in scenarios
-        for st in strategies
-        for sd in seeds
-    ]
     workers = thread_count()
     if workers > 1 and len(jobs) > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -298,31 +259,25 @@ def run_sweep(pool: CandidatePool, scenarios, strategies, seeds) -> SweepSummary
         # it is pickled once per worker, never once per job.
         with ProcessPoolExecutor(min(workers, len(jobs)), initializer=_set_sweep_pool,
                                  initargs=(pool,)) as executor:
-            outcomes = list(executor.map(_execute_run, jobs))
-    else:
-        _set_sweep_pool(pool)
-        try:
-            outcomes = [_execute_run(cfg) for cfg in jobs]
-        finally:
-            _set_sweep_pool(None)
+            return list(executor.map(_execute_run, jobs))
+    _set_sweep_pool(pool)
+    try:
+        return [_execute_run(cfg) for cfg in jobs]
+    finally:
+        _set_sweep_pool(None)
 
-    runs = [
-        RunRecord(cfg.name, cfg.aq_size, cfg.strategy.value, cfg.seed, result, error)
-        for cfg, (result, error) in zip(jobs, outcomes)
-    ]
 
-    # Runs are in grid order, so the groups, and with them the table rows, are too.
+def sweep_table(results) -> list[AggregateRow]:
+    """Mean and standard error across seeds of each metric's AUC and final value, one row
+    per scenario, strategy and metric in the order the results first name them."""
     groups: dict[tuple[str, int, str], list[dict]] = {}
-    for r in runs:
-        if r.result is not None:
-            groups.setdefault((r.scenario, r.aq_size, r.strategy), []).append(r.result.summary)
+    for result in results:
+        sc = result.scenario
+        groups.setdefault((sc.name, sc.aq_size, sc.strategy.value), []).append(result.summary)
     table: list[AggregateRow] = []
-    for (scenario, aq_size, strategy), summaries in groups.items():
+    for key, summaries in groups.items():
         for metric in METRIC_FIELDS:
-            aucs = [s[metric]["auc"] for s in summaries]
-            finals = [s[metric]["final"] for s in summaries]
-            table.append(
-                AggregateRow(scenario, aq_size, strategy, metric, float(np.mean(aucs)),
-                             stderr_of(aucs), float(np.mean(finals)), stderr_of(finals))
-            )
-    return SweepSummary(runs, table)
+            aucs, finals = ([s[metric][k] for s in summaries] for k in ("auc", "final"))
+            table.append(AggregateRow(*key, metric, float(np.mean(aucs)), stderr_of(aucs),
+                                      float(np.mean(finals)), stderr_of(finals)))
+    return table

@@ -17,7 +17,7 @@ import pytest
 
 from dado.cli import main as cli_main
 from dado.datapool import load_pool
-from dado.loop import ScenarioConfig, run_experiment, run_sweep
+from dado.loop import ScenarioConfig, run_experiment, run_sweep, sweep_table
 from dado.metrics import (
     auc,
     intersections,
@@ -183,40 +183,42 @@ def desk_study():
     pool = gen_synthetic_pool(DESK_POOL_N, DESK_POOL_D, seed=DESK_POOL_SEED,
                               anchor_a=a, anchor_b=b)
 
-    def scenario(aq):
-        return ScenarioConfig(
-            f"s1-aq{aq}",
-            initial_size=100,
-            draw_size=400,
-            aq_size=aq,
-            budget=500,
-            strategy=StrategyKind.RANDOM,
-            seed=0,
-            train=DESK_TRAIN,
-            target_space=DESK_SPACE,
-        )
+    def jobs(aq_sizes, strategies):
+        return [
+            ScenarioConfig(
+                f"s1-aq{aq}",
+                initial_size=100,
+                draw_size=400,
+                aq_size=aq,
+                budget=500,
+                strategy=st,
+                seed=sd,
+                train=DESK_TRAIN,
+                target_space=DESK_SPACE,
+            )
+            for aq in aq_sizes for st in strategies for sd in DESK_SEEDS
+        ]
 
-    random_sweep = run_sweep(
-        pool, [scenario(10), scenario(50)], [StrategyKind.RANDOM], DESK_SEEDS
-    )
-    tri_sweep = run_sweep(pool, [scenario(25)], list(StrategyKind), DESK_SEEDS)
-    failed = [r for r in (random_sweep.runs + tri_sweep.runs) if r.result is None]
-    assert not failed, f"desk-study runs failed: {[r.error for r in failed]}"
-    return {"random": random_sweep, "tri": tri_sweep}
+    random_sweep = run_sweep(pool, jobs([10, 50], [StrategyKind.RANDOM]))
+    tri_sweep = run_sweep(pool, jobs([25], list(StrategyKind)))
+    failed = [error for _, error in random_sweep + tri_sweep if error is not None]
+    assert not failed, f"desk-study runs failed: {failed}"
+    return {"random": [result for result, _ in random_sweep],
+            "tri": [result for result, _ in tri_sweep]}
 
 
-def _auc_mean(sweep, scenario, strategy, metric):
-    for row in sweep.table:
+def _auc_mean(results, scenario, strategy, metric):
+    for row in sweep_table(results):
         if row.scenario == scenario and row.strategy == strategy and row.metric == metric:
             return row.auc_mean
     raise KeyError((scenario, strategy, metric))
 
 
-def _curve_point_mean(sweep, strategy, metric, position):
+def _curve_point_mean(results, strategy, metric, position):
     values = [
-        getattr(r.result.records[position], metric)
-        for r in sweep.runs
-        if r.strategy == strategy and r.result is not None
+        getattr(r.records[position], metric)
+        for r in results
+        if r.scenario.strategy.value == strategy
     ]
     return float(np.mean(values))
 
@@ -304,21 +306,22 @@ UBEND_POOL = os.environ.get("DADO_UBEND_POOL", "")
 class TestConditionalUBend:
     def test_low_budget_final_values(self):
         pool_template = load_pool(UBEND_POOL)
-        scenario = ScenarioConfig(
-            "ubend-aq25",
-            initial_size=100,
-            draw_size=400,
-            aq_size=25,
-            budget=500,
-            strategy=StrategyKind.L2_SELECT,
-            seed=0,
-            train=TrainConfig(),
-        )
-        sweep = run_sweep(pool_template, [scenario], [StrategyKind.L2_SELECT], DESK_SEEDS)
-        finals_inter = [
-            r.result.summary["intersections"]["final"] for r in sweep.runs if r.result
+        jobs = [
+            ScenarioConfig(
+                "ubend-aq25",
+                initial_size=100,
+                draw_size=400,
+                aq_size=25,
+                budget=500,
+                strategy=StrategyKind.L2_SELECT,
+                seed=seed,
+                train=TrainConfig(),
+            )
+            for seed in DESK_SEEDS
         ]
-        finals_srocc = [r.result.summary["srocc"]["final"] for r in sweep.runs if r.result]
+        results = [result for result, _ in run_sweep(pool_template, jobs) if result is not None]
+        finals_inter = [r.summary["intersections"]["final"] for r in results]
+        finals_srocc = [r.summary["srocc"]["final"] for r in results]
         inter = float(np.mean(finals_inter))
         rho = float(np.mean(finals_srocc))
         ok = abs(inter - 0.592) <= 0.15 and abs(rho - 0.668) <= 0.15

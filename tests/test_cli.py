@@ -357,6 +357,26 @@ class TestRun:
         assert not (tmp_path / "o").exists()
 
 
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("out, error", [("file", "[Errno 17] File exists"),
+                                            ("file/x", "[Errno 20] Not a directory")],
+                             ids=["is-a-file", "under-a-file"])
+    def test_unusable_out_dir_fails_before_the_pool_is_read(self, tmp_path, capsys,
+                                                            monkeypatch, command, out, error):
+        loads = []
+        monkeypatch.setattr(cli, "load_pool", lambda *args, **kwargs: loads.append(args))
+        (tmp_path / "file").write_text("")
+        cfg = tmp_path / "cfg"
+        cfg.write_text(FAST_CFG if command == "run" else SWEEP_CFG)
+        before = sorted(tmp_path.rglob("*"))
+        code = run_cli(command, "--pool", tmp_path / "pool.csv", "--config", cfg,
+                       "--out-dir", tmp_path / out)
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {error}: '{tmp_path / out}'\n"
+        assert loads == []
+        assert sorted(tmp_path.rglob("*")) == before
+
+
 class TestSweep:
     def run_sweep(self, tmp_path):
         pool = make_pool(tmp_path)
@@ -508,6 +528,27 @@ class TestSweep:
         assert "NUL byte" in capsys.readouterr().err
         assert runs == []
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name, longest_ok", [("x" * 240, "x" * 234),
+                                                  ("\u00e9" * 118, "\u00e9" * 117)],
+                             ids=["ascii", "two-byte"])
+    def test_over_long_run_name_is_refused_before_any_run(self, tmp_path, capsys, monkeypatch,
+                                                          name, longest_ok):
+        # "<name>-aq10-l2-select-seed1" would be 261 or 257 bytes; a file name has at most 255.
+        runs = []
+        monkeypatch.setattr(loop, "run_experiment", lambda *args: runs.append(args))
+        monkeypatch.setenv("DADO_THREADS", "1")
+        pool = make_pool(tmp_path)
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(SWEEP_CFG.replace("name = mini", f"name = {name}") + f"\npool = {pool}\n",
+                       encoding="utf-8")
+        assert run_cli("sweep", "--config", cfg, "--out-dir", tmp_path / "out") == 2
+        assert "is longer than 255 UTF-8 bytes" in capsys.readouterr().err
+        assert runs == []
+        assert not (tmp_path / "out").exists()
+        # A 234-byte name makes the longest run name 255 bytes, which passes.
+        _, jobs = cli._sweep_plan(dict(cli.parse_kv_file(cfg), name=longest_ok), tmp_path, None)
+        assert max(len(cli._run_name(job).encode()) for job in jobs) == 255
 
     def test_single_seed_stderr_is_zero(self, tmp_path):
         pool = make_pool(tmp_path)
@@ -946,20 +987,43 @@ class TestManifestConfig:
         }
 
     def test_sweep_grid(self, tmp_path):
+        """The grid of one and of two aq sizes: its scenarios, run directories and table rows,
+        each in aq size, strategy, seed order."""
         pool = TestGoldenDigests().golden_pool(tmp_path)
-        cfg = tmp_path / "sweep.cfg"
-        cfg.write_text(GOLDEN_SWEEP_CFG)
-        out_dir = tmp_path / "sweep"
-        assert run_cli("sweep", "--config", cfg, "--pool", pool, "--out-dir", out_dir) == 0
-        assert json.loads((out_dir / "manifest.json").read_text())["grid"] == {
-            "scenarios": [{
-                "aq_size": 10, "budget": 60, "draw_size": 60, "initial_size": 30, "n_iter": 3,
-                "name": "golden-aq10", "target_space": "normalized", "mlp": GOLDEN_MLP,
-                "train": GOLDEN_TRAIN,
-            }],
-            "strategies": ["random", "l2-reject"],
-            "seeds": [0, 1],
+        aq10 = {
+            "aq_size": 10, "budget": 60, "draw_size": 60, "initial_size": 30, "n_iter": 3,
+            "name": "golden-aq10", "target_space": "normalized", "mlp": GOLDEN_MLP,
+            "train": GOLDEN_TRAIN,
         }
+        aq15 = {
+            "aq_size": 15, "budget": 60, "draw_size": 60, "initial_size": 30, "n_iter": 2,
+            "name": "golden-aq15", "target_space": "normalized", "mlp": GOLDEN_MLP,
+            "train": GOLDEN_TRAIN,
+        }
+        runs_aq10 = ["runs/golden-aq10-random-seed0", "runs/golden-aq10-random-seed1",
+                     "runs/golden-aq10-l2-reject-seed0", "runs/golden-aq10-l2-reject-seed1"]
+        runs_aq15 = ["runs/golden-aq15-random-seed0", "runs/golden-aq15-random-seed1",
+                     "runs/golden-aq15-l2-reject-seed0", "runs/golden-aq15-l2-reject-seed1"]
+        rows_aq10 = [("golden-aq10", "random"), ("golden-aq10", "l2-reject")]
+        rows_aq15 = [("golden-aq15", "random"), ("golden-aq15", "l2-reject")]
+        for aq_sizes, scenarios, runs, rows in (
+            ("10", [aq10], runs_aq10, rows_aq10),
+            ("10, 15", [aq10, aq15], runs_aq10 + runs_aq15, rows_aq10 + rows_aq15),
+        ):
+            cfg = tmp_path / "sweep.cfg"
+            cfg.write_text(GOLDEN_SWEEP_CFG.replace("aq_sizes = 10", f"aq_sizes = {aq_sizes}"))
+            out_dir = tmp_path / f"sweep {aq_sizes}"
+            assert run_cli("sweep", "--config", cfg, "--pool", pool, "--out-dir", out_dir) == 0
+            manifest = json.loads((out_dir / "manifest.json").read_text())
+            assert manifest["grid"] == {
+                "scenarios": scenarios,
+                "strategies": ["random", "l2-reject"],
+                "seeds": [0, 1],
+            }
+            assert manifest["outputs"]["runs"] == runs
+            with open(out_dir / "table.csv") as fh:
+                table = [(row["scenario"], row["strategy"]) for row in csv.DictReader(fh)]
+            assert table == [pair for pair in rows for _ in range(6)]
 
 
 TRAINING_KEYS = {

@@ -144,6 +144,41 @@ class TestLoadPool:
             pool_from_arrays(np.zeros((3, 2)), np.array([[0.0, 1.0], [np.inf, 0.0], [1.0, 1.0]]))
 
 
+def spread_probe(probe):
+    """A 20-row pool's arrays, with objectives x1e160 or x1e100, or p1 at +-1e308."""
+    rng = np.random.default_rng(8)
+    params, objectives = rng.random((20, 3)), rng.random((20, 2))
+    if probe == "p1":
+        params[:, 1] = np.where(params[:, 1] < 0.5, -1e308, 1e308)
+    return params, objectives * {"j0": 1e160, "x1e100": 1e100}.get(probe, 1.0)
+
+
+def probe_file(path, params, objectives):
+    rows = np.hstack([params, objectives]).tolist()
+    return write_csv(path, ["p0,p1,p2,j0,j1"] + [",".join(map(repr, row)) for row in rows])
+
+
+class TestColumnSpread:
+    """A pool is refused as it is built when the normalizers could not scale a column."""
+
+    @pytest.mark.parametrize("column", ["j0", "p1"])
+    def test_overflowing_spread_names_the_column(self, tmp_path, column):
+        # Finite cells all: the std of the x1e160 objectives and the span of the +-1e308
+        # parameter overflow.
+        params, objectives = spread_probe(column)
+        message = f"pool column {column} cannot be normalized"
+        with pytest.raises(NonFiniteValue, match=message):
+            pool_from_arrays(params, objectives)
+        with pytest.raises(NonFiniteValue, match=message):
+            load_pool(probe_file(tmp_path / "pool.csv", params, objectives))
+
+    def test_objectives_x1e100_load(self, tmp_path):
+        params, objectives = spread_probe("x1e100")
+        for pool in (pool_from_arrays(params, objectives),
+                     load_pool(probe_file(tmp_path / "pool.csv", params, objectives))):
+            np.testing.assert_array_equal(pool.objectives, objectives)
+
+
 class TestSampling:
     def test_initial_sample_exhaustive(self):
         pool = small_pool(n=5)

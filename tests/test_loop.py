@@ -18,6 +18,7 @@ from dado.loop import (
     run_experiment,
     run_sweep,
     stderr_of,
+    sweep_table,
 )
 from dado.datapool import consume, initial_sample, pool_from_arrays, thread_count
 from dado.oracle import annotate, gen_synthetic_pool
@@ -208,6 +209,15 @@ class TestSeedDerivation:
         np.testing.assert_array_equal(a, b)
 
 
+def sweep_jobs(strategies, seeds, **kwargs):
+    """One fast scenario's job per strategy and seed, in the CLI's grid order."""
+    return [fast_scenario(st, sd, **kwargs) for st in strategies for sd in seeds]
+
+
+def results_of(outcomes):
+    return [result for result, _ in outcomes]
+
+
 class TestRunSweep:
     @pytest.fixture(autouse=True)
     def one_worker(self, monkeypatch):
@@ -215,20 +225,20 @@ class TestRunSweep:
         monkeypatch.setenv("DADO_THREADS", "1")
 
     def test_grid_shape_and_aggregates(self, pool):
-        scenarios = [fast_scenario(name="grid")]
-        strategies = list(StrategyKind)
-        seeds = [0, 1]
-        summary = run_sweep(pool, scenarios, strategies, seeds)
-        assert len(summary.runs) == 6
-        assert all(r.result is not None for r in summary.runs)
+        jobs = sweep_jobs(list(StrategyKind), [0, 1], name="grid")
+        outcomes = run_sweep(pool, jobs)
+        assert all(error is None for _, error in outcomes)
+        results = results_of(outcomes)
+        assert [r.scenario for r in results] == jobs
+        table = sweep_table(results)
         # 3 strategies x 6 metrics.
-        assert len(summary.table) == 18
+        assert len(table) == 18
         # Aggregate means equal hand-averaged per-run values.
-        for row in summary.table:
+        for row in table:
             members = [
-                r.result.summary[row.metric]
-                for r in summary.runs
-                if r.strategy == row.strategy
+                r.summary[row.metric]
+                for r in results
+                if r.scenario.strategy.value == row.strategy
             ]
             assert row.auc_mean == pytest.approx(
                 np.mean([m["auc"] for m in members]), abs=1e-12
@@ -238,41 +248,30 @@ class TestRunSweep:
             )
 
     def test_single_seed_has_zero_stderr(self, pool):
-        summary = run_sweep(pool, [fast_scenario()], [StrategyKind.RANDOM], [3])
-        assert all(row.auc_stderr == 0.0 for row in summary.table)
+        table = sweep_table(results_of(run_sweep(pool, sweep_jobs([StrategyKind.RANDOM], [3]))))
+        assert all(row.auc_stderr == 0.0 for row in table)
 
     def test_parallel_matches_serial(self, pool, monkeypatch):
-        scenarios = [fast_scenario(name="par")]
-        strategies = [StrategyKind.L2_SELECT, StrategyKind.RANDOM]
-        serial = run_sweep(pool, scenarios, strategies, [0, 1])
+        jobs = sweep_jobs([StrategyKind.L2_SELECT, StrategyKind.RANDOM], [0, 1], name="par")
+        serial = sweep_table(results_of(run_sweep(pool, jobs)))
         monkeypatch.setenv("DADO_THREADS", "2")
-        parallel = run_sweep(pool, scenarios, strategies, [0, 1])
-        for a, b in zip(serial.table, parallel.table):
-            assert a == b
+        parallel = sweep_table(results_of(run_sweep(pool, jobs)))
+        assert parallel == serial
 
     def test_failures_are_recorded_not_raised(self, pool):
-        bad = fast_scenario(name="too-big", initial_size=290, draw_size=40, aq_size=10, budget=330)
-        summary = run_sweep(pool, [bad], [StrategyKind.RANDOM], [0])
-        assert summary.runs[0].result is None
-        assert "PoolExhausted" in summary.runs[0].error
-        assert summary.table == []
+        bad = fast_scenario(StrategyKind.RANDOM, name="too-big", initial_size=290, draw_size=40,
+                            aq_size=10, budget=330)
+        [(result, error)] = run_sweep(pool, [bad])
+        assert result is None
+        assert "PoolExhausted" in error
+        assert sweep_table([]) == []
 
-    def test_sweep_needs_nonempty_grid(self, pool):
-        with pytest.raises(ConfigError):
-            run_sweep(pool, [], [StrategyKind.RANDOM], [0])
-
-    def test_duplicate_scenario_names_rejected(self, pool):
-        with pytest.raises(ConfigError):
-            run_sweep(
-                pool,
-                [fast_scenario(name="dup"), fast_scenario(name="dup")],
-                [StrategyKind.RANDOM],
-                [0],
-            )
+    def test_empty_job_list_runs_nothing(self, pool):
+        assert run_sweep(pool, []) == []
 
     def test_fresh_pool_per_run(self, pool):
         before = pool.available
-        run_sweep(pool, [fast_scenario()], [StrategyKind.RANDOM], [0, 1])
+        run_sweep(pool, sweep_jobs([StrategyKind.RANDOM], [0, 1]))
         assert pool.available == before
 
 
@@ -285,7 +284,7 @@ START_METHOD_SWEEP = """
 import multiprocessing, os, pickle, sys
 from multiprocessing.connection import Connection
 
-from dado.loop import ScenarioConfig, run_sweep
+from dado.loop import ScenarioConfig, run_sweep, sweep_table
 from dado.oracle import gen_synthetic_pool
 from dado.strategies import StrategyKind
 from dado.surrogate import MlpConfig, TrainConfig
@@ -304,16 +303,16 @@ if __name__ == "__main__":
     multiprocessing.set_start_method(sys.argv[1])
     Connection.send_bytes = counting_send_bytes
     pool = gen_synthetic_pool(int(sys.argv[2]), 3, seed=17)
-    cfg = ScenarioConfig(name="start", initial_size=20, draw_size=40, aq_size=10, budget=40,
-                         strategy=StrategyKind.RANDOM, seed=0, mlp=MlpConfig(hidden=(8, 4)),
-                         train=TrainConfig(max_epochs=2))
-    grid = ([cfg], [StrategyKind.L2_SELECT, StrategyKind.RANDOM], [0, 1])
+    jobs = [ScenarioConfig(name="start", initial_size=20, draw_size=40, aq_size=10, budget=40,
+                           strategy=st, seed=sd, mlp=MlpConfig(hidden=(8, 4)),
+                           train=TrainConfig(max_epochs=2))
+            for st in (StrategyKind.L2_SELECT, StrategyKind.RANDOM) for sd in (0, 1)]
     os.environ["DADO_THREADS"] = "1"
-    serial = run_sweep(pool, *grid)
+    serial = sweep_table(result for result, _ in run_sweep(pool, jobs))
     os.environ["DADO_THREADS"] = "2"
     shipped = 0
-    parallel = run_sweep(pool, *grid)
-    print(parallel.table == serial.table, shipped, len(pickle.dumps(pool)))
+    parallel = sweep_table(result for result, _ in run_sweep(pool, jobs))
+    print(parallel == serial, shipped, len(pickle.dumps(pool)))
 """
 
 
