@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import errno
 import hashlib
 import itertools
@@ -17,6 +18,7 @@ import json
 import math
 import os
 import sys
+from concurrent.futures import BrokenExecutor
 from dataclasses import MISSING, asdict, astuple, fields, is_dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -233,6 +235,20 @@ def _load_pool_auto(path):
                   "num_obj": pool.num_obj}
 
 
+def _blas() -> dict:
+    """The BLAS numpy was built with, and the kernel OpenBLAS picked for this CPU;
+    "unknown" for what this numpy does not say."""
+    built = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {})
+    try:
+        corename = ctypes.CDLL(np._core._multiarray_umath.__file__).scipy_openblas_get_corename64_
+        corename.restype = ctypes.c_char_p
+        core = corename().decode()
+    except (AttributeError, OSError):
+        core = "unknown"
+    return {"name": built.get("name", "unknown"), "version": built.get("version", "unknown"),
+            "core": core}
+
+
 def _write_run_outputs(out_dir: Path, pool_entry: dict, result) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(out_dir / "iterations.csv", ITERATIONS_HEADER, map(astuple, result.records))
@@ -244,6 +260,8 @@ def _write_run_outputs(out_dir: Path, pool_entry: dict, result) -> None:
         "pool": pool_entry,
         "config": scenario_to_dict(result.scenario),
         "train_step": "numpy" if native_kernel() is None else "native",
+        "numpy": np.__version__,
+        "blas": _blas(),
         "outputs": {"iterations": "iterations.csv", "summary": "summary.json"},
     }
     _write_json(out_dir / "manifest.json", manifest)
@@ -463,7 +481,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (DadoError, OSError, MemoryError) as exc:
+    except (DadoError, OSError, MemoryError, BrokenExecutor) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2 if isinstance(exc, ConfigError) else 1
 

@@ -14,25 +14,22 @@ does. The reader parses rows of the decimals the formatter writes to the
 doubles `float` gives, with Ryu's s2d on the same tables, and refuses any
 other text. The C file is compiled on first use into `$XDG_CACHE_HOME/dado`
 (default `~/.cache/dado`), or into a private temporary directory when that
-one is not writable; a new build deletes this architecture's libraries of
-other sources or flags that are more than a week old. The loaded kernels are
-used only after a self-check on fixed inputs matches the Python paths bit for
-bit and byte for byte. With no compiler, a failed build or load, no float64
-loop to call, or a failed self-check, training runs numpy and pools are
-written through `repr` and read through `np.loadtxt`, with the same results,
-only slower.
+one is not writable. A build adds its own library and deletes nothing: the
+cache is never pruned, and `rm -r ~/.cache/dado` clears it. The loaded
+kernels are used only after a self-check on fixed inputs matches the Python
+paths bit for bit and byte for byte. With no compiler, a failed build or
+load, no float64 loop to call, or a failed self-check, training runs numpy
+and pools are written through `repr` and read through `np.loadtxt`, with the
+same results, only slower.
 """
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import functools
 import hashlib
 import os
 import platform
-import re
-import time
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -40,7 +37,6 @@ import numpy as np
 
 _SOURCE = Path(__file__).with_name("_native.c")
 _CFLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-shared", "-fPIC")
-_STALE_BUILD_AGE_S = 7 * 24 * 60 * 60  # a week
 FORMAT_SLACK = 16  # bytes past its text the C formatter may write (dado_format_rows)
 
 
@@ -264,7 +260,6 @@ def load_kernel():
             try:
                 directory.mkdir(parents=True, exist_ok=True)
                 _compile(cc, source, directory, target)
-                _remove_stale_builds(directory, name)
             except OSError:
                 private = directory = Path(tempfile.mkdtemp(prefix="dado-"))
                 target = directory / name
@@ -297,24 +292,6 @@ def load_kernel():
     kernel = Kernels(adam, fwd_bwd, format_rows, parse_rows)
     checks = (_adam_check, _fwd_bwd_check, _format_check, _parse_check)
     return kernel if all(check(kernel) for check in checks) else None
-
-
-def _remove_stale_builds(directory: Path, current: str) -> None:
-    """Delete this architecture's libraries of other sources or flags from the cache,
-    once they are more than `_STALE_BUILD_AGE_S` old.
-
-    A newer library stays, so checkouts of two sources sharing the cache do not
-    delete each other's. Libraries built for other architectures stay, for
-    hosts sharing the cache. A library another process has loaded stays
-    mapped, so deleting it is safe.
-    """
-    stale = re.compile(rf"(adam|native)-({re.escape(platform.machine())}-)?[0-9a-f]{{20}}\.so")
-    cutoff = time.time() - _STALE_BUILD_AGE_S
-    for path in directory.iterdir():
-        if path.name != current and stale.fullmatch(path.name):
-            with contextlib.suppress(OSError):
-                if path.stat().st_mtime < cutoff:
-                    path.unlink()
 
 
 def _pow5_tables() -> tuple[np.ndarray, np.ndarray]:

@@ -171,6 +171,27 @@ class TestRun:
         assert manifest["train_step"] == ("numpy" if native_kernel() is None else "native")
         assert "adam" not in manifest and "fwd_bwd" not in manifest
 
+    def test_manifest_names_numpy_and_its_blas(self, tmp_path, monkeypatch):
+        pool = make_pool(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(FAST_CFG)
+        # numpy before 1.26 does not say what it was built with.
+        built = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {})
+        cores = []
+        for out_dir in (tmp_path / "out", tmp_path / "no-core-name"):
+            assert run_cli("run", "--pool", pool, "--config", cfg, "--out-dir", out_dir) == 0
+            manifest = json.loads((out_dir / "manifest.json").read_text())
+            assert manifest["numpy"] == np.__version__
+            assert set(manifest["blas"]) == {"name", "version", "core"}
+            assert manifest["blas"]["name"] == built.get("name", "unknown")
+            assert manifest["blas"]["version"] == built.get("version", "unknown")
+            cores.append(manifest["blas"]["core"])
+            # A BLAS without OpenBLAS's core-name symbol.
+            monkeypatch.setattr(cli.ctypes, "CDLL", lambda path: types.SimpleNamespace())
+        # The kernel's name itself is checked against OPENBLAS_CORETYPE in
+        # TestGoldenDigests::test_run_outputs_on_fma_kernels.
+        assert cores[0] and cores[1] == "unknown"
+
     def test_manifest_digest_is_the_pool_files_sha256(self, tmp_path):
         pool = make_pool(tmp_path)
         cfg = tmp_path / "run.cfg"
@@ -550,6 +571,33 @@ class TestSweep:
         _, jobs = cli._sweep_plan(dict(cli.parse_kv_file(cfg), name=longest_ok), tmp_path, None)
         assert max(len(cli._run_name(job).encode()) for job in jobs) == 255
 
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="the patched run reaches the workers only through fork")
+    def test_dead_worker_is_an_error_line(self, tmp_path, capsys, monkeypatch):
+        # One job kills its worker process, as a crash in C or the OOM killer would.
+        run_experiment = loop.run_experiment
+
+        def dying(pool, cfg):
+            if cfg.strategy.value == "random" and cfg.seed == 1:
+                os._exit(3)
+            return run_experiment(pool, cfg)
+
+        monkeypatch.setattr(loop, "run_experiment", dying)
+        monkeypatch.setenv("DADO_THREADS", "2")
+        pool = make_pool(tmp_path)
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(SWEEP_CFG + f"\npool = {pool}\n")
+        previous = multiprocessing.get_start_method(allow_none=True)
+        multiprocessing.set_start_method("fork", force=True)
+        try:
+            code = run_cli("sweep", "--config", cfg, "--out-dir", tmp_path / "out")
+        finally:
+            multiprocessing.set_start_method(previous, force=True)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     def test_single_seed_stderr_is_zero(self, tmp_path):
         pool = make_pool(tmp_path)
         cfg = tmp_path / "sweep.cfg"
@@ -827,6 +875,7 @@ class TestGoldenDigests:
             pytest.skip(f"OpenBLAS runs {picked or 'an unnamed kernel'} here, not {core}")
         for name in ("iterations.csv", "summary.json"):
             assert self.digest(out_dir / name) == GOLDEN_SHA256[name], name
+        assert json.loads((out_dir / "manifest.json").read_text())["blas"]["core"] == picked
 
     def test_pool_and_run_outputs_without_a_compiler(self, tmp_path):
         # With no `cc` on PATH nothing is built: the pool is written through `repr`,

@@ -373,24 +373,24 @@ class TestAdam:
         built = sorted(f.name for f in (tmp_path / "dado").iterdir())
         assert len(built) == 2 and all(name.startswith("native-") for name in built)
 
-    def test_a_new_build_deletes_stale_builds(self, kernel, tmp_path, monkeypatch):
+    def test_a_new_build_leaves_every_other_file(self, kernel, tmp_path, monkeypatch):
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
         cache = tmp_path / "dado"
         cache.mkdir()
-        stale = [f"adam-{'1' * 20}.so", f"native-{'2' * 20}.so",
-                 f"native-{platform.machine()}-{'3' * 20}.so"]
-        # Another file, another architecture's library, another process's build in progress.
-        kept = ["notes.txt", f"native-other-arch-{'4' * 20}.so", ".native-x1y2z3.so"]
-        for name in stale + kept:
-            (cache / name).write_bytes(b"")
-        # Only libraries older than a week are stale; the kept files are old too.
-        week_ago = time.time() - native._STALE_BUILD_AGE_S - 60
-        for name in stale + kept:
+        # Libraries of another source, of another architecture and of older names,
+        # another process's build in progress, and a file of the user's.
+        others = {f"native-{platform.machine()}-{'3' * 20}.so": b"another source",
+                  f"native-other-arch-{'4' * 20}.so": b"another architecture",
+                  f"native-{'2' * 20}.so": b"no architecture", f"adam-{'1' * 20}.so": b"adam",
+                  ".native-x1y2z3.so": b"", "notes.txt": b"notes"}
+        week_ago = time.time() - 8 * 24 * 60 * 60
+        for name, data in others.items():
+            (cache / name).write_bytes(data)
             os.utime(cache / name, (week_ago, week_ago))
         assert native.load_kernel() is not None
-        built = {f.name for f in cache.iterdir()}.difference(kept)
+        built = {f.name for f in cache.iterdir()}.difference(others)
         assert len(built) == 1 and built.pop().startswith(f"native-{platform.machine()}-")
-        assert all((cache / name).exists() for name in kept)
+        assert {name: (cache / name).read_bytes() for name in others} == others
 
     def test_two_sources_sharing_a_cache_build_once_each(self, kernel, tmp_path, monkeypatch):
         # Two checkouts of different sources alternating on one cache keep both libraries.
