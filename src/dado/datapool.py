@@ -13,7 +13,6 @@ from __future__ import annotations
 import collections
 import csv
 import io
-import itertools
 import os
 import re
 import warnings
@@ -125,20 +124,22 @@ def pool_from_arrays(params: np.ndarray, objectives: np.ndarray) -> CandidatePoo
     objectives = np.asarray(objectives, dtype=float)
     if params.ndim != 2 or objectives.ndim != 2 or params.shape[0] != objectives.shape[0]:
         raise SchemaMismatch("params and objectives must be 2-D with matching row counts")
-    if params.shape[0] == 0:
-        raise SchemaMismatch("pool needs at least one candidate")
     if params.shape[1] == 0 or objectives.shape[1] == 0:
         raise SchemaMismatch("pool needs at least one parameter and one objective column")
-    if not np.isfinite(params).all() or not np.isfinite(objectives).all():
-        raise NonFiniteValue("non-finite value in pool arrays")
-    return _own_pool(np.hstack([params, objectives]), params.shape[1])
+    return _own_pool(np.hstack([params, objectives]), params.shape[1], "pool arrays")
 
 
-def _own_pool(table: np.ndarray, d: int) -> CandidatePool:
-    """The pool of this checked table of d parameter columns, which it takes over
-    and makes read-only. A parameter span or an objective's standard deviation that
-    overflows raises NonFiniteValue: the normalizers could not scale that column. A
+def _own_pool(table: np.ndarray, d: int, source: str) -> CandidatePool:
+    """The pool of this table of d parameter columns from `source`, which it takes
+    over and makes read-only: the one gate of every pool. No rows raise
+    SchemaMismatch; a non-finite value, or a parameter span or an objective's standard
+    deviation that overflows (the normalizers could not scale it), NonFiniteValue. A
     training subset's squared deviations sum to at most the pool's, so none overflows."""
+    if len(table) == 0:
+        raise SchemaMismatch(f"{source}: no data rows")
+    finite = np.isfinite(table).all(axis=1)
+    if not finite.all():
+        raise NonFiniteValue(f"{source}: non-finite value in row {np.flatnonzero(~finite)[0]}")
     bounds = np.column_stack([table[:, :d].min(axis=0), table[:, :d].max(axis=0)])
     with np.errstate(over="ignore", invalid="ignore"):
         bad = np.flatnonzero(~np.isfinite(
@@ -171,45 +172,38 @@ def thread_count() -> int:
     return threads
 
 
-def _line_blocks(fh, digest):
-    """The file's bytes as non-empty blocks of whole lines of at most
-    LOAD_BLOCK_BYTES (or longer, to end a longer line), each byte fed once to
-    `digest` (unless None); the last block holds what follows the last LF.
-
-    Each block is a view of the bytes of its own read, cut at its last LF,
-    and comes with its count of LFs; the line it cuts starts the next read.
-    """
-    while block := fh.read(LOAD_BLOCK_BYTES):
-        while b"\n" not in block and (more := fh.read(len(block))):
-            block += more  # a line longer than a block
-        cut = block.rfind(b"\n") + 1 or len(block)
-        fh.seek(cut - len(block), os.SEEK_CUR)
-        lfs = block.count(b"\n")  # all of them lie before the cut
-        block = memoryview(block)[:cut]
-        if digest is not None:
-            digest.update(block)
-        yield block, lfs
-
-
-def _read_header(p: Path, blocks) -> tuple[list[str], tuple[memoryview, int]]:
-    """The header row of a pool CSV, and the bytes after its line ending with
-    their count of LFs.
+def _read_header(p: Path, fh, digest) -> tuple[list[str], bool]:
+    """The header row of the pool CSV open in `fh`, read as its first line and
+    fed to `digest` (unless None), and whether that line's end is the header's.
 
     An empty or non-UTF-8 header raises; a UTF-8 byte-order mark before it
     is dropped. The header ends at the first CR, LF or CRLF, as `csv` and
-    universal newlines end it.
+    universal newlines end it, so a lone CR ends it before its line does.
     """
-    first, lfs = next(blocks, (memoryview(b""), 0))
-    end = re.search(rb"\r\n?|\n", first)
+    line = fh.readline()
+    if digest is not None:
+        digest.update(line)
+    end = re.search(rb"\r\n?|\n", line)
     try:
-        line = str(first[:end.start() if end else len(first)], "utf-8-sig")
+        text = str(line[:end.start() if end else len(line)], "utf-8-sig")
     except UnicodeDecodeError:
         raise SchemaMismatch(f"{p}: not UTF-8 text") from None
-    header = next(csv.reader([line]), None)
+    header = next(csv.reader([text]), None)
     if not header:
         raise SchemaMismatch(f"{p}: empty file, expected a header row")
-    rest = end.end() if end else len(first)
-    return header, (first[rest:], lfs - (first[rest - 1:rest] == b"\n"))
+    return header, end is None or end.end() == len(line)
+
+
+def _line_blocks(fh, digest):
+    """The rest of the file as blocks of whole lines, each the next
+    LOAD_BLOCK_BYTES and the rest of the line they end in, with its row count:
+    its LFs, plus one for any text after the last. Each byte is fed once to
+    `digest` (unless None).
+    """
+    while block := fh.read(LOAD_BLOCK_BYTES) + fh.readline():
+        if digest is not None:
+            digest.update(block)
+        yield block, block.count(b"\n") + (block[-1] != ord("\n"))
 
 
 def _schema(p: Path, header: list[str]) -> tuple[int, int]:
@@ -231,11 +225,12 @@ def load_pool(path, *, digest=None) -> CandidatePool:
     candidate ids 0..n-1. Raises MissingFile, SchemaMismatch on a header off
     that convention, a wrong column count or a non-numeric cell, or
     NonFiniteValue naming the offending data row. The file is opened once
-    and read in blocks of whole lines that also go to `digest`, a hashlib
-    object, when given. The C reader parses the blocks, on `thread_count()`
-    threads, when the library loaded and every byte is in the writer's form;
-    otherwise one `np.loadtxt` call reads the whole file again from its
-    start. Either way the values and errors are that call's.
+    and read as its header line, then blocks of whole lines, all of which also
+    go to `digest`, a hashlib object, when given. The C reader parses the
+    blocks, on `thread_count()` threads, when the library loaded, the header
+    ended its line and every byte is in the writer's form; otherwise one
+    `np.loadtxt` call reads the whole file again from its start. Either way
+    the values and errors are that call's.
     """
     threads = thread_count()
     p = Path(path)
@@ -243,40 +238,31 @@ def load_pool(path, *, digest=None) -> CandidatePool:
         raise MissingFile(f"pool file not found: {p}")
     parse = csv_reader(native_kernel())
     with open(p, "rb") as fh:
-        blocks = _line_blocks(fh, digest)
-        header, first = _read_header(p, blocks)
+        header, whole_line = _read_header(p, fh, digest)
         d, num_obj = _schema(p, header)
-        table = None if parse is None else _parse_blocks(
-            parse, itertools.chain([first], blocks), d + num_obj, os.fstat(fh.fileno()).st_size,
-            threads)
+        blocks = _line_blocks(fh, digest)
+        table = None if parse is None or not whole_line else _parse_blocks(
+            parse, blocks, d + num_obj, os.fstat(fh.fileno()).st_size, threads)
         if table is None:
             collections.deque(blocks, maxlen=0)  # the digest still sees every byte
             table = _loadtxt_pool(p, fh, d + num_obj)
-    if len(table) == 0:
-        raise SchemaMismatch(f"{p}: no data rows")
-    finite = np.isfinite(table).all(axis=1)
-    if not finite.all():
-        bad = int(np.flatnonzero(~finite)[0])
-        raise NonFiniteValue(f"{p}: non-finite value in row {bad}")
-    return _own_pool(table, d)
+    return _own_pool(table, d, str(p))
 
 
 def _parse_blocks(parse, blocks, cols: int, size: int, threads: int):
     """The table of `blocks`, pairs of whole lines of a `size`-byte file and
-    their LF count, read by the C reader `parse` on `threads` threads; None
+    their row count, read by the C reader `parse` on `threads` threads; None
     when it refuses a block or reads other than the block's rows.
 
-    A block's rows are its LFs, plus one for any text after the last, so each
-    is parsed straight into its own slice of the table. The table grows, only
-    while no parse is in flight, to the rows the bytes read so far foretell,
-    and is cut to the rows at the end.
+    Each block is parsed straight into its own slice of the table. The table
+    grows, only while no parse is in flight, to the rows the bytes read so far
+    foretell, and is cut to the rows at the end.
     """
     table = np.empty((0, cols))
     read = rows = 0
     parses = collections.deque()
     with ThreadPoolExecutor(threads) as executor:  # on return, waits for every parse
-        for text, lfs in blocks:
-            n = lfs + (len(text) > 0 and text[-1] != ord("\n"))
+        for text, n in blocks:
             read += len(text)
             grow = rows + n > len(table)
             # At most `threads` parses in flight, and none while the table moves.

@@ -29,6 +29,8 @@ def gen_synthetic_pool(n: int, d: int, seed: int, anchor_a=None, anchor_b=None) 
     """
     if n < 1 or d < 1:
         raise ConfigError("synthetic pool needs n >= 1 and d >= 1")
+    if n * (d + 2) > np.iinfo(np.intp).max // 8:  # float64 cells numpy can index
+        raise ConfigError(f"a synthetic pool of n={n} by d={d} is too large for numpy to index")
     if seed < 0:
         raise ConfigError(f"synthetic pool seed must be non-negative, got {seed}")
     a = np.full(d, 0.25) if anchor_a is None else np.asarray(anchor_a, dtype=float)

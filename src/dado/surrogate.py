@@ -38,6 +38,8 @@ class MlpConfig:
     def __post_init__(self):
         if not self.hidden or any(h < 1 for h in self.hidden):
             raise ConfigError("hidden layer sizes must be positive")
+        # The smallest net of these hidden layers; init_model checks the data's widths.
+        _check_indexable((1, *self.hidden, 1), f"hidden layer sizes {self.hidden}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError("dropout_rate must lie in [0, 1)")
         if not 0.0 <= self.leaky_slope <= 1.0:
@@ -71,6 +73,18 @@ def _layer_shapes(widths: tuple[int, ...]) -> list[tuple[int, int]]:
     return list(zip(widths[1:], widths[:-1]))
 
 
+def _parameter_count(widths: tuple[int, ...]) -> int:
+    """The weights and biases of a net of these layer widths."""
+    return sum(fan_out * (fan_in + 1) for fan_out, fan_in in _layer_shapes(widths))
+
+
+def _check_indexable(widths: tuple[int, ...], what: str) -> None:
+    """Raise ConfigError when the parameters of a net of these layer widths are more
+    float64 cells than numpy can index; `what` names the widths' source."""
+    if _parameter_count(widths) > np.iinfo(np.intp).max // 8:
+        raise ConfigError(f"{what} give more weights than numpy can index")
+
+
 class SurrogateModel:
     """The whole network as one contiguous float64 vector `theta`.
 
@@ -84,8 +98,7 @@ class SurrogateModel:
         self.config = config
         self.widths = (input_dim, *config.hidden, output_dim)
         self.theta = np.ascontiguousarray(theta, dtype=np.float64)
-        shapes = _layer_shapes(self.widths)
-        size = sum(fan_out * (fan_in + 1) for fan_out, fan_in in shapes)
+        size = _parameter_count(self.widths)
         if self.theta.shape != (size,):
             raise DimensionMismatch(
                 f"theta of shape {self.theta.shape} does not fit a model of {size} parameters"
@@ -93,7 +106,7 @@ class SurrogateModel:
         self.weights: list[np.ndarray] = []
         self.biases: list[np.ndarray] = []
         offset = 0
-        for fan_out, fan_in in shapes:
+        for fan_out, fan_in in _layer_shapes(self.widths):
             end = offset + fan_out * fan_in
             self.weights.append(self.theta[offset:end].reshape(fan_out, fan_in))
             self.biases.append(self.theta[end : end + fan_out])
@@ -109,9 +122,12 @@ class SurrogateModel:
 
 def init_model(config: MlpConfig, input_dim: int, output_dim: int, seed: int) -> SurrogateModel:
     """Fan-in-scaled uniform weight init, zero biases, deterministic under seed."""
+    widths = (input_dim, *config.hidden, output_dim)
+    _check_indexable(widths, f"hidden layer sizes {config.hidden} between {input_dim} inputs "
+                             f"and {output_dim} outputs")
     rng = np.random.default_rng(seed)
     parts = []
-    for fan_out, fan_in in _layer_shapes((input_dim, *config.hidden, output_dim)):
+    for fan_out, fan_in in _layer_shapes(widths):
         bound = 1.0 / np.sqrt(fan_in)
         parts += [rng.uniform(-bound, bound, size=fan_out * fan_in), np.zeros(fan_out)]
     return SurrogateModel(config, input_dim, output_dim, np.concatenate(parts))

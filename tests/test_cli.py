@@ -6,6 +6,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import multiprocessing
 import os
 import platform
@@ -137,6 +138,15 @@ class TestGenPool:
         code = run_cli("gen-pool", "--n", 10, "--d", 2, flag, value, "--out", out)
         assert code == 2
         assert f"{flag[2:]!r} has an empty item" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n, d", [(99999999999999999999, 3), (9223372036854775807, 1),
+                                      (3, 99999999999999999999)])
+    def test_size_numpy_cannot_index_is_a_config_error(self, tmp_path, capsys, n, d):
+        out = tmp_path / "x.csv"
+        assert run_cli("gen-pool", "--n", n, "--d", d, "--out", out) == 2
+        assert capsys.readouterr().err == (
+            f"error: a synthetic pool of n={n} by d={d} is too large for numpy to index\n")
         assert not out.exists()
 
 
@@ -349,6 +359,22 @@ class TestRun:
         code = run_cli("run", "--pool", pool, "--config", cfg, "--out-dir", tmp_path / "o")
         assert code == 2
         assert "'hidden' has an empty item" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_hidden_size_numpy_cannot_index_is_a_config_error(self, tmp_path, capsys,
+                                                               monkeypatch, command):
+        loads = []
+        monkeypatch.setattr(cli, "load_pool", lambda *args, **kwargs: loads.append(args))
+        cfg = tmp_path / "cfg"
+        cfg.write_text((FAST_CFG if command == "run" else SWEEP_CFG).replace(
+            "hidden = 8,4", "hidden = 99999999999999999999"))
+        code = run_cli(command, "--pool", tmp_path / "pool.csv", "--config", cfg,
+                       "--out-dir", tmp_path / "o")
+        assert code == 2
+        assert capsys.readouterr().err == ("error: hidden layer sizes (99999999999999999999,) "
+                                           "give more weights than numpy can index\n")
+        assert loads == []
         assert not (tmp_path / "o").exists()
 
     def test_diverged_training_exits_1(self, tmp_path, capsys):
@@ -935,6 +961,18 @@ if __name__ == "__main__":
     sys.exit(main(sys.argv[2:]))
 """
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+# Prepended to KERNEL_CLI: prints the pool rows of each acquisition on a line of their own.
+CONSUME_SPY = """
+import dado.loop
+
+def consume(pool, ids, consume=dado.loop.consume):
+    print("acquired", *ids.tolist(), flush=True)
+    consume(pool, ids)
+
+dado.loop.consume = consume
+"""
+# The most the working cell's srocc, best_mse and rnd_mse may differ between the FMA kernels.
+FMA_ULPS = 4
 
 
 class TestDeterminismAtWorkingShape:
@@ -986,6 +1024,32 @@ class TestDeterminismAtWorkingShape:
                         "--config", str(cfg), "--out-dir", str(tmp_path)],
                        env=env, capture_output=True, check=True, timeout=120)
         assert self.results(tmp_path) == expected
+
+    def test_fma_kernels(self, cell, tmp_path):
+        # The two kernels split a product's sums their own ways, so the errors may differ in
+        # their last bits; the rows acquired, and every count and rank, may not. Each kernel
+        # runs in its own process and is skipped as in TestGoldenDigests.
+        pool, cfg, _ = cell
+        runs = []
+        for core in ("SkylakeX", "Haswell"):
+            out_dir = tmp_path / core
+            env = {**os.environ, "OPENBLAS_CORETYPE": core, "PYTHONPATH": SRC}
+            done = subprocess.run(
+                [sys.executable, "-c", CONSUME_SPY + KERNEL_CLI, core, "run", "--pool", str(pool),
+                 "--config", str(cfg), "--out-dir", str(out_dir)],
+                env=env, capture_output=True, text=True, check=True, timeout=120)
+            picked, *lines = done.stdout.splitlines()
+            if picked.lower() != core.lower():
+                pytest.skip(f"OpenBLAS runs {picked or 'an unnamed kernel'} here, not {core}")
+            runs.append(([line for line in lines if line.startswith("acquired ")],
+                         cli.read_iterations(out_dir / "iterations.csv")))
+        (acquired, columns), (other_acquired, other) = runs
+        assert acquired == other_acquired and len(acquired) == 4
+        for name in ("train_size", "intersections", "mr_raw", "mr_norm"):
+            assert columns[name] == other[name], name
+        for name in ("srocc", "best_mse", "rnd_mse"):
+            for a, b in zip(columns[name], other[name]):
+                assert abs(a - b) <= FMA_ULPS * math.ulp(max(abs(a), abs(b))), (name, a, b)
 
     @classmethod
     def job_results(cls, out_dir):

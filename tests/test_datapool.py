@@ -133,14 +133,14 @@ class TestLoadPool:
             pool_from_arrays(np.zeros((3, 2)), np.zeros((4, 2)))
         with pytest.raises(SchemaMismatch):
             pool_from_arrays(np.zeros(3), np.zeros((3, 2)))
-        with pytest.raises(SchemaMismatch):
+        with pytest.raises(SchemaMismatch, match="^pool arrays: no data rows$"):
             pool_from_arrays(np.zeros((0, 2)), np.zeros((0, 2)))
         # The surrogate's input and output widths are the pool's column counts.
         for params, objectives in ((np.zeros((3, 0)), np.zeros((3, 2))),
                                    (np.zeros((3, 2)), np.zeros((3, 0)))):
             with pytest.raises(SchemaMismatch):
                 pool_from_arrays(params, objectives)
-        with pytest.raises(NonFiniteValue):
+        with pytest.raises(NonFiniteValue, match="^pool arrays: non-finite value in row 1$"):
             pool_from_arrays(np.zeros((3, 2)), np.array([[0.0, 1.0], [np.inf, 0.0], [1.0, 1.0]]))
 
 
@@ -812,15 +812,15 @@ class TestPoolReader:
             assert "at row 9000," in native[1]
 
     def test_file_is_read_in_blocks(self, kernel, desk_file, monkeypatch):
-        # Each block of whole lines is parsed once, in its own slice of the table: the
-        # rows its LFs foretell are where they go.
+        # The header line is read alone. Each block of whole lines after it ends at the
+        # first LF at or after LOAD_BLOCK_BYTES, and is parsed once, in its own slice of
+        # the table: the rows its LFs foretell are where they go.
         data = desk_file.read_bytes()
-        header = data.index(b"\r\n") + 2
         monkeypatch.setattr(datapool, "LOAD_BLOCK_BYTES", 1 << 16)
-        blocks, start = [], 0
+        blocks, start = [], data.index(b"\r\n") + 2
         while start < len(data):
-            end = data.rfind(b"\n", start, start + datapool.LOAD_BLOCK_BYTES) + 1
-            blocks.append(end - start - (header if start == 0 else 0))
+            end = data.find(b"\n", start + datapool.LOAD_BLOCK_BYTES) + 1 or len(data)
+            blocks.append(end - start)
             start = end
         reader = datapool.csv_reader
         expected = whole_file_outcome(desk_file)

@@ -16,7 +16,7 @@ import pytest
 import dado.native as native
 import dado.surrogate as surrogate
 from dado.datapool import TargetNormalizer
-from dado.errors import DimensionMismatch, NumericalDivergence
+from dado.errors import ConfigError, DimensionMismatch, NumericalDivergence
 from dado.surrogate import (
     MlpConfig,
     SurrogateModel,
@@ -64,6 +64,16 @@ class TestInit:
         assert any(
             not np.array_equal(a, b) for a, b in zip(m1.weights, m2.weights)
         )
+
+    def test_weights_numpy_cannot_index_are_a_config_error(self):
+        # 2**60 float64 cells are more bytes than a 64-bit numpy indexes. The hidden
+        # layers alone, and then with the data's widths, are checked before any allocation.
+        for hidden in ((2**60,), (2**30, 2**31)):
+            with pytest.raises(ConfigError, match="more weights than numpy can index"):
+                MlpConfig(hidden=hidden)
+        config = MlpConfig(hidden=(2**58,))
+        with pytest.raises(ConfigError, match="between 3 inputs and 2 outputs"):
+            init_model(config, 3, 2, seed=0)
 
     def test_parameter_count_for_the_default_architecture(self):
         model = init_model(MlpConfig(), 28, 2, seed=0)
