@@ -35,6 +35,7 @@ from .metrics import METRIC_FIELDS
 from .native import native_kernel
 from .oracle import gen_synthetic_pool
 from .strategies import StrategyKind
+from .surrogate import layer_widths
 
 ITERATIONS_HEADER = ("iter", "train_size") + METRIC_FIELDS
 
@@ -346,6 +347,8 @@ def cmd_sweep(args) -> int:
     out_dir = Path(args.out_dir)
     _check_out_dir(out_dir)
     pool, pool_entry = _load_pool_auto(pool_path)
+    for cfg in jobs:  # init_model's check, made before any job runs rather than in each
+        layer_widths(cfg.mlp, pool.d, pool.num_obj)
     outcomes = run_sweep(pool, jobs)
 
     out_dir.mkdir(parents=True, exist_ok=True)

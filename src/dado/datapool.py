@@ -157,7 +157,7 @@ def thread_count() -> int:
 
     It is `DADO_THREADS`, a positive integer, or when that is unset or empty
     the CPUs this process may run on. It bounds a sweep's worker processes and
-    the pool CSV threads. Any other value raises ConfigError.
+    `save_pool`'s formatting threads. Any other value raises ConfigError.
     """
     raw = os.environ.get("DADO_THREADS", "")
     if not raw:
@@ -227,12 +227,11 @@ def load_pool(path, *, digest=None) -> CandidatePool:
     NonFiniteValue naming the offending data row. The file is opened once
     and read as its header line, then blocks of whole lines, all of which also
     go to `digest`, a hashlib object, when given. The C reader parses the
-    blocks, on `thread_count()` threads, when the library loaded, the header
-    ended its line and every byte is in the writer's form; otherwise one
+    blocks, on one worker thread, when the library loaded, the header ended
+    its line and every byte is in the writer's form; otherwise one
     `np.loadtxt` call reads the whole file again from its start. Either way
     the values and errors are that call's.
     """
-    threads = thread_count()
     p = Path(path)
     if not p.is_file():
         raise MissingFile(f"pool file not found: {p}")
@@ -242,51 +241,40 @@ def load_pool(path, *, digest=None) -> CandidatePool:
         d, num_obj = _schema(p, header)
         blocks = _line_blocks(fh, digest)
         table = None if parse is None or not whole_line else _parse_blocks(
-            parse, blocks, d + num_obj, os.fstat(fh.fileno()).st_size, threads)
+            parse, blocks, d + num_obj, os.fstat(fh.fileno()).st_size)
         if table is None:
             collections.deque(blocks, maxlen=0)  # the digest still sees every byte
             table = _loadtxt_pool(p, fh, d + num_obj)
     return _own_pool(table, d, str(p))
 
 
-def _parse_blocks(parse, blocks, cols: int, size: int, threads: int):
+def _parse_blocks(parse, blocks, cols: int, size: int):
     """The table of `blocks`, pairs of whole lines of a `size`-byte file and
-    their row count, read by the C reader `parse` on `threads` threads; None
-    when it refuses a block or reads other than the block's rows.
+    their row count, read by the C reader `parse`; None when it refuses a block
+    or reads other than the block's rows.
 
-    Each block is parsed straight into its own slice of the table. The table
-    grows, only while no parse is in flight, to the rows the bytes read so far
+    One worker thread parses each block straight into its own slice of the
+    table while the calling thread reads and hashes the next. The table grows,
+    only once the pending parse has returned, to the rows the bytes read so far
     foretell, and is cut to the rows at the end.
     """
     table = np.empty((0, cols))
     read = rows = 0
-    parses = collections.deque()
-    with ThreadPoolExecutor(threads) as executor:  # on return, waits for every parse
+    pending = None  # the parse in flight and the rows it must read
+    with ThreadPoolExecutor(1) as executor:
         for text, n in blocks:
             read += len(text)
-            grow = rows + n > len(table)
-            # At most `threads` parses in flight, and none while the table moves.
-            if not _settled(parses, 0 if grow else threads - 1):
+            if pending and pending[0].result() != pending[1]:
                 return None
-            if grow:
+            if rows + n > len(table):
                 capacity = max(rows + n, round((rows + n) * size / read * 1.05))
                 table.resize((capacity, cols), refcheck=False)
-            parses.append((executor.submit(parse, text, table[rows:rows + n]), n))
+            pending = executor.submit(parse, text, table[rows:rows + n]), n
             rows += n
-        if not _settled(parses, 0):
+        if pending and pending[0].result() != pending[1]:
             return None
     table.resize((rows, cols), refcheck=False)
     return table
-
-
-def _settled(parses, in_flight: int) -> bool:
-    """Wait for the oldest `parses`, (future, rows expected) pairs, until at most
-    `in_flight` remain; False at the first that read other than its rows."""
-    while len(parses) > in_flight:
-        future, rows = parses.popleft()
-        if future.result() != rows:
-            return False
-    return True
 
 
 def _loadtxt_pool(p: Path, fh, expected: int) -> np.ndarray:

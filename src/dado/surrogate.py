@@ -120,11 +120,18 @@ class SurrogateModel:
         return self.like(self.theta.copy())
 
 
-def init_model(config: MlpConfig, input_dim: int, output_dim: int, seed: int) -> SurrogateModel:
-    """Fan-in-scaled uniform weight init, zero biases, deterministic under seed."""
+def layer_widths(config: MlpConfig, input_dim: int, output_dim: int) -> tuple[int, ...]:
+    """The layer widths, from input to output, of a net of `config` between data of
+    these widths; ConfigError when numpy could not index its weights."""
     widths = (input_dim, *config.hidden, output_dim)
     _check_indexable(widths, f"hidden layer sizes {config.hidden} between {input_dim} inputs "
                              f"and {output_dim} outputs")
+    return widths
+
+
+def init_model(config: MlpConfig, input_dim: int, output_dim: int, seed: int) -> SurrogateModel:
+    """Fan-in-scaled uniform weight init, zero biases, deterministic under seed."""
+    widths = layer_widths(config, input_dim, output_dim)
     rng = np.random.default_rng(seed)
     parts = []
     for fan_out, fan_in in _layer_shapes(widths):

@@ -377,6 +377,23 @@ class TestRun:
         assert loads == []
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_hidden_unindexable_with_the_pools_widths_is_a_config_error(self, tmp_path, capsys,
+                                                                        command):
+        # Indexable alone, so it passes MlpConfig; not between the pool's 3 inputs and 2
+        # outputs. The sweep refuses it before any job, as the run does.
+        pool = make_pool(tmp_path)
+        cfg = tmp_path / "cfg"
+        cfg.write_text((FAST_CFG if command == "run" else SWEEP_CFG).replace(
+            "hidden = 8,4", "hidden = 288230376151711744"))
+        capsys.readouterr()
+        code = run_cli(command, "--pool", pool, "--config", cfg, "--out-dir", tmp_path / "o")
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: hidden layer sizes (288230376151711744,) between 3 inputs and 2 outputs "
+            "give more weights than numpy can index\n")
+        assert not (tmp_path / "o").exists()
+
     def test_diverged_training_exits_1(self, tmp_path, capsys):
         pool = make_pool(tmp_path)
         cfg = tmp_path / "run.cfg"

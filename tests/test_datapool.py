@@ -9,6 +9,7 @@ import shutil
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -650,6 +651,84 @@ def fuzzed_decimals(rng, n):
     return cells
 
 
+def test_native_kernels_under_address_sanitizer(kernel, tmp_path):
+    # Every C kernel built with ASan, in a process that preloads its runtime: the train
+    # step at odd shapes and batch sizes that do not divide the rows, a pool through the
+    # writer and the reader, the fuzzed decimals, and tokens that end the readable memory.
+    # PYTHONMALLOC=malloc gives each Python object, such as a block of text, its own
+    # redzones.
+    found = subprocess.run([shutil.which("cc"), "-print-file-name=libasan.so"],
+                           capture_output=True, text=True).stdout.strip()
+    if not os.path.isabs(found):
+        pytest.skip("no ASan runtime")
+    tokens = [(b"0.12", 0.12), (b"1e", None), (b"-", None), (b"1.5e+", None), (b"1.", None),
+              (b"1e+308", 1e308), (b"2.2250738585072012e-308", 2.2250738585072014e-308),
+              (b"1\r", None), (b"1,", None), (b"12345678901234567", 12345678901234567.0)]
+    cells = tmp_path / "cells.txt"
+    cells.write_text("\n".join(fuzzed_decimals(np.random.default_rng(1), 20_000)))
+    script = f"""
+import ctypes
+import itertools
+import mmap
+import sys
+import numpy as np
+from dado import datapool, native, surrogate
+from dado.oracle import gen_synthetic_pool
+from dado.surrogate import MlpConfig, TrainConfig, init_model, predict_batch, train
+native._CFLAGS += ("-fsanitize=address", "-fno-omit-frame-pointer")
+kernel = native.native_kernel()
+if kernel is None:
+    sys.exit("the sanitized library failed to build, load or pass its self-check")
+rng = np.random.default_rng(0)
+for hidden, (d, out, batch, rows) in itertools.product(
+        [(8, 4), (200, 100), (3,), (64, 64, 64)],
+        [(28, 2, 4, 37), (3, 1, 1, 5), (5, 3, 7, 50)]):
+    x, t = rng.random((rows, d)), rng.normal(size=(rows, out))
+    model = init_model(MlpConfig(hidden=hidden), d, out, seed=1)
+    cfg = TrainConfig(batch_size=batch, max_epochs=2)
+    thetas = []
+    for path in (native.native_kernel, lambda: None):
+        surrogate.native_kernel = path
+        trained, _ = train(model, x, t, cfg, np.random.default_rng(2))
+        thetas.append(trained.theta.tobytes())
+    surrogate.native_kernel = native.native_kernel
+    if thetas[0] != thetas[1] or predict_batch(trained, x).shape != (rows, out):
+        sys.exit(f"the sanitized train step is not numpy's at {{hidden, d, out, batch, rows}}")
+pool = gen_synthetic_pool(20_000, 5, seed=3)
+datapool.save_pool(pool, {str(tmp_path / "pool.csv")!r})
+if datapool.load_pool({str(tmp_path / "pool.csv")!r}).table.tobytes() != pool.table.tobytes():
+    sys.exit("the sanitized pool did not read back")
+read = native.csv_reader(kernel)
+text = open({str(cells)!r}, "rb").read()
+column = np.empty((text.count(b"\\n") + 1, 1))
+if read(text, column) != len(column) or column.ravel().tolist() != list(map(float, text.split())):
+    sys.exit("the sanitized reader differs from float")
+if read(text, np.empty((len(column) - 1, 1))) != len(column):  # the last row is only counted
+    sys.exit("the sanitized reader miscounts rows past its table")
+# Each token ends the last readable page, so a read past its end faults.
+page = mmap.PAGESIZE
+memory = mmap.mmap(-1, 2 * page)
+base = ctypes.addressof(ctypes.c_char.from_buffer(memory))
+libc = ctypes.CDLL(None, use_errno=True)
+libc.mprotect.argtypes = [ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int]
+if libc.mprotect(base + page, page, 0) != 0:  # PROT_NONE
+    sys.exit("mprotect failed")
+out = (ctypes.c_double * 4)()
+for token, expected in {tokens!r}:
+    memory[page - len(token):page] = token
+    n = kernel.parse_rows(base + page - len(token), len(token), 1, out, len(out))
+    if (out[0] if n == 1 else None) != expected:
+        sys.exit(f"{{token}}: read {{n}} rows")
+"""
+    env = {**os.environ, "XDG_CACHE_HOME": str(tmp_path / "cache"), "DADO_THREADS": "2",
+           "PYTHONPATH": str(Path(dado.__file__).parents[1]), "LD_PRELOAD": found,
+           "ASAN_OPTIONS": "detect_leaks=0", "PYTHONMALLOC": "malloc"}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert "AddressSanitizer" not in done.stderr
+
+
 def whole_file_outcome(path):
     """What a pool file loads to through one np.loadtxt call over the whole file, the
     reader that the block reader replaced, with the schema its p*,...,j* header names:
@@ -840,6 +919,38 @@ class TestPoolReader:
             arrays = (pool.params, pool.objectives, pool.feature_bounds)
             assert tuple(a.tobytes() for a in arrays) == expected[:3]
             assert digest.digest() == hashlib.sha256(data).digest()
+
+    def test_one_parse_at_a_time(self, kernel, desk_file, monkeypatch):
+        # Whatever DADO_THREADS says, one worker parses: no two blocks are in flight.
+        monkeypatch.setattr(datapool, "LOAD_BLOCK_BYTES", 1 << 16)
+        monkeypatch.setenv("DADO_THREADS", "3")
+        reader = datapool.csv_reader
+        lock, active, most = threading.Lock(), 0, 0
+
+        def recording(k):
+            read = reader(k)
+
+            def parse(text, table):
+                nonlocal active, most
+                with lock:
+                    active += 1
+                    most = max(most, active)
+                time.sleep(0.002)
+                try:
+                    return read(text, table)
+                finally:
+                    with lock:
+                        active -= 1
+
+            return parse
+
+        monkeypatch.setattr(datapool, "csv_reader", recording)
+        digest = hashlib.sha256()
+        pool = load_pool(desk_file, digest=digest)
+        assert most == 1
+        arrays = (pool.params, pool.objectives, pool.feature_bounds)
+        assert tuple(a.tobytes() for a in arrays) == whole_file_outcome(desk_file)[:3]
+        assert digest.digest() == hashlib.sha256(desk_file.read_bytes()).digest()
 
     def test_byte_order_mark_before_the_header(self, kernel, tmp_path, monkeypatch):
         # Spreadsheet "CSV UTF-8" exports start with one; anywhere else it is a bad cell.
