@@ -27,10 +27,10 @@ from typing import get_type_hints
 import numpy as np
 
 from . import __version__
-from .datapool import load_pool, save_pool, thread_count
+from .datapool import load_pool, save_pool
 from .errors import ConfigError, DadoError, MissingFile, SchemaMismatch, SizeMismatch
 from .loop import (AggregateRow, ScenarioConfig, run_experiment, run_sweep, stderr_of,
-                   sweep_table)
+                   sweep_table, thread_count)
 from .metrics import METRIC_FIELDS
 from .native import native_kernel
 from .oracle import gen_synthetic_pool
@@ -273,7 +273,6 @@ def _write_run_outputs(out_dir: Path, pool_entry: dict, result) -> None:
 
 
 def cmd_gen_pool(args) -> int:
-    thread_count()  # a bad DADO_THREADS exits before any file is opened
     anchors = [None if text is None else _list(f"anchor-{ab}", float, text)
                for ab, text in (("a", args.anchor_a), ("b", args.anchor_b))]
     pool = gen_synthetic_pool(args.n, args.d, args.seed, *anchors)
@@ -296,7 +295,6 @@ def _check_out_dir(path: Path) -> None:
 
 
 def cmd_run(args) -> int:
-    thread_count()  # a bad DADO_THREADS exits before any file is opened
     kv = parse_kv_file(args.config) if args.config else {}
     # A flag's dest is its config key and its text is parsed like the file's; a flag
     # that was given overrides the file.
@@ -347,8 +345,8 @@ def cmd_sweep(args) -> int:
     out_dir = Path(args.out_dir)
     _check_out_dir(out_dir)
     pool, pool_entry = _load_pool_auto(pool_path)
-    for cfg in jobs:  # init_model's check, made before any job runs rather than in each
-        layer_widths(cfg.mlp, pool.d, pool.num_obj)
+    # init_model's check of the sweep's one mlp, made before any job runs rather than in each
+    layer_widths(jobs[0].mlp, pool.d, pool.num_obj)
     outcomes = run_sweep(pool, jobs)
 
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -400,7 +398,7 @@ def cmd_report(args) -> int:
         if not manifest_path.is_file():
             raise MissingFile(f"no manifest.json under {run_path}")
         try:
-            with open(manifest_path, encoding="utf-8") as fh:
+            with open(manifest_path, encoding="utf-8-sig") as fh:
                 strategy = json.load(fh)["config"]["strategy"]
             if not isinstance(strategy, str):
                 raise TypeError(strategy)

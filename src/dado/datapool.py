@@ -15,6 +15,7 @@ import csv
 import io
 import os
 import re
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -24,7 +25,6 @@ import numpy as np
 
 from .errors import (
     AlreadyConsumed,
-    ConfigError,
     DegenerateInput,
     MissingFile,
     NonFiniteValue,
@@ -150,26 +150,6 @@ def _own_pool(table: np.ndarray, d: int, source: str) -> CandidatePool:
     for a in (table, bounds):
         a.setflags(write=False)
     return CandidatePool(table, bounds, np.zeros(len(table), dtype=bool))
-
-
-def thread_count() -> int:
-    """The number of threads or processes a command may run on.
-
-    It is `DADO_THREADS`, a positive integer, or when that is unset or empty
-    the CPUs this process may run on. It bounds a sweep's worker processes and
-    `save_pool`'s formatting threads. Any other value raises ConfigError.
-    """
-    raw = os.environ.get("DADO_THREADS", "")
-    if not raw:
-        affinity = getattr(os, "sched_getaffinity", None)
-        return len(affinity(0)) if affinity else os.cpu_count() or 1
-    try:
-        threads = int(raw)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        raise ConfigError(f"DADO_THREADS must be a positive integer, got {raw!r}")
-    return threads
 
 
 def _read_header(p: Path, fh, digest) -> tuple[list[str], bool]:
@@ -308,29 +288,50 @@ def save_pool(pool: CandidatePool, path, *, digest=None) -> None:
     Each float is written as its `repr`, the shortest text that reads back to
     it, so identical pools serialize to identical bytes. The rows go out in
     chunks, through the C formatter when it loaded and `repr` otherwise, with
-    the same bytes. The chunks are formatted on `thread_count()` threads, at
-    most one in flight per thread, and the calling thread writes them in
-    order, feeding every byte written to `digest`, a hashlib object, when
-    given.
+    the same bytes. One worker thread formats each chunk while the calling
+    thread writes the one before, in order, feeding every byte written to
+    `digest`, a hashlib object, when given; so at most two chunks' text is
+    alive at once.
+
+    The file appears whole or not at all: the rows go to a sibling in the same
+    directory, which replaces `path` once written and is removed when the save
+    fails. A `path` that exists and is not a regular file, such as a pipe or a
+    device, is written in place.
     """
-    threads = thread_count()
+    target = Path(os.path.realpath(path))
+    if target.exists() and not target.is_file():
+        with open(path, "wb") as fh:
+            return _write_pool(pool, fh, digest)
+    part = target.with_name(f".dado-{os.getpid()}-{threading.get_ident()}.tmp")
+    try:
+        with open(part, "wb") as fh:
+            _write_pool(pool, fh, digest)
+        os.replace(part, target)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
+
+
+def _write_pool(pool: CandidatePool, fh, digest) -> None:
+    """`save_pool`'s bytes, written to the binary file `fh` and fed to `digest` (unless None)."""
     header = [f"p{i}" for i in range(pool.d)] + [f"j{i}" for i in range(pool.num_obj)]
     format_rows = csv_formatter(native_kernel(), pool.table.shape[1]) or repr_rows
-    with open(path, "wb") as fh, ThreadPoolExecutor(threads) as executor:
 
-        def write(text) -> None:
-            fh.write(text)
-            if digest is not None:
-                digest.update(text)
+    def write(text) -> None:
+        fh.write(text)
+        if digest is not None:
+            digest.update(text)
 
-        write(",".join(header).encode() + b"\r\n")
-        chunks = collections.deque()
+    write(",".join(header).encode() + b"\r\n")
+    pending = None  # the chunk in formatting, written once the next is submitted
+    with ThreadPoolExecutor(1) as executor:
         for start in range(0, len(pool), SAVE_CHUNK_ROWS):
-            if len(chunks) == threads:
-                write(chunks.popleft().result())
-            chunks.append(executor.submit(format_rows, pool.table[start:start + SAVE_CHUNK_ROWS]))
-        while chunks:
-            write(chunks.popleft().result())
+            chunk = executor.submit(format_rows, pool.table[start:start + SAVE_CHUNK_ROWS])
+            if pending:
+                write(pending.result())
+            pending = chunk
+        if pending:
+            write(pending.result())
 
 
 def _sample_available(pool: CandidatePool, size: int, rng, what: str) -> np.ndarray:

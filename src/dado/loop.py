@@ -21,7 +21,6 @@ from .datapool import (
     consume,
     fit_normalizers,
     initial_sample,
-    thread_count,
 )
 from .errors import ConfigError, PoolExhausted
 from .metrics import (
@@ -242,6 +241,25 @@ def stderr_of(values) -> float:
     if v.size < 2:
         return 0.0
     return float(v.std(ddof=1) / np.sqrt(v.size))
+
+
+def thread_count() -> int:
+    """The number of worker processes a sweep may run on.
+
+    It is `DADO_THREADS`, a positive integer, or when that is unset or empty
+    the CPUs this process may run on. Any other value raises ConfigError.
+    """
+    raw = os.environ.get("DADO_THREADS", "")
+    if not raw:
+        affinity = getattr(os, "sched_getaffinity", None)
+        return len(affinity(0)) if affinity else os.cpu_count() or 1
+    try:
+        threads = int(raw)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise ConfigError(f"DADO_THREADS must be a positive integer, got {raw!r}")
+    return threads
 
 
 def run_sweep(pool: CandidatePool, jobs: list[ScenarioConfig]) -> list[tuple]:

@@ -3,6 +3,7 @@
 import argparse
 import builtins
 import csv
+import errno
 import hashlib
 import io
 import json
@@ -23,7 +24,7 @@ import pytest
 import dado
 from dado import cli, datapool, loop, surrogate
 from dado.cli import ITERATIONS_HEADER, RUN_KEYS, SWEEP_KEYS, build_parser, main
-from dado.datapool import load_pool
+from dado.datapool import load_pool, save_pool
 from dado.errors import ConfigError, SchemaMismatch
 from dado.native import native_kernel
 
@@ -139,6 +140,29 @@ class TestGenPool:
         assert code == 2
         assert f"{flag[2:]!r} has an empty item" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("existed", [False, True])
+    def test_failed_write_leaves_no_pool_that_loads(self, tmp_path, capsys, monkeypatch, existed):
+        # The disk fills as the third 4,096-row chunk goes out: its bytes reach the file,
+        # then the write fails. The pool file is as it was, and nothing else is left.
+        out = tmp_path / "pool.csv"
+        if existed:
+            out.write_bytes(b"earlier bytes")
+
+        class FullDisk:  # the digest is fed each text right after it is written
+            writes = 0
+
+            def update(self, text):
+                self.writes += 1
+                if self.writes == 4:  # the header, then chunks 1, 2 and 3
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(cli, "_sha256", FullDisk)
+        assert run_cli("gen-pool", "--n", 20000, "--d", 3, "--out", out) == 1
+        assert "No space left on device" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == (["pool.csv"] if existed else [])
+        if existed:
+            assert out.read_bytes() == b"earlier bytes"
 
     @pytest.mark.parametrize("n, d", [(99999999999999999999, 3), (9223372036854775807, 1),
                                       (3, 99999999999999999999)])
@@ -531,7 +555,7 @@ class TestSweep:
     @pytest.mark.parametrize("threads", ["0", "-5", "two"])
     def test_dado_threads_must_be_a_positive_integer(self, tmp_path, capsys, monkeypatch,
                                                      threads):
-        pool = make_pool(tmp_path)  # gen-pool, too, refuses the setting
+        pool = make_pool(tmp_path)
         monkeypatch.setenv("DADO_THREADS", threads)
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text(SWEEP_CFG + f"\npool = {pool}\n")
@@ -540,21 +564,24 @@ class TestSweep:
         assert "DADO_THREADS must be a positive integer" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("command", ["sweep", "run", "gen-pool"])
-    def test_dado_threads_is_checked_before_the_pool_file(self, tmp_path, capsys, monkeypatch,
-                                                         command):
+    def test_dado_threads_is_checked_before_the_pool_file(self, tmp_path, capsys, monkeypatch):
         # A missing pool would exit 1; the bad setting is found first, and nothing is written.
         monkeypatch.setenv("DADO_THREADS", "0")
-        pool, out = tmp_path / "missing.csv", tmp_path / "o"
         cfg = tmp_path / "sweep.cfg"
-        cfg.write_text(SWEEP_CFG + f"\npool = {pool}\n")
-        argv = {"sweep": ["--config", cfg, "--out-dir", out],
-                "run": ["--pool", pool, "--strategy", "random", "--initial", 20, "--draw", 40,
-                        "--aq", 10, "--budget", 40, "--out-dir", out],
-                "gen-pool": ["--n", 10, "--d", 2, "--out", pool]}[command]
-        assert run_cli(command, *argv) == 2
+        cfg.write_text(SWEEP_CFG + f"\npool = {tmp_path / 'missing.csv'}\n")
+        assert run_cli("sweep", "--config", cfg, "--out-dir", tmp_path / "o") == 2
         assert "DADO_THREADS must be a positive integer, got '0'" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.cfg"]
+
+    def test_only_sweep_reads_dado_threads(self, tmp_path, monkeypatch):
+        # The setting counts sweep workers; the commands and calls that start none ignore it.
+        monkeypatch.setenv("DADO_THREADS", "0")
+        pool = make_pool(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(FAST_CFG)
+        assert run_cli("run", "--pool", pool, "--config", cfg, "--out-dir", tmp_path / "r") == 0
+        save_pool(load_pool(pool), tmp_path / "copy.csv")
+        assert (tmp_path / "copy.csv").read_bytes() == pool.read_bytes()
 
     def test_name_with_path_separator_is_a_config_error(self, tmp_path, capsys):
         pool = make_pool(tmp_path)
@@ -753,6 +780,19 @@ class TestReport:
                        "--out", one_scenario) == 0
         with open(one_scenario) as fh:
             assert {r["strategy"] for r in csv.DictReader(fh)} == {"l2-select", "random"}
+
+    def test_manifest_may_start_with_a_byte_order_mark(self, tmp_path):
+        pool = make_pool(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(FAST_CFG)
+        run_dir = tmp_path / "r1"
+        assert run_cli("run", "--pool", pool, "--config", cfg, "--out-dir", run_dir) == 0
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        assert run_cli("report", "--runs", run_dir, "--metric", "srocc", "--out", plain) == 0
+        manifest = run_dir / "manifest.json"
+        manifest.write_bytes(b"\xef\xbb\xbf" + manifest.read_bytes())
+        assert run_cli("report", "--runs", run_dir, "--metric", "srocc", "--out", marked) == 0
+        assert marked.read_bytes() == plain.read_bytes()
 
     @pytest.mark.parametrize(
         "manifest", ["{not json", '{"config": {}}', '["config"]', "\xff",

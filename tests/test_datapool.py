@@ -458,61 +458,109 @@ class TestPoolWriter:
     @pytest.mark.parametrize("rows", [1, 2 * SAVE_CHUNK_ROWS + 3])
     def test_save_pool_writes_the_same_bytes_on_both_paths(self, kernel, tmp_path, monkeypatch,
                                                            rows):
-        # On one thread and on several, each formatting chunks of 1,000 rows.
+        # Both paths format chunks of 1,000 rows.
         pool = gen_synthetic_pool(rows, 5, seed=rows)
         expected = b"p0,p1,p2,p3,p4,j0,j1\r\n" + repr_rows(pool.table)
         monkeypatch.setattr(datapool, "SAVE_CHUNK_ROWS", 1000)
         formatter = datapool.csv_formatter
-        for threads in ("1", "2", "3"):
-            monkeypatch.setenv("DADO_THREADS", threads)
-            chunks = []
+        chunks = []
 
-            def counting(*args):
-                run = formatter(*args)
-                return lambda block: chunks.append(len(block)) or run(block)
+        def counting(*args):
+            run = formatter(*args)
+            return lambda block: chunks.append(len(block)) or run(block)
 
-            digest = hashlib.sha256()
-            with monkeypatch.context() as patch:
-                patch.setattr(datapool, "csv_formatter", counting)
-                save_pool(pool, tmp_path / "native.csv", digest=digest)
-            assert sum(chunks) == rows and len(chunks) == math.ceil(rows / 1000), threads
-            with monkeypatch.context() as patch:
-                patch.setattr(datapool, "native_kernel", lambda: None)
-                save_pool(pool, tmp_path / "repr.csv")
-            assert (tmp_path / "native.csv").read_bytes() == expected, threads
-            assert (tmp_path / "repr.csv").read_bytes() == expected, threads
-            assert digest.digest() == hashlib.sha256(expected).digest(), threads
+        digest = hashlib.sha256()
+        with monkeypatch.context() as patch:
+            patch.setattr(datapool, "csv_formatter", counting)
+            save_pool(pool, tmp_path / "native.csv", digest=digest)
+        assert sum(chunks) == rows and len(chunks) == math.ceil(rows / 1000)
+        with monkeypatch.context() as patch:
+            patch.setattr(datapool, "native_kernel", lambda: None)
+            save_pool(pool, tmp_path / "repr.csv")
+        assert (tmp_path / "native.csv").read_bytes() == expected
+        assert (tmp_path / "repr.csv").read_bytes() == expected
+        assert digest.digest() == hashlib.sha256(expected).digest()
 
-    def test_chunks_are_written_in_order_when_the_first_finishes_last(self, kernel, tmp_path,
-                                                                       monkeypatch):
+    def test_one_format_at_a_time(self, kernel, tmp_path, monkeypatch):
+        # Whatever DADO_THREADS says, one worker formats: no two chunks are in flight, and
+        # the chunks are written in order.
         pool = gen_synthetic_pool(1000, 3, seed=5)
         expected = b"p0,p1,p2,j0,j1\r\n" + repr_rows(pool.table)
         monkeypatch.setattr(datapool, "SAVE_CHUNK_ROWS", 100)
         monkeypatch.setenv("DADO_THREADS", "3")
         formatter = datapool.csv_formatter
-        third_done, finished, waited = threading.Event(), [], []
+        lock, active, most = threading.Lock(), 0, 0
 
-        def delaying(*args):
+        def recording(*args):
             run = formatter(*args)
 
             def text(block):
-                chunk = int(np.flatnonzero(pool.table[:, 0] == block[0, 0])[0]) // 100
-                if chunk == 0:
-                    waited.append(third_done.wait(timeout=30))
-                result = run(block)
-                finished.append(chunk)
-                if chunk == 2:
-                    third_done.set()
-                return result
+                nonlocal active, most
+                with lock:
+                    active += 1
+                    most = max(most, active)
+                time.sleep(0.002)
+                try:
+                    return run(block)
+                finally:
+                    with lock:
+                        active -= 1
 
             return text
 
-        monkeypatch.setattr(datapool, "csv_formatter", delaying)
+        monkeypatch.setattr(datapool, "csv_formatter", recording)
         digest = hashlib.sha256()
         save_pool(pool, tmp_path / "pool.csv", digest=digest)
-        assert waited == [True] and finished.index(0) > finished.index(2)
+        assert most == 1
         assert (tmp_path / "pool.csv").read_bytes() == expected
         assert digest.digest() == hashlib.sha256(expected).digest()
+
+    def test_at_most_two_chunks_are_alive(self, kernel, tmp_path, monkeypatch):
+        # Six chunks at DADO_THREADS=8: the text of the chunk being written and of the one
+        # being formatted, each in a buffer of 25 bytes a cell, is all the save holds.
+        monkeypatch.setenv("DADO_THREADS", "8")
+        pool = pool_from_arrays(np.random.default_rng(6).random((6 * SAVE_CHUNK_ROWS, 28)),
+                                np.random.default_rng(7).random((6 * SAVE_CHUNK_ROWS, 2)))
+        buffer = SAVE_CHUNK_ROWS * (30 * 25 + 1) + native.FORMAT_SLACK
+        tracemalloc.start()
+        try:
+            save_pool(pool, tmp_path / "pool.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * buffer
+
+    def test_save_pool_replaces_its_file_whole(self, tmp_path):
+        # The new file takes its mode from the umask, as a file opened with "wb" does; a
+        # symlink is written through, a name of 255 bytes is no obstacle, and no sibling
+        # is left.
+        pool = gen_synthetic_pool(100, 2, seed=1)
+        real = tmp_path / ("p" * 251 + ".csv")
+        real.write_bytes(b"earlier bytes")
+        (tmp_path / "link.csv").symlink_to(real.name)
+        umask = os.umask(0o027)
+        try:
+            save_pool(pool, tmp_path / "link.csv")
+        finally:
+            os.umask(umask)
+        assert real.read_bytes() == b"p0,p1,j0,j1\r\n" + repr_rows(pool.table)
+        assert real.stat().st_mode & 0o777 == 0o640
+        assert (tmp_path / "link.csv").is_symlink()
+        assert sorted(tmp_path.iterdir()) == sorted([real, tmp_path / "link.csv"])
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_save_pool_writes_a_pipe_in_place(self, tmp_path):
+        pool = gen_synthetic_pool(100, 2, seed=1)
+        fifo = tmp_path / "pool.fifo"
+        os.mkfifo(fifo)
+        read = []
+        reader = threading.Thread(target=lambda: read.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        save_pool(pool, fifo)
+        reader.join(timeout=30)
+        assert not reader.is_alive()
+        assert read == [b"p0,p1,j0,j1\r\n" + repr_rows(pool.table)]
+        assert fifo.is_fifo() and list(tmp_path.iterdir()) == [fifo]
 
     def test_save_pool_writes_the_pools_own_table(self, kernel, tmp_path):
         # The rows go out from the pool's table, chunk by chunk, with no copy of the table.
@@ -720,7 +768,7 @@ for token, expected in {tokens!r}:
     if (out[0] if n == 1 else None) != expected:
         sys.exit(f"{{token}}: read {{n}} rows")
 """
-    env = {**os.environ, "XDG_CACHE_HOME": str(tmp_path / "cache"), "DADO_THREADS": "2",
+    env = {**os.environ, "XDG_CACHE_HOME": str(tmp_path / "cache"),
            "PYTHONPATH": str(Path(dado.__file__).parents[1]), "LD_PRELOAD": found,
            "ASAN_OPTIONS": "detect_leaks=0", "PYTHONMALLOC": "malloc"}
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
@@ -869,14 +917,12 @@ class TestPoolReader:
         lines[40:40] = ["", "\r"]
         path = tmp_path / "pool.csv"
         path.write_text("\n".join(lines) + "\n")
-        for threads in ("1", "2", "3"):
-            monkeypatch.setenv("DADO_THREADS", threads)
-            native, loadtxt = both_readers(monkeypatch, path)
-            assert native == loadtxt == whole_file_outcome(path), threads
-            if error is None:
-                assert native[-1] == (200, 2)
-            else:
-                assert error in native[1]
+        native, loadtxt = both_readers(monkeypatch, path)
+        assert native == loadtxt == whole_file_outcome(path)
+        if error is None:
+            assert native[-1] == (200, 2)
+        else:
+            assert error in native[1]
 
     def test_refused_cell_in_a_late_full_block(self, kernel, desk_file, tmp_path, monkeypatch):
         lines = desk_file.read_bytes().split(b"\r\n")
@@ -884,11 +930,9 @@ class TestPoolReader:
         path = tmp_path / "pool.csv"
         path.write_bytes(b"\r\n".join(lines))
         monkeypatch.setattr(datapool, "LOAD_BLOCK_BYTES", 1 << 16)
-        for threads in ("1", "2", "3"):
-            monkeypatch.setenv("DADO_THREADS", threads)
-            native, loadtxt = both_readers(monkeypatch, path)
-            assert native == loadtxt == whole_file_outcome(path), threads
-            assert "at row 9000," in native[1]
+        native, loadtxt = both_readers(monkeypatch, path)
+        assert native == loadtxt == whole_file_outcome(path)
+        assert "at row 9000," in native[1]
 
     def test_file_is_read_in_blocks(self, kernel, desk_file, monkeypatch):
         # The header line is read alone. Each block of whole lines after it ends at the
@@ -903,22 +947,19 @@ class TestPoolReader:
             start = end
         reader = datapool.csv_reader
         expected = whole_file_outcome(desk_file)
-        for threads in ("1", "2", "3"):
-            monkeypatch.setenv("DADO_THREADS", threads)
-            texts = []
+        texts = []
 
-            def recording(k):
-                read = reader(k)
-                return lambda text, table: texts.append(len(text)) or read(text, table)
+        def recording(k):
+            read = reader(k)
+            return lambda text, table: texts.append(len(text)) or read(text, table)
 
-            with monkeypatch.context() as patch:
-                patch.setattr(datapool, "csv_reader", recording)
-                digest = hashlib.sha256()
-                pool = load_pool(desk_file, digest=digest)
-            assert sorted(texts) == sorted(blocks) and len(blocks) > 80, threads
-            arrays = (pool.params, pool.objectives, pool.feature_bounds)
-            assert tuple(a.tobytes() for a in arrays) == expected[:3]
-            assert digest.digest() == hashlib.sha256(data).digest()
+        monkeypatch.setattr(datapool, "csv_reader", recording)
+        digest = hashlib.sha256()
+        pool = load_pool(desk_file, digest=digest)
+        assert sorted(texts) == sorted(blocks) and len(blocks) > 80
+        arrays = (pool.params, pool.objectives, pool.feature_bounds)
+        assert tuple(a.tobytes() for a in arrays) == expected[:3]
+        assert digest.digest() == hashlib.sha256(data).digest()
 
     def test_one_parse_at_a_time(self, kernel, desk_file, monkeypatch):
         # Whatever DADO_THREADS says, one worker parses: no two blocks are in flight.

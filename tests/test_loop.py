@@ -19,8 +19,9 @@ from dado.loop import (
     run_sweep,
     stderr_of,
     sweep_table,
+    thread_count,
 )
-from dado.datapool import consume, initial_sample, pool_from_arrays, thread_count
+from dado.datapool import consume, initial_sample, pool_from_arrays
 from dado.oracle import annotate, gen_synthetic_pool
 from dado.strategies import StrategyKind
 from dado.surrogate import MlpConfig, TrainConfig
