@@ -40,17 +40,11 @@ void dado_adam_step(double *restrict theta, const double *restrict grad,
     }
 }
 
-/* numpy's float64 inner loops of np.matmul and np.add, set by dado_set_loops.
+/* numpy's float64 inner loops of np.matmul and np.add, set by dado_init.
  * numpy calls both with NULL data, and so does this file. */
 typedef void (*loop_fn)(char **args, const int64_t *dimensions, const int64_t *steps,
                         void *data);
 static loop_fn matmul_loop, add_loop;
-
-void dado_set_loops(loop_fn matmul, loop_fn add)
-{
-    matmul_loop = matmul;
-    add_loop = add;
-}
 
 /* c = a @ b for an m x n a and an n x p b, strides in elements, as np.matmul
  * runs a 2-D product: one call of its loop, with the strides in bytes. */
@@ -167,14 +161,17 @@ void dado_fwd_bwd(const int64_t *dims, int64_t layers, double slope,
 /* Ryu's 125-bit multipliers (Ulf Adams, "Ryu: fast float-to-string
  * conversion", PLDI 2018), shared by the formatter and the reader (Ryu's s2d),
  * as (low, high) 64-bit words, set by
- * dado_set_pow5: pow5_inv[q] = floor(2^(bitlen(5^q) - 1 + 125) / 5^q) + 1 and
+ * dado_init: pow5_inv[q] = floor(2^(bitlen(5^q) - 1 + 125) / 5^q) + 1 and
  * pow5[i] = the top 125 bits of 5^i. */
 #define POW5_INV_COUNT 342
 #define POW5_COUNT 326
 static uint64_t pow5_inv[POW5_INV_COUNT][2], pow5[POW5_COUNT][2];
 
-void dado_set_pow5(const uint64_t *inv, const uint64_t *pos)
+/* Sets numpy's two loops and copies in Ryu's tables; called once, first of all. */
+void dado_init(loop_fn matmul, loop_fn add, const uint64_t *inv, const uint64_t *pos)
 {
+    matmul_loop = matmul;
+    add_loop = add;
     memcpy(pow5_inv, inv, sizeof pow5_inv);
     memcpy(pow5, pos, sizeof pow5);
 }

@@ -453,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="execute one experiment")
     run.add_argument("--pool", required=True)
     run.add_argument("--config", help="key = value run config file")
-    run.add_argument("--strategy", choices=[k.value for k in StrategyKind])
+    run.add_argument("--strategy", help=f"one of: {', '.join(k.value for k in StrategyKind)}")
     run.add_argument("--initial", dest="initial_size")
     run.add_argument("--draw", dest="draw_size")
     run.add_argument("--aq", dest="aq_size")

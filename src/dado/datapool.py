@@ -40,29 +40,20 @@ LOAD_BLOCK_BYTES = 1 << 20
 
 
 @dataclass
-class FeatureNormalizer:
-    """Per-dimension min-max map to [0, 1], fixed to the pool's bounds.
-
-    Dimensions with zero width map to 0.5.
-    """
-
-    lo: np.ndarray
-    hi: np.ndarray
-
-    def transform(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        span = self.hi - self.lo
-        safe = np.where(span > 0, span, 1.0)
-        scaled = (x - self.lo) / safe
-        return np.where(span > 0, scaled, 0.5)
-
-
-@dataclass
 class TargetNormalizer:
     """Per-objective z-score with a floored population standard deviation."""
 
     mean: np.ndarray
     std: np.ndarray
+
+    @classmethod
+    def fit(cls, targets) -> "TargetNormalizer":
+        """Fit to the current training targets: their mean and population std,
+        the std floored so that a constant objective column z-scores to 0."""
+        t = np.asarray(targets, dtype=float)
+        if t.ndim != 2 or t.shape[0] == 0:
+            raise DegenerateInput("the normalizer needs a non-empty (n, num_obj) target array")
+        return cls(t.mean(axis=0), np.maximum(t.std(axis=0), TARGET_STD_FLOOR))
 
     def transform(self, y) -> np.ndarray:
         return (np.asarray(y, dtype=float) - self.mean) / self.std
@@ -114,6 +105,22 @@ class CandidatePool:
         """Pool sharing the read-only arrays, with its own consumption mask."""
         return CandidatePool(self.table, self.feature_bounds, self.consumed.copy())
 
+    def features(self, rows) -> np.ndarray:
+        """The parameters of `rows`, min-max scaled by the pool's bounds into
+        [0, 1], so every pooled candidate lands there; a dimension of zero width
+        maps to 0.5."""
+        lo, hi = self.feature_bounds.T
+        span = hi - lo
+        scaled = (self.params[rows] - lo) / np.where(span > 0, span, 1.0)
+        return np.where(span > 0, scaled, 0.5)
+
+    def __setstate__(self, state) -> None:
+        # An unpickled pool, such as a spawned sweep worker's, gets fresh
+        # writable arrays; they are the pool's own, so it freezes them again.
+        self.__dict__.update(state)
+        for a in (self.table, self.feature_bounds):
+            a.setflags(write=False)
+
 
 def pool_from_arrays(params: np.ndarray, objectives: np.ndarray) -> CandidatePool:
     """Build a pool from (n, d) parameters and (n, num_obj) objectives, ids 0..n-1.
@@ -133,7 +140,7 @@ def _own_pool(table: np.ndarray, d: int, source: str) -> CandidatePool:
     """The pool of this table of d parameter columns from `source`, which it takes
     over and makes read-only: the one gate of every pool. No rows raise
     SchemaMismatch; a non-finite value, or a parameter span or an objective's standard
-    deviation that overflows (the normalizers could not scale it), NonFiniteValue. A
+    deviation that overflows (neither scaling could map it), NonFiniteValue. A
     training subset's squared deviations sum to at most the pool's, so none overflows."""
     if len(table) == 0:
         raise SchemaMismatch(f"{source}: no data rows")
@@ -371,17 +378,3 @@ def consume(pool: CandidatePool, ids) -> None:
         raise AlreadyConsumed(f"candidate id {rows[taken][0]} already consumed")
     pool.consumed[rows] = True
 
-
-def fit_normalizers(pool: CandidatePool, train_targets) -> tuple[FeatureNormalizer, TargetNormalizer]:
-    """Fit both normalizers for one iteration.
-
-    Features use the pool-wide bounds (so every pooled candidate lands in
-    [0, 1]); targets use mean/population-std of the *current* training targets
-    with the std floored, so a constant objective column z-scores to 0.
-    """
-    t = np.asarray(train_targets, dtype=float)
-    if t.ndim != 2 or t.shape[0] == 0:
-        raise DegenerateInput("normalizers need a non-empty (n, num_obj) target array")
-    fnorm = FeatureNormalizer(pool.feature_bounds[:, 0].copy(), pool.feature_bounds[:, 1].copy())
-    tnorm = TargetNormalizer(t.mean(axis=0), np.maximum(t.std(axis=0), TARGET_STD_FLOOR))
-    return fnorm, tnorm

@@ -15,13 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datapool import (
-    CandidatePool,
-    bootstrap_draw,
-    consume,
-    fit_normalizers,
-    initial_sample,
-)
+from .datapool import CandidatePool, TargetNormalizer, bootstrap_draw, consume, initial_sample
 from .errors import ConfigError, PoolExhausted
 from .metrics import (
     METRIC_FIELDS,
@@ -76,6 +70,8 @@ class ScenarioConfig:
     target_space: str = "normalized"
 
     def __post_init__(self):
+        if not isinstance(self.strategy, StrategyKind):
+            raise ConfigError(f"strategy must be a StrategyKind, got {self.strategy!r}")
         if min(self.initial_size, self.draw_size) < 1:
             raise ConfigError("initial_size and draw_size must be positive")
         if self.aq_size < 2:
@@ -132,7 +128,7 @@ def run_experiment(
     dropout, draws, random selection) derive from the scenario seed via labeled
     sub-seeds, so a run is reproducible bit for bit.
 
-    `predict_override(draw, fnorm, tnorm) -> (n, num_obj) normalized predictions`,
+    `predict_override(draw, tnorm) -> (n, num_obj) normalized predictions`,
     where `draw` holds the drawn pool row ids, replaces training and prediction
     entirely; it exists so tests can wire a perfect or broken predictor into an
     otherwise unchanged loop.
@@ -151,12 +147,12 @@ def run_experiment(
     mr_first = 0.0
 
     for i in range(n_iter):
-        fnorm, tnorm = fit_normalizers(pool, train_targets)
+        tnorm = TargetNormalizer.fit(train_targets)
         if predict_override is None:
             model = init_model(cfg.mlp, pool.d, pool.num_obj, derive_seed(cfg.seed, "model-init", i))
             model, _ = train(
                 model,
-                fnorm.transform(pool.params[train_rows]),
+                pool.features(train_rows),
                 tnorm.transform(train_targets),
                 cfg.train,
                 derive_rng(cfg.seed, "train", i),
@@ -164,9 +160,9 @@ def run_experiment(
 
         draw = bootstrap_draw(pool, cfg.draw_size, derive_rng(cfg.seed, "draw", i))
         if predict_override is None:
-            preds = predict_batch(model, fnorm.transform(pool.params[draw]))
+            preds = predict_batch(model, pool.features(draw))
         else:
-            preds = np.asarray(predict_override(draw, fnorm, tnorm), dtype=float)
+            preds = np.asarray(predict_override(draw, tnorm), dtype=float)
 
         truths_raw = annotate(pool, draw)  # metric bookkeeping only
         truths = tnorm.transform(truths_raw)

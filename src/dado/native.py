@@ -49,28 +49,34 @@ class Kernels(NamedTuple):
     parse_rows: Callable
 
 
-def adam_numpy(theta, grad, m, v, scratch, beta1, beta2, eps, inv_bc2, step_size) -> None:
+# Adam's moment decay rates and denominator floor (Kingma & Ba's defaults).
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
+def adam_numpy(theta, grad, m, v, scratch, inv_bc2, step_size) -> None:
     """One allocation-free Adam step in place; the reference for the C loop.
 
     m and v are exponential moving averages of the gradient and its square,
     with bias correction folded into the scalars inv_bc2 and step_size.
     """
-    m *= beta1
-    np.multiply(grad, 1.0 - beta1, out=scratch)
+    m *= ADAM_BETA1
+    np.multiply(grad, 1.0 - ADAM_BETA1, out=scratch)
     m += scratch
-    v *= beta2
+    v *= ADAM_BETA2
     np.multiply(grad, grad, out=scratch)
-    scratch *= 1.0 - beta2
+    scratch *= 1.0 - ADAM_BETA2
     v += scratch
     np.multiply(v, inv_bc2, out=scratch)
     np.sqrt(scratch, out=scratch)
-    scratch += eps
+    scratch += ADAM_EPS
     np.divide(m, scratch, out=scratch)
     scratch *= step_size
     theta -= scratch
 
 
-def adam_updater(kernel, theta, grad, m, v, *, learning_rate, beta1, beta2, eps):
+def adam_updater(kernel, theta, grad, m, v, learning_rate):
     """Return `update(step)`, which applies Adam step number `step` (from 1) in place.
 
     `kernel` is `native_kernel()`'s result; None selects the numpy path. The
@@ -80,8 +86,8 @@ def adam_updater(kernel, theta, grad, m, v, *, learning_rate, beta1, beta2, eps)
         scratch = np.empty_like(theta)
 
         def update(step: int) -> None:
-            adam_numpy(theta, grad, m, v, scratch, beta1, beta2, eps,
-                       1.0 / (1.0 - beta2**step), learning_rate / (1.0 - beta1**step))
+            adam_numpy(theta, grad, m, v, scratch,
+                       1.0 / (1.0 - ADAM_BETA2**step), learning_rate / (1.0 - ADAM_BETA1**step))
 
         return update
 
@@ -92,11 +98,12 @@ def adam_updater(kernel, theta, grad, m, v, *, learning_rate, beta1, beta2, eps)
     # Arguments converted to ctypes once here pass through each call unconverted.
     adam = functools.partial(
         kernel.adam, *(_address(a) for a in (theta, grad, m, v)), ctypes.c_size_t(theta.size),
-        *map(ctypes.c_double, (beta1, 1.0 - beta1, beta2, 1.0 - beta2, eps)),
+        *map(ctypes.c_double, (ADAM_BETA1, 1.0 - ADAM_BETA1, ADAM_BETA2, 1.0 - ADAM_BETA2,
+                               ADAM_EPS)),
     )
 
     def update(step: int) -> None:
-        adam(1.0 / (1.0 - beta2**step), learning_rate / (1.0 - beta1**step))
+        adam(1.0 / (1.0 - ADAM_BETA2**step), learning_rate / (1.0 - ADAM_BETA1**step))
 
     return update
 
@@ -265,9 +272,8 @@ def load_kernel():
                 target = directory / name
                 _compile(cc, source, directory, target)
         lib = ctypes.CDLL(str(target))
-        adam, fwd_bwd, set_loops = lib.dado_adam_step, lib.dado_fwd_bwd, lib.dado_set_loops
-        format_rows, set_pow5 = lib.dado_format_rows, lib.dado_set_pow5
-        parse_rows = lib.dado_parse_rows
+        adam, fwd_bwd, init = lib.dado_adam_step, lib.dado_fwd_bwd, lib.dado_init
+        format_rows, parse_rows = lib.dado_format_rows, lib.dado_parse_rows
         loops = [_float64_loop(ufunc) for ufunc in (np.matmul, np.add)]
     except (OSError, AttributeError, LookupError, RuntimeError):
         return None
@@ -279,16 +285,13 @@ def load_kernel():
     fwd_bwd.argtypes = ([ctypes.c_void_p, ctypes.c_int64, ctypes.c_double]
                         + [ctypes.c_void_p] * 6 + [ctypes.c_int64] * 2)
     fwd_bwd.restype = None
-    set_loops.argtypes, set_loops.restype = [ctypes.c_void_p] * 2, None
-    set_loops(*loops)
     format_rows.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64]
     format_rows.restype = ctypes.c_int64
     parse_rows.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p,
                            ctypes.c_int64]
     parse_rows.restype = ctypes.c_int64
-    set_pow5.argtypes, set_pow5.restype = [ctypes.c_void_p] * 2, None
-    inverse, power = _pow5_tables()
-    set_pow5(_address(inverse), _address(power))  # copied into the library
+    init.argtypes, init.restype = [ctypes.c_void_p] * 4, None
+    init(*loops, *map(_address, _pow5_tables()))  # the tables are copied into the library
     kernel = Kernels(adam, fwd_bwd, format_rows, parse_rows)
     checks = (_adam_check, _fwd_bwd_check, _format_check, _parse_check)
     return kernel if all(check(kernel) for check in checks) else None
@@ -346,8 +349,7 @@ def _adam_check(kernel) -> bool:
     results = []
     for k in (None, kernel):
         theta, grad, m, v = theta0.copy(), np.empty(n), np.zeros(n), np.zeros(n)
-        update = adam_updater(k, theta, grad, m, v,
-                              learning_rate=1e-2, beta1=0.9, beta2=0.999, eps=1e-8)
+        update = adam_updater(k, theta, grad, m, v, learning_rate=1e-2)
         for step, g in enumerate(grads, start=1):
             grad[:] = g
             update(step)

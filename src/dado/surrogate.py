@@ -14,16 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatch, NumericalDivergence
-from .native import (
-    adam_updater,
-    fwd_bwd_binder,
-    native_kernel,
-)
-
-# Adam's moment decay rates and denominator floor (Kingma & Ba's defaults).
-ADAM_BETA1 = 0.9
-ADAM_BETA2 = 0.999
-ADAM_EPS = 1e-8
+from .native import adam_updater, fwd_bwd_binder, native_kernel
 
 
 @dataclass(frozen=True)
@@ -260,10 +251,7 @@ def train(model: SurrogateModel, inputs, targets, cfg: TrainConfig, rng):
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
     kernel = native_kernel()
-    update = adam_updater(
-        kernel, theta, grad, m, v,
-        learning_rate=cfg.learning_rate, beta1=ADAM_BETA1, beta2=ADAM_BETA2, eps=ADAM_EPS,
-    )
+    update = adam_updater(kernel, theta, grad, m, v, cfg.learning_rate)
     n = x.shape[0]
     batches = [(start, min(start + cfg.batch_size, n)) for start in range(0, n, cfg.batch_size)]
     config = work.config

@@ -123,7 +123,7 @@ class TestCriterion4:
     def test_perfect_surrogate_end_to_end(self, kind):
         pool = gen_synthetic_pool(1200, 6, seed=33)
 
-        def perfect(draw, fnorm, tnorm):
+        def perfect(draw, tnorm):
             return tnorm.transform(annotate(pool, draw))
 
         cfg = ScenarioConfig(

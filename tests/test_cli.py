@@ -299,6 +299,7 @@ class TestRun:
     @pytest.mark.parametrize("flag, value, key", [
         ("--aq", "abc", "aq_size"), ("--initial", 0, "initial_size"),
         ("--max-epochs", 0, "max_epochs"), ("--seed", "x", "seed"),
+        ("--strategy", "bogus", "strategy"),
     ])
     def test_bad_flag_value_is_a_config_error(self, tmp_path, capsys, flag, value, key):
         pool = make_pool(tmp_path)
@@ -882,19 +883,14 @@ GOLDEN_SHA256 = {
 }
 
 
-# Prints the name of the OpenBLAS kernel numpy runs (empty when its OpenBLAS does not
-# say), then runs `dado` with the arguments after argv[1] if that name is argv[1].
+# Prints the name of the OpenBLAS kernel numpy runs, as run manifests record it
+# ("unknown" when its OpenBLAS does not say), then runs `dado` with the arguments
+# after argv[1] if that name is argv[1].
 KERNEL_CLI = """
-import ctypes, sys
-from dado.cli import main
-import numpy
+import sys
+from dado.cli import _blas, main
 
-try:
-    corename = ctypes.CDLL(numpy._core._multiarray_umath.__file__).scipy_openblas_get_corename64_
-    corename.restype = ctypes.c_char_p
-    name = corename().decode()
-except (AttributeError, OSError):
-    name = ""
+name = _blas()["core"]
 print(name, flush=True)
 if name.lower() == sys.argv[1].lower():
     sys.exit(main(sys.argv[2:]))
@@ -955,7 +951,7 @@ class TestGoldenDigests:
                               env=env, capture_output=True, text=True, check=True, timeout=120)
         picked = done.stdout.partition("\n")[0]
         if picked.lower() != core.lower():
-            pytest.skip(f"OpenBLAS runs {picked or 'an unnamed kernel'} here, not {core}")
+            pytest.skip(f"OpenBLAS names its kernel {picked!r} here, not {core!r}")
         for name in ("iterations.csv", "summary.json"):
             assert self.digest(out_dir / name) == GOLDEN_SHA256[name], name
         assert json.loads((out_dir / "manifest.json").read_text())["blas"]["core"] == picked
@@ -1097,7 +1093,7 @@ class TestDeterminismAtWorkingShape:
                 env=env, capture_output=True, text=True, check=True, timeout=120)
             picked, *lines = done.stdout.splitlines()
             if picked.lower() != core.lower():
-                pytest.skip(f"OpenBLAS runs {picked or 'an unnamed kernel'} here, not {core}")
+                pytest.skip(f"OpenBLAS names its kernel {picked!r} here, not {core!r}")
             runs.append(([line for line in lines if line.startswith("acquired ")],
                          cli.read_iterations(out_dir / "iterations.csv")))
         (acquired, columns), (other_acquired, other) = runs

@@ -5,6 +5,7 @@ import csv
 import hashlib
 import math
 import os
+import pickle
 import shutil
 import subprocess
 import sys
@@ -21,9 +22,9 @@ import dado
 from dado import datapool, native
 from dado.datapool import (
     SAVE_CHUNK_ROWS,
+    TargetNormalizer,
     bootstrap_draw,
     consume,
-    fit_normalizers,
     initial_sample,
     load_pool,
     pool_from_arrays,
@@ -310,26 +311,23 @@ class TestConsume:
 
 class TestNormalizers:
     def test_target_stats_example(self):
-        pool = small_pool()
-        _, tnorm = fit_normalizers(pool, np.array([[0.0, 0.0], [2.0, 2.0]]))
+        tnorm = TargetNormalizer.fit(np.array([[0.0, 0.0], [2.0, 2.0]]))
         np.testing.assert_array_equal(tnorm.mean, [1.0, 1.0])
         np.testing.assert_array_equal(tnorm.std, [1.0, 1.0])
 
     def test_constant_objective_column_maps_to_zero(self):
-        pool = small_pool()
         targets = np.array([[5.0, 1.0], [5.0, 2.0], [5.0, 3.0]])
-        _, tnorm = fit_normalizers(pool, targets)
+        tnorm = TargetNormalizer.fit(targets)
         z = tnorm.transform(targets)
         np.testing.assert_array_equal(z[:, 0], [0.0, 0.0, 0.0])
 
     def test_refit_matches_direct_summation(self):
         # Oracle: recompute mean and population std with explicit loops.
-        pool = small_pool()
         rng = np.random.default_rng(5)
         targets = rng.normal(size=(4, 2))
         for _ in range(3):
             targets = np.vstack([targets, rng.normal(size=(3, 2))])
-            _, tnorm = fit_normalizers(pool, targets)
+            tnorm = TargetNormalizer.fit(targets)
             n = len(targets)
             for j in range(2):
                 mean = sum(targets[i, j] for i in range(n)) / n
@@ -338,14 +336,12 @@ class TestNormalizers:
                 assert tnorm.std[j] == pytest.approx(var**0.5, abs=1e-12)
 
     def test_empty_training_set_rejected(self):
-        pool = small_pool()
         with pytest.raises(DegenerateInput):
-            fit_normalizers(pool, np.empty((0, 2)))
+            TargetNormalizer.fit(np.empty((0, 2)))
 
     def test_features_map_into_unit_interval(self):
         pool = small_pool(n=50, d=6, seed=2)
-        fnorm, _ = fit_normalizers(pool, np.zeros((1, 2)))
-        scaled = fnorm.transform(pool.params)
+        scaled = pool.features(np.arange(len(pool)))
         assert scaled.min() >= 0.0
         assert scaled.max() <= 1.0
         # Bounds themselves map to the interval ends.
@@ -355,19 +351,25 @@ class TestNormalizers:
     def test_constant_feature_dimension_maps_to_half(self):
         params = np.column_stack([np.full(4, 3.0), np.arange(4.0)])
         pool = pool_from_arrays(params, np.zeros((4, 2)))
-        fnorm, _ = fit_normalizers(pool, np.zeros((1, 2)))
-        scaled = fnorm.transform(params)
-        np.testing.assert_array_equal(scaled[:, 0], [0.5, 0.5, 0.5, 0.5])
+        scaled = pool.features([3, 0, 2])
+        np.testing.assert_array_equal(scaled, [[0.5, 1.0], [0.5, 0.0], [0.5, 2 / 3]])
+
+    def test_features_are_the_min_max_formula_bitwise(self):
+        # Oracle: each cell as (x - min) / (max - min) over its column, in Python floats.
+        pool = small_pool(n=40, d=5, seed=4)
+        rows = [7, 0, 39, 7]
+        params = pool.params.tolist()
+        columns = list(zip(*params))
+        want = [[(params[r][j] - min(col)) / (max(col) - min(col)) for j, col in enumerate(columns)]
+                for r in rows]
+        assert pool.features(rows).tolist() == want
 
     def test_target_normalizer_roundtrip(self):
-        pool = small_pool()
         targets = np.random.default_rng(0).normal(size=(10, 2)) * 7 + 3
-        _, tnorm = fit_normalizers(pool, targets)
+        tnorm = TargetNormalizer.fit(targets)
         np.testing.assert_allclose(tnorm.inverse(tnorm.transform(targets)), targets, atol=1e-12)
 
     def test_inverse_example(self):
-        from dado.datapool import TargetNormalizer
-
         tnorm = TargetNormalizer(np.array([1.0, 1.0]), np.array([2.0, 2.0]))
         np.testing.assert_array_equal(tnorm.inverse(np.array([0.0, 0.0])), [1.0, 1.0])
 
@@ -411,6 +413,14 @@ class TestPoolInvariants:
             for a in (pool.table, pool.params, pool.objectives, pool.feature_bounds):
                 assert not a.flags.writeable
             assert pool.copy().table is pool.table
+
+    def test_unpickled_pool_stays_read_only(self):
+        # Sweep workers started by spawn or forkserver receive the pool this way.
+        pool = pickle.loads(pickle.dumps(small_pool()))
+        for a in (pool.table, pool.params, pool.feature_bounds):
+            assert not a.flags.writeable
+        consume(pool, [0])  # the mask is each pool's own
+        assert pool.available == len(pool) - 1
 
 
 @pytest.fixture(scope="module")

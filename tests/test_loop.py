@@ -100,6 +100,12 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError):
             fast_scenario(initial_size=50, budget=50)
 
+    @pytest.mark.parametrize("strategy", ["random", None])
+    def test_strategy_must_be_a_strategy_kind(self, strategy):
+        # The strategies compare with `is`, so a name would run as L2-Select.
+        with pytest.raises(ConfigError, match="strategy"):
+            fast_scenario(strategy=strategy)
+
 
 class TestRunExperiment:
     def test_structure_and_budget_accounting(self, pool, taken_ids):
@@ -130,7 +136,7 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("kind", [StrategyKind.L2_SELECT, StrategyKind.L2_REJECT])
     def test_perfect_predictor_maxes_the_metrics(self, pool, kind):
-        def perfect(draw, fnorm, tnorm):
+        def perfect(draw, tnorm):
             return tnorm.transform(annotate(pool, draw))
 
         cfg = fast_scenario(strategy=kind, initial_size=20, aq_size=10, budget=60)

@@ -328,8 +328,7 @@ class TestAdam:
         states = []
         for k in (None, kernel):
             theta, grad, m, v = theta0.copy(), np.empty(n), np.zeros(n), np.zeros(n)
-            update = native.adam_updater(k, theta, grad, m, v, learning_rate=5e-4,
-                                       beta1=0.9, beta2=0.999, eps=1e-8)
+            update = native.adam_updater(k, theta, grad, m, v, learning_rate=5e-4)
             for step in range(1, 2001):
                 # Cycle the bank with a changing sign so m and v keep moving.
                 np.multiply(grads[step % 16], -1.0 if step % 3 else 1.0, out=grad)
@@ -591,9 +590,7 @@ def reference_train(model, x, t, cfg, rng):
     grad = np.zeros_like(theta)
     grads = work.like(grad)
     m, v = np.zeros_like(theta), np.zeros_like(theta)
-    update = native.adam_updater(native.native_kernel(), theta, grad, m, v,
-                               learning_rate=cfg.learning_rate, beta1=surrogate.ADAM_BETA1,
-                               beta2=surrogate.ADAM_BETA2, eps=surrogate.ADAM_EPS)
+    update = native.adam_updater(native.native_kernel(), theta, grad, m, v, cfg.learning_rate)
     step = 0
     n = x.shape[0]
     best_loss, best_epoch = float("inf"), -1
