@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+from concurrent import futures
 from dataclasses import dataclass
 
 import numpy as np
@@ -214,12 +215,11 @@ class AggregateRow:
 
 
 # The pool a sweep's jobs run on: set once per worker process by the executor's
-# initializer, so each job ships only its ScenarioConfig, and around the serial
-# loop in the sweep's own process.
+# initializer, so each job ships only its ScenarioConfig.
 _sweep_pool: CandidatePool | None = None
 
 
-def _set_sweep_pool(pool: CandidatePool | None) -> None:
+def _set_sweep_pool(pool: CandidatePool) -> None:
     global _sweep_pool
     _sweep_pool = pool
 
@@ -228,7 +228,8 @@ def _execute_run(cfg: ScenarioConfig):
     try:
         return run_experiment(_sweep_pool.copy(), cfg), None
     except Exception as exc:  # noqa: BLE001 - a sweep isolates per-run failures
-        return None, f"{type(exc).__name__}: {exc}"
+        name = type(exc).__name__
+        return None, f"{name}: {exc}" if str(exc) else name
 
 
 def stderr_of(values) -> float:
@@ -261,24 +262,18 @@ def thread_count() -> int:
 def run_sweep(pool: CandidatePool, jobs: list[ScenarioConfig]) -> list[tuple]:
     """`(result, None)` or `(None, error)` per job, in job order, each run on its own pool copy.
 
-    A failed run does not stop the others. The jobs spread over `DADO_THREADS`
+    A failed run does not stop the others. The jobs run on up to `DADO_THREADS`
     worker processes (default: the CPUs this process may run on), each of which
     receives the pool once and each job only its ScenarioConfig.
     """
-    workers = thread_count()
-    if workers > 1 and len(jobs) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        # Under fork the workers inherit the pool; under spawn and forkserver
-        # it is pickled once per worker, never once per job.
-        with ProcessPoolExecutor(min(workers, len(jobs)), initializer=_set_sweep_pool,
-                                 initargs=(pool,)) as executor:
-            return list(executor.map(_execute_run, jobs))
-    _set_sweep_pool(pool)
-    try:
-        return [_execute_run(cfg) for cfg in jobs]
-    finally:
-        _set_sweep_pool(None)
+    if not jobs:
+        return []
+    # Under fork the workers inherit the pool; under spawn and forkserver it is
+    # pickled once per worker, never once per job. `futures` loads the process pool
+    # module here, at first use, so commands that run no sweep start without it.
+    with futures.ProcessPoolExecutor(min(thread_count(), len(jobs)),
+                                     initializer=_set_sweep_pool, initargs=(pool,)) as executor:
+        return list(executor.map(_execute_run, jobs))
 
 
 def sweep_table(results) -> list[AggregateRow]:

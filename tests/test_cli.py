@@ -609,16 +609,15 @@ class TestSweep:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["pool.csv", "run.cfg", "sweep.cfg"]
 
     def test_name_with_nul_byte_is_refused_before_any_run(self, tmp_path, capsys, monkeypatch):
-        # The name cannot become a directory; it must be refused before the sweep's work.
-        runs = []
-        monkeypatch.setattr(loop, "run_experiment", lambda *args: runs.append(args))
-        monkeypatch.setenv("DADO_THREADS", "1")
+        # The name cannot become a directory; it must be refused before the pool is read.
         pool = make_pool(tmp_path)
+        loads = []
+        monkeypatch.setattr(cli, "load_pool", lambda *args, **kwargs: loads.append(args))
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text(SWEEP_CFG.replace("name = mini", "name = a\0b") + f"\npool = {pool}\n")
         assert run_cli("sweep", "--config", cfg, "--out-dir", tmp_path / "out") == 2
         assert "NUL byte" in capsys.readouterr().err
-        assert runs == []
+        assert loads == []
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("name, longest_ok", [("x" * 240, "x" * 234),
@@ -627,24 +626,33 @@ class TestSweep:
     def test_over_long_run_name_is_refused_before_any_run(self, tmp_path, capsys, monkeypatch,
                                                           name, longest_ok):
         # "<name>-aq10-l2-select-seed1" would be 261 or 257 bytes; a file name has at most 255.
-        runs = []
-        monkeypatch.setattr(loop, "run_experiment", lambda *args: runs.append(args))
-        monkeypatch.setenv("DADO_THREADS", "1")
         pool = make_pool(tmp_path)
+        loads = []
+        monkeypatch.setattr(cli, "load_pool", lambda *args, **kwargs: loads.append(args))
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text(SWEEP_CFG.replace("name = mini", f"name = {name}") + f"\npool = {pool}\n",
                        encoding="utf-8")
         assert run_cli("sweep", "--config", cfg, "--out-dir", tmp_path / "out") == 2
         assert "is longer than 255 UTF-8 bytes" in capsys.readouterr().err
-        assert runs == []
+        assert loads == []
         assert not (tmp_path / "out").exists()
         # A 234-byte name makes the longest run name 255 bytes, which passes.
         _, jobs = cli._sweep_plan(dict(cli.parse_kv_file(cfg), name=longest_ok), tmp_path, None)
         assert max(len(cli._run_name(job).encode()) for job in jobs) == 255
 
-    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
-                        reason="the patched run reaches the workers only through fork")
-    def test_dead_worker_is_an_error_line(self, tmp_path, capsys, monkeypatch):
+    @pytest.fixture
+    def forked_workers(self):
+        """Start sweep workers by fork, so a run patched in this process reaches them."""
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("the patched run reaches the workers only through fork")
+        previous = multiprocessing.get_start_method(allow_none=True)
+        multiprocessing.set_start_method("fork", force=True)
+        yield
+        multiprocessing.set_start_method(previous, force=True)
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_dead_worker_is_an_error_line(self, tmp_path, capsys, monkeypatch, forked_workers,
+                                          threads):
         # One job kills its worker process, as a crash in C or the OOM killer would.
         run_experiment = loop.run_experiment
 
@@ -654,20 +662,36 @@ class TestSweep:
             return run_experiment(pool, cfg)
 
         monkeypatch.setattr(loop, "run_experiment", dying)
-        monkeypatch.setenv("DADO_THREADS", "2")
+        monkeypatch.setenv("DADO_THREADS", threads)
         pool = make_pool(tmp_path)
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text(SWEEP_CFG + f"\npool = {pool}\n")
-        previous = multiprocessing.get_start_method(allow_none=True)
-        multiprocessing.set_start_method("fork", force=True)
-        try:
-            code = run_cli("sweep", "--config", cfg, "--out-dir", tmp_path / "out")
-        finally:
-            multiprocessing.set_start_method(previous, force=True)
-        assert code == 1
+        assert run_cli("sweep", "--config", cfg, "--out-dir", tmp_path / "out") == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("message, error", [
+        ("Unable to allocate 74.5 GiB", "MemoryError: Unable to allocate 74.5 GiB"),
+        ("", "MemoryError")], ids=["message", "bare"])
+    def test_failed_run_names_its_error(self, tmp_path, capsys, monkeypatch, forked_workers,
+                                        message, error):
+        # An exception with no message is named by its type alone, as `main` names it.
+        run_experiment = loop.run_experiment
+
+        def failing(pool, cfg):
+            if cfg.strategy.value == "random" and cfg.seed == 1:
+                raise MemoryError(message)
+            return run_experiment(pool, cfg)
+
+        monkeypatch.setattr(loop, "run_experiment", failing)
+        pool = make_pool(tmp_path)
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(SWEEP_CFG + f"\npool = {pool}\n")
+        assert run_cli("sweep", "--config", cfg, "--out-dir", tmp_path / "out") == 0
+        assert capsys.readouterr().err == f"run failed: mini-aq10-random-seed1: {error}\n"
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["failures"] == [{"run": "mini-aq10-random-seed1", "error": error}]
 
     def test_single_seed_stderr_is_zero(self, tmp_path):
         pool = make_pool(tmp_path)
@@ -903,7 +927,7 @@ class TestGoldenDigests:
     A change that alters any of these bytes changes numeric results and must
     say so; a refactor or speed-up must leave them as they are. The inputs are
     acceptance criterion 5's pool and run config, plus a small sweep on that
-    pool run serially and on two worker processes.
+    pool run on one worker process and on two.
     """
 
     @staticmethod
@@ -1310,8 +1334,8 @@ print(" ".join(sorted(sys.modules)))
 
 class TestStartup:
     def test_cli_import_loads_no_process_or_build_modules(self):
-        # Only a sweep on several workers needs a process pool, and only a build of the C
-        # file needs subprocess and tempfile. numpy loads tempfile itself on some Pythons
+        # Only a sweep needs a process pool, and only a build of the C file needs
+        # subprocess and tempfile. numpy loads tempfile itself on some Pythons
         # (through importlib.resources), so dado is held to not adding it.
         done = subprocess.run([sys.executable, "-c", CLI_IMPORTS],
                               env={**os.environ, "PYTHONPATH": SRC}, capture_output=True,

@@ -228,7 +228,7 @@ def results_of(outcomes):
 class TestRunSweep:
     @pytest.fixture(autouse=True)
     def one_worker(self, monkeypatch):
-        """Run sweeps serially unless a test sets more workers."""
+        """Run sweeps on one worker unless a test sets more."""
         monkeypatch.setenv("DADO_THREADS", "1")
 
     def test_grid_shape_and_aggregates(self, pool):
@@ -282,7 +282,7 @@ class TestRunSweep:
         assert pool.available == before
 
 
-# Runs one grid serially and on two workers under the start method in argv[1],
+# Runs one grid on one worker and on two under the start method in argv[1],
 # on a pool of argv[2] rows, and prints whether the tables are equal, the bytes
 # the main process wrote to worker pipes during the parallel sweep (counted on
 # `Connection.send_bytes`, as perfbench/tracer.py counts them), and the size
