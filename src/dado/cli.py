@@ -295,12 +295,7 @@ def _check_out_dir(path: Path) -> None:
 
 
 def cmd_run(args) -> int:
-    kv = parse_kv_file(args.config) if args.config else {}
-    # A flag's dest is its config key and its text is parsed like the file's; a flag
-    # that was given overrides the file.
-    kv.update((key, text) for key, text in vars(args).items()
-              if key in RUN_KEYS and text is not None)
-    cfg = _scenario(_parse_config(kv, RUN_KEYS, _RUN_REQUIRED, "run"))
+    cfg = _scenario(_parse_config(parse_kv_file(args.config), RUN_KEYS, _RUN_REQUIRED, "run"))
     _check_out_dir(Path(args.out_dir))
     pool, pool_entry = _load_pool_auto(args.pool)
     result = run_experiment(pool, cfg)
@@ -452,15 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="execute one experiment")
     run.add_argument("--pool", required=True)
-    run.add_argument("--config", help="key = value run config file")
-    run.add_argument("--strategy", help=f"one of: {', '.join(k.value for k in StrategyKind)}")
-    run.add_argument("--initial", dest="initial_size")
-    run.add_argument("--draw", dest="draw_size")
-    run.add_argument("--aq", dest="aq_size")
-    run.add_argument("--budget")
-    run.add_argument("--seed", help="default 0")
-    run.add_argument("--name", help="default 'run'")
-    run.add_argument("--max-epochs", help="override the training epoch cap")
+    run.add_argument("--config", required=True, help="key = value run config file")
     run.add_argument("--out-dir", required=True)
     run.set_defaults(func=cmd_run)
 

@@ -311,7 +311,11 @@ def save_pool(pool: CandidatePool, path, *, digest=None) -> None:
             return _write_pool(pool, fh, digest)
     part = target.with_name(f".dado-{os.getpid()}-{threading.get_ident()}.tmp")
     try:
-        with open(part, "wb") as fh:
+        fh = open(part, "wb")
+    except OSError as exc:  # report `path`, not the hidden sibling
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+    try:
+        with fh:
             _write_pool(pool, fh, digest)
         os.replace(part, target)
     except BaseException:

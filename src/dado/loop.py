@@ -1,7 +1,7 @@
 """The iterative self-optimization loop and multi-run sweeps.
 
-One experiment repeats: retrain the surrogate from scratch on everything
-annotated so far, bootstrap a draw from the remaining pool, predict, let the
+One experiment repeats: bootstrap a draw from the remaining pool, retrain the
+surrogate from scratch on everything annotated so far, predict, let the
 query strategy pick the acquisition batch, annotate it, score the iteration,
 and fold the batch into the training set. The truths of the full draw are
 looked up for metrics only and never reach the surrogate.
@@ -149,18 +149,11 @@ def run_experiment(
 
     for i in range(n_iter):
         tnorm = TargetNormalizer.fit(train_targets)
-        if predict_override is None:
-            model = init_model(cfg.mlp, pool.d, pool.num_obj, derive_seed(cfg.seed, "model-init", i))
-            model, _ = train(
-                model,
-                pool.features(train_rows),
-                tnorm.transform(train_targets),
-                cfg.train,
-                derive_rng(cfg.seed, "train", i),
-            )
-
         draw = bootstrap_draw(pool, cfg.draw_size, derive_rng(cfg.seed, "draw", i))
         if predict_override is None:
+            model = init_model(cfg.mlp, pool.d, pool.num_obj, derive_seed(cfg.seed, "model-init", i))
+            model, _ = train(model, pool.features(train_rows), tnorm.transform(train_targets),
+                             cfg.train, derive_rng(cfg.seed, "train", i))
             preds = predict_batch(model, pool.features(draw))
         else:
             preds = np.asarray(predict_override(draw, tnorm), dtype=float)

@@ -1,6 +1,5 @@
 """Command-line behavior: pool generation, runs, sweeps, reports, exit codes."""
 
-import argparse
 import builtins
 import csv
 import errno
@@ -12,6 +11,7 @@ import multiprocessing
 import os
 import platform
 import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -51,6 +51,13 @@ seeds = 0, 1
 hidden = 8,4
 max_epochs = 2
 """
+
+
+def set_key(config: str, key: str, value) -> str:
+    """`config` with `key` set to `value`: its line replaced, or a line appended."""
+    line = f"{key} = {value}"
+    new, count = re.subn(rf"^{key} = .*$", line, config, flags=re.M)
+    return new if count else f"{config}{line}\n"
 
 
 def run_cli(*argv):
@@ -164,6 +171,15 @@ class TestGenPool:
         if existed:
             assert out.read_bytes() == b"earlier bytes"
 
+    @pytest.mark.parametrize("parent, code", [("nodir", errno.ENOENT), ("afile", errno.ENOTDIR)])
+    def test_unwritable_out_is_named_as_given(self, tmp_path, capsys, parent, code):
+        # The pool goes to a hidden sibling first; the error still names --out.
+        (tmp_path / "afile").write_text("")
+        out = tmp_path / parent / "pool.csv"
+        assert run_cli("gen-pool", "--n", 10, "--d", 2, "--out", out) == 1
+        assert capsys.readouterr().err == f"error: [Errno {code}] {os.strerror(code)}: '{out}'\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["afile"]
+
     @pytest.mark.parametrize("n, d", [(99999999999999999999, 3), (9223372036854775807, 1),
                                       (3, 99999999999999999999)])
     def test_size_numpy_cannot_index_is_a_config_error(self, tmp_path, capsys, n, d):
@@ -265,12 +281,10 @@ class TestRun:
     def test_low_budget_shape_gives_16_iterations(self, tmp_path):
         pool = make_pool(tmp_path, n=1000, d=3)
         out_dir = tmp_path / "s1"
-        code = run_cli(
-            "run", "--pool", pool, "--strategy", "l2-select", "--initial", 100,
-            "--draw", 400, "--aq", 25, "--budget", 500, "--seed", 0,
-            "--max-epochs", 2, "--out-dir", out_dir,
-        )
-        assert code == 0
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("strategy = l2-select\ninitial_size = 100\ndraw_size = 400\n"
+                       "aq_size = 25\nbudget = 500\nseed = 0\nmax_epochs = 2\n")
+        assert run_cli("run", "--pool", pool, "--config", cfg, "--out-dir", out_dir) == 0
         with open(out_dir / "iterations.csv") as fh:
             assert len(list(csv.reader(fh))) == 17  # header + 16
 
@@ -282,35 +296,41 @@ class TestRun:
         assert code == 1
         assert str(missing) in capsys.readouterr().err
 
-    def test_inline_mode_requires_all_size_flags(self, tmp_path):
+    def test_config_is_required(self, tmp_path, capsys):
         pool = make_pool(tmp_path)
-        code = run_cli("run", "--pool", pool, "--strategy", "random",
-                       "--out-dir", tmp_path / "o")
-        assert code == 2
+        assert run_cli("run", "--pool", pool, "--seed", 5, "--out-dir", tmp_path / "o") == 2
+        assert "required: --config" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["pool.csv"]
 
     def test_aq_below_two_is_a_config_error(self, tmp_path, capsys):
         pool = make_pool(tmp_path)
-        code = run_cli("run", "--pool", pool, "--strategy", "l2-select", "--initial", 20,
-                       "--draw", 40, "--aq", 1, "--budget", 40, "--out-dir", tmp_path / "o")
-        assert code == 2
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(set_key(FAST_CFG, "aq_size", 1))
+        assert run_cli("run", "--pool", pool, "--config", cfg, "--out-dir", tmp_path / "o") == 2
         assert "aq_size" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("flag, value, key", [
         ("--aq", "abc", "aq_size"), ("--initial", 0, "initial_size"),
         ("--max-epochs", 0, "max_epochs"), ("--seed", "x", "seed"),
-        ("--strategy", "bogus", "strategy"),
+        ("--strategy", "bogus", "strategy"), ("--draw", 5, "draw_size"),
+        ("--budget", 20, "budget"), ("--name", "-x", "name"),
     ])
     def test_bad_flag_value_is_a_config_error(self, tmp_path, capsys, flag, value, key):
+        """`dado run` once took each key as a flag too; now the flag is unrecognized,
+        and the same value in the file is the config error naming the key."""
         pool = make_pool(tmp_path)
-        flags = {"--initial": 20, "--draw": 40, "--aq": 10, "--budget": 40, flag: value}
-        argv = [arg for item in flags.items() for arg in item]
-        code = run_cli("run", "--pool", pool, "--strategy", "l2-select", *argv,
-                       "--out-dir", tmp_path / "o")
-        assert code == 2
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(FAST_CFG)
+        out_dir = tmp_path / "o"
+        assert run_cli("run", "--pool", pool, "--config", cfg, f"{flag}={value}",
+                       "--out-dir", out_dir) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        cfg.write_text(set_key(FAST_CFG, key, value))
+        assert run_cli("run", "--pool", pool, "--config", cfg, "--out-dir", out_dir) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and key in err
-        assert not (tmp_path / "o").exists()
+        assert not out_dir.exists()
 
     def test_unknown_config_key_is_rejected(self, tmp_path):
         pool = make_pool(tmp_path)
@@ -340,17 +360,6 @@ class TestRun:
         assert run_cli("run", "--pool", pool, "--config", cfg, "--out-dir", d2) == 0
         assert (d1 / "iterations.csv").read_bytes() == (d2 / "iterations.csv").read_bytes()
         assert (d1 / "summary.json").read_bytes() == (d2 / "summary.json").read_bytes()
-
-    def test_flags_override_config_keys(self, tmp_path):
-        pool = make_pool(tmp_path)
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(FAST_CFG)
-        out_dir = tmp_path / "out"
-        assert run_cli("run", "--pool", pool, "--config", cfg, "--seed", 5,
-                       "--strategy", "random", "--out-dir", out_dir) == 0
-        config = json.loads((out_dir / "manifest.json").read_text())["config"]
-        assert (config["seed"], config["strategy"]) == (5, "random")
-        assert config["mlp"]["hidden"] == [8, 4]  # the file's other keys still apply
 
     def test_repeated_config_key_is_a_config_error(self, tmp_path, capsys):
         pool = make_pool(tmp_path)
@@ -602,8 +611,8 @@ class TestSweep:
         assert run_cli("sweep", "--config", cfg, "--out-dir", tmp_path / "out") == 2
         assert "must not be empty" in capsys.readouterr().err
         run_cfg = tmp_path / "run.cfg"
-        run_cfg.write_text(FAST_CFG)
-        assert run_cli("run", "--pool", pool, "--config", run_cfg, "--name", "",
+        run_cfg.write_text(FAST_CFG + "name =\n")
+        assert run_cli("run", "--pool", pool, "--config", run_cfg,
                        "--out-dir", tmp_path / "run") == 2
         assert "must not be empty" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["pool.csv", "run.cfg", "sweep.cfg"]
@@ -1246,11 +1255,20 @@ def readme_config_blocks():
     return out
 
 
-def run_flags() -> dict[str, str]:
-    """Each `dado run` flag (other than --help) and its dest."""
-    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    return {a.option_strings[0]: a.dest for a in sub.choices["run"]._actions
-            if a.option_strings and not isinstance(a, argparse._HelpAction)}
+def readme_commands():
+    """Each `dado ...` command line of the README's fenced bash blocks, less its comment
+    and with its backslash continuations joined, as argv after `dado`."""
+    blocks = README.read_text(encoding="utf-8").split("```")[1::2]
+    out = []
+    for block in blocks:
+        info, _, body = block.partition("\n")
+        if info.strip() != "bash":
+            continue
+        for line in body.replace("\\\n", " ").splitlines():
+            argv = shlex.split(line, comments=True)
+            if argv[:1] == ["dado"]:
+                out.append(argv[1:])
+    return out
 
 
 class TestConfigKeys:
@@ -1279,17 +1297,14 @@ class TestConfigKeys:
             assert len(keys) == len(set(keys))
             assert set(keys) == accepted
 
-    def test_every_run_flag_sets_a_config_key(self):
-        """So each flag's text goes through the config parser and checks."""
-        bypass = {flag for flag, dest in run_flags().items() if dest not in RUN_KEYS}
-        assert bypass == {"--pool", "--config", "--out-dir"}
-
-    def test_readme_lists_exactly_the_override_flags(self):
-        text = README.read_text(encoding="utf-8")
-        sentence = re.search(r"With `--config`, the flags (.*?) still apply", text, re.S)
-        listed = re.findall(r"`(--[a-z-]+)`", sentence.group(1))
-        overrides = [flag for flag, dest in run_flags().items() if dest in RUN_KEYS]
-        assert sorted(listed) == sorted(overrides)
+    def test_readme_command_lines_parse(self, capsys):
+        commands = readme_commands()
+        assert {argv[0] for argv in commands} == {"gen-pool", "run", "sweep", "report"}
+        for argv in commands:
+            try:
+                build_parser().parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"dado {shlex.join(argv)}: {capsys.readouterr().err}")
 
 
 class TestLibraryUse:

@@ -277,9 +277,10 @@ class TestRunSweep:
         assert run_sweep(pool, []) == []
 
     def test_fresh_pool_per_run(self, pool):
-        before = pool.available
-        run_sweep(pool, sweep_jobs([StrategyKind.RANDOM], [0, 1]))
-        assert pool.available == before
+        # Both runs go to the one worker: the second must not see what the first consumed.
+        job = fast_scenario(StrategyKind.RANDOM)
+        [first, second] = results_of(run_sweep(pool, [job, job]))
+        assert first.records == second.records
 
 
 # Runs one grid on one worker and on two under the start method in argv[1],

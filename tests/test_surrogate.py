@@ -433,6 +433,9 @@ class TestAdam:
         assert wrong.read_text() != source
         monkeypatch.setattr(native, "_SOURCE", wrong)
         assert native.load_kernel() is None
+        # The source builds and loads: the Adam check is what refuses it.
+        monkeypatch.setattr(native, "_adam_check", lambda kernel: True)
+        assert native.load_kernel() is not None
 
 
 class TestGradients:
